@@ -20,6 +20,7 @@ from .graphs import (
 from .signals import (
     InputSet,
     InputSignal,
+    InputTable,
     SignalStats,
     disagreement_gamma,
     discrete_disagreement_gamma,

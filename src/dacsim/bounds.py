@@ -125,15 +125,20 @@ def zero_system_equilibrium(v0_or_w0, alpha: float) -> tuple[float, float]:
     return -total / (alpha * w0.size), total / w0.size
 
 
-def _branch_factor(t: float, alpha: float, blam: float, kappa: float) -> float:
+def _exp(x):
+    """math.exp for a float (the cheap scalar path), np.exp for an array."""
+    return math.exp(x) if isinstance(x, float) else np.exp(x)
+
+
+def _branch_factor(t, alpha: float, blam: float, kappa: float):
     """The confluent-aware transient factor multiplying (alpha ||y0|| + ||w0||)
-    in s(t) and ||du(0)|| in the tracking bound."""
+    in s(t) and ||du(0)|| in the tracking bound; t is a float or an array."""
     if abs(alpha - blam) < CONFLUENT_REL_TOL * alpha:
-        return kappa * t * math.exp(-blam * t)
-    return kappa * (math.exp(-alpha * t) - math.exp(-blam * t)) / (blam - alpha)
+        return kappa * t * _exp(-blam * t)
+    return kappa * (_exp(-alpha * t) - _exp(-blam * t)) / (blam - alpha)
 
 
-def transient_bound_s(t: float, b: BoundInputs) -> float:
+def transient_bound_s(t, b: BoundInputs):
     """Envelope of the shifted homogeneous state:
 
     s(t) = (e^{-alpha t} + kappa e^{-beta lam t}) ||y0||
@@ -142,18 +147,20 @@ def transient_bound_s(t: float, b: BoundInputs) -> float:
 
     where branch(t) is (beta lam - alpha)^{-1}(e^{-alpha t} - e^{-beta lam t})
     away from the confluent point alpha = beta lam and t e^{-beta lam t} at it.
-    kappa and lam come from the switching fields when present.
+    kappa and lam come from the switching fields when present.  A scalar t
+    gives a float, an array of times an array.
     """
-    if t < 0:
+    scalar = np.ndim(t) == 0
+    t = float(t) if scalar else np.asarray(t, dtype=float)
+    if (t < 0) if scalar else np.any(t < 0):
         raise ValueError("t must be nonnegative")
     alpha = b.alpha
     blam = b.beta * b.effective_lambda_hat
     kappa = b.effective_kappa
-    ea = math.exp(-alpha * t)
-    eb = math.exp(-blam * t)
+    ea = _exp(-alpha * t)
+    eb = _exp(-blam * t)
     s = (ea + kappa * eb) * b.y0_norm + ea * b.w0_norm / alpha
-    s += _branch_factor(t, alpha, blam, kappa) * (alpha * b.y0_norm + b.w0_norm)
-    return s
+    return s + _branch_factor(t, alpha, blam, kappa) * (alpha * b.y0_norm + b.w0_norm)
 
 
 def tracking_bound(t: float, b: BoundInputs,
@@ -191,20 +198,18 @@ def tracking_bound_curve(grid, b: BoundInputs, pi_udot_samples) -> BoundCurve:
         raise ValueError("grid and samples must be matching 1-D arrays")
     if grid.size and grid[0] < 0:
         raise ValueError("grid must start at t >= 0")
-    alpha = b.alpha
     blam = b.beta * b.effective_lambda_hat
     kappa = b.effective_kappa
+    h = np.diff(grid)
+    decay = np.exp(-blam * h)
+    trapezoids = 0.5 * h * (decay * f[:-1] + f[1:])
     integral = np.zeros_like(grid)
-    for k in range(grid.size - 1):
-        h = grid[k + 1] - grid[k]
-        decay = math.exp(-blam * h)
-        integral[k + 1] = decay * integral[k] + 0.5 * h * (decay * f[k] + f[k + 1])
-    values = np.array([
-        transient_bound_s(float(t), b)
-        + kappa * integral[k]
-        + _branch_factor(float(t), alpha, blam, kappa) * b.udot0_norm
-        for k, t in enumerate(grid)
-    ])
+    acc = 0.0
+    for k, (dec, inc) in enumerate(zip(decay.tolist(), trapezoids.tolist()), start=1):
+        acc = dec * acc + inc
+        integral[k] = acc
+    values = (transient_bound_s(grid, b) + kappa * integral
+              + _branch_factor(grid, b.alpha, blam, kappa) * b.udot0_norm)
     return BoundCurve(grid=grid, values=values)
 
 
@@ -285,18 +290,11 @@ def zero_error_class_check(inputs, alpha: float, grid, delta: Optional[float] = 
         raise ValueError("alpha must be positive")
 
     if delta is None:
-        spread_a = np.empty(grid.size)
-        spread_b = np.empty(grid.size)
-        for k, t in enumerate(grid):
-            t = float(t)
-            u = inputs.values(t)
-            du = inputs.derivatives(t)
-            lo = max(t - h_dd, 0.0)
-            ddu = (inputs.derivatives(t + h_dd) - inputs.derivatives(lo)) / (t + h_dd - lo)
-            ea = du + alpha * u
-            eb = ddu + alpha * du
-            spread_a[k] = ea.max() - ea.min()
-            spread_b[k] = eb.max() - eb.min()
+        u, du = inputs.eval_all(grid)
+        lo = np.maximum(grid - h_dd, 0.0)
+        ddu = (inputs.derivatives(grid + h_dd) - inputs.derivatives(lo)) / (grid + h_dd - lo)[:, None]
+        ea = du + alpha * u
+        eb = ddu + alpha * du
     else:
         if delta <= 0:
             raise ValueError("delta must be positive")
@@ -304,12 +302,12 @@ def zero_error_class_check(inputs, alpha: float, grid, delta: Optional[float] = 
         k_hi = int(math.floor(grid[-1] / delta))
         if k_hi - k_lo < 10:
             raise ValueError("grid span too short for the discrete check")
-        u = np.array([inputs.values(k * delta) for k in range(k_lo, k_hi + 3)])
+        u = inputs.values(np.arange(k_lo, k_hi + 3) * delta)
         dif = np.diff(u, axis=0)
         ea = dif[:-1] + delta * alpha * u[:-2]
         eb = dif[1:] - dif[:-1] + delta * alpha * dif[:-1]
-        spread_a = ea.max(axis=1) - ea.min(axis=1)
-        spread_b = eb.max(axis=1) - eb.min(axis=1)
+    spread_a = ea.max(axis=1) - ea.min(axis=1)
+    spread_b = eb.max(axis=1) - eb.min(axis=1)
 
     holds_a, span_a = _spread_verdict(spread_a, tol)
     holds_b, span_b = _spread_verdict(spread_b, tol)

@@ -45,7 +45,8 @@ class ConfigError(ValueError):
 @dataclass(eq=False)
 class ScenarioConfig:
     """A validated scenario.  ``raw`` is the exact JSON content; the build_*
-    methods construct fresh simulator objects from it."""
+    methods construct fresh simulator objects from it.  ``n`` is the agent
+    count, resolved once at validation."""
 
     raw: dict
     name: str
@@ -54,6 +55,7 @@ class ScenarioConfig:
     step: float
     tail_start: float
     seed: int
+    n: int
     delta: float | None = None
     kappa: float | None = None
     lambda_hat_sigma: float | None = None
@@ -84,10 +86,6 @@ class ScenarioConfig:
         psi = signal_from_json(p["psi"]).value if "psi" in p else None
         return AlgorithmParams(alpha=float(p["alpha"]), beta=float(p["beta"]),
                                theta=theta, sat_limits=sat, psi=psi)
-
-    @property
-    def n(self) -> int:
-        return self.build_topology().n
 
 
 def _build_graph(spec):
@@ -133,11 +131,40 @@ def _check_keys(mapping, allowed, where, problems):
             problems.append(f"unknown field {key!r} in {where}{_suggest(key, allowed)}")
 
 
+def _non_numbers(fragment, path, problems):
+    """Report every NaN, +-Infinity and boolean in a JSON object or array;
+    Python's json parses all three, and no field but the top-level
+    "waive_graph_checks" flag takes them.  Paths are formatted only for a
+    problem, since sample lists can hold many thousands of numbers."""
+    items = fragment.items() if isinstance(fragment, dict) else enumerate(fragment)
+    for key, value in items:
+        if isinstance(value, float):  # the common case first
+            if not math.isfinite(value):
+                problems.append(f'"{_child(path, key)}" must be a finite number, '
+                                f'got {json.dumps(value)}')
+        elif isinstance(value, (dict, list)):
+            _non_numbers(value, _child(path, key), problems)
+        elif isinstance(value, bool):
+            problems.append(f'"{_child(path, key)}" must not be a boolean, got {json.dumps(value)}')
+
+
+def _child(path, key) -> str:
+    if isinstance(key, int):
+        return f"{path}[{key}]"
+    return f"{path}.{key}" if path else key
+
+
 def validate_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
-    """Validate a raw scenario dict; raises ConfigError listing every problem."""
+    """Validate a raw scenario dict; raises ConfigError listing every problem.
+
+    Non-finite numbers and booleans are reported first and on their own,
+    because every later check computes with the numbers."""
     problems: list[str] = []
     if not isinstance(data, dict):
         raise ConfigError(["scenario file must contain a JSON object"])
+    _non_numbers({k: v for k, v in data.items() if k != "waive_graph_checks"}, "", problems)
+    if problems:
+        raise ConfigError(problems)
     _check_keys(data, TOP_KEYS, "scenario", problems)
 
     protocol = data.get("protocol")
@@ -220,12 +247,17 @@ def validate_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
     if not isinstance(step, (int, float)) or step <= 0:
         problems.append('"step" must be a positive number')
         step = DEFAULT_STEP
+    unit = None
     if protocol == "dcdisc" and isinstance(delta, (int, float)) and delta > 0:
-        if abs(horizon / delta - round(horizon / delta)) > 1e-9:
-            problems.append('"horizon" must be a whole number of delta steps for dcdisc')
+        unit, what, tol = delta, "delta steps for dcdisc", 1e-9
     elif protocol != "dcdisc":
-        if abs(horizon / step - round(horizon / step)) > 1e-6:
-            problems.append('"horizon" must be a whole number of integration steps')
+        unit, what, tol = step, "integration steps", 1e-6
+    if unit is not None:
+        count = horizon / unit
+        if not math.isfinite(count):
+            problems.append(f'"horizon" spans more {what} than can be counted')
+        elif abs(count - round(count)) > tol:
+            problems.append(f'"horizon" must be a whole number of {what}')
 
     tail_start = data.get("tail_start", 0.75 * float(horizon))
     if not isinstance(tail_start, (int, float)) or not 0 <= tail_start < horizon:
@@ -273,6 +305,7 @@ def validate_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         step=float(step),
         tail_start=float(tail_start),
         seed=seed,
+        n=n,
         delta=float(delta) if protocol == "dcdisc" else None,
         kappa=params.get("kappa"),
         lambda_hat_sigma=params.get("lambda_hat_sigma"),

@@ -25,6 +25,7 @@ __all__ = [
     "max_stepsize",
     "make_stepsize",
     "dcdisc_step",
+    "dcdisc_update",
     "zero_system_matrix",
     "pdelta_spectrum_check",
     "UNIT_CIRCLE_TOL",
@@ -95,25 +96,29 @@ def make_stepsize(delta: float, alpha: float, beta: float, d_max_out: float,
     return ss
 
 
-def dcdisc_step(s: DiscreteState, g: WeightedDigraph, inputs: InputSet,
-                p: AlgorithmParams, delta: StepSize | float) -> DiscreteState:
-    """One iteration with u sampled at t = k delta:
+def dcdisc_update(lap: np.ndarray, z: np.ndarray, v: np.ndarray, u_k: np.ndarray,
+                  alpha: float, beta: float, d: float) -> tuple[np.ndarray, np.ndarray]:
+    """The update of one iteration on plain arrays, with u_k = u(k delta):
 
     z+ = z - delta alpha z - delta beta L (z + u(k)) - delta v
     v+ = v + delta alpha beta L (z + u(k))
-    x_out+ = z+ + u(k+1)
     """
+    lzu = lap @ (z + u_k)
+    return z - d * alpha * z - d * beta * lzu - d * v, v + d * alpha * beta * lzu
+
+
+def dcdisc_step(s: DiscreteState, g: WeightedDigraph, inputs: InputSet,
+                p: AlgorithmParams, delta: StepSize | float) -> DiscreteState:
+    """One iteration (``dcdisc_update``) with u sampled at t = k delta, and
+    the published output x_out+ = z+ + u(k+1)."""
     d = delta.delta if isinstance(delta, StepSize) else float(delta)
     if d < 0:
         raise ValueError("stepsize must be nonnegative")
     if s.z.shape[0] != g.n or len(inputs) != g.n:
         raise ValueError(f"state/inputs dimension does not match digraph size {g.n}")
-    u_k = inputs.values(s.k * d)
-    lzu = laplacian(g) @ (s.z + u_k)
-    z_next = s.z - d * p.alpha * s.z - d * p.beta * lzu - d * s.v
-    v_next = s.v + d * p.alpha * p.beta * lzu
-    return DiscreteState(z=z_next, v=v_next, k=s.k + 1,
-                         x_out=z_next + inputs.values((s.k + 1) * d))
+    u = inputs.values(np.array([s.k, s.k + 1]) * d)
+    z_next, v_next = dcdisc_update(laplacian(g), s.z, s.v, u[0], p.alpha, p.beta, d)
+    return DiscreteState(z=z_next, v=v_next, k=s.k + 1, x_out=z_next + u[1])
 
 
 def zero_system_matrix(lap: np.ndarray, alpha: float, beta: float) -> np.ndarray:

@@ -18,10 +18,10 @@ from typing import Optional
 import numpy as np
 
 from . import bounds as bnd
-from .discrete import DiscreteState, dcdisc_step, make_stepsize, zero_system_matrix
+from .discrete import dcdisc_update, make_stepsize, zero_system_matrix
 from .graphs import WeightedDigraph, laplacian, spectral_summary
 from .protocols import AgentState, AlgorithmParams, dc1_rhs, dc2_rhs, dc3_rhs
-from .signals import InputSet, discrete_disagreement_gamma
+from .signals import InputSet, InputTable, discrete_disagreement_gamma, pi_udot_series
 from .switching import SwitchingSchedule, graph_at
 
 __all__ = [
@@ -42,6 +42,8 @@ __all__ = [
 
 DIVERGENCE_LIMIT = 1e12
 GRID_ALIGN_RTOL = 1e-6
+AFFINE_BLOCK = 2048  # steps per forcing block of the affine recurrence
+CSV_BLOCK = 2000  # rows per np.savetxt call; a whole-table array raises peak memory
 
 
 class DivergenceError(RuntimeError):
@@ -99,6 +101,40 @@ def _check_alignment(value: float, h: float, what: str):
             f"try h = {suggestion:.9g}")
 
 
+def _grid(h: float, T: float, events=()) -> np.ndarray:
+    """Stored times 0, h, ..., T of a run; T and every event in (0, T)
+    must sit on the grid."""
+    if h <= 0:
+        raise ValueError("step h must be positive")
+    if T < h:
+        raise ValueError("horizon T must be at least one step")
+    _check_alignment(T, h, "horizon")
+    for e in events:
+        if 0.0 < e < T:
+            _check_alignment(e, h, "switching boundary")
+    return np.arange(int(round(T / h)) + 1) * h
+
+
+def _half_steps(times: np.ndarray, h: float) -> np.ndarray:
+    """The RK4 stage times of the steps between ``times``: each stored time
+    followed by its step's midpoint, ending at times[-1]."""
+    grid = np.empty(2 * times.size - 1)
+    grid[0::2] = times
+    grid[1::2] = times[:-1] + 0.5 * h
+    return grid
+
+
+def _divergence(peak: float, times: np.ndarray, states: np.ndarray, k: int) -> DivergenceError:
+    """The abort for stored row k, the first one past the trust region."""
+    return DivergenceError(
+        f"state magnitude {peak:.3g} at t={times[k]:.6g} exceeds "
+        f"{DIVERGENCE_LIMIT:.0e}; the configuration is numerically unstable "
+        "(check stepsize and gains)",
+        t=float(times[k]),
+        partial=(times[: k + 1], states[: k + 1]),
+    )
+
+
 def integrate(rhs, s0, h: float, T: float, events=()):
     """Classical 4th-order fixed-step integration of ds/dt = rhs(t, s, t_step).
 
@@ -108,18 +144,9 @@ def integrate(rhs, s0, h: float, T: float, events=()):
     Returns (times, states, stage1) where stage1[k] = rhs evaluated at the
     stored point k (the applied command).
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    if T < h:
-        raise ValueError("horizon T must be at least one step")
-    _check_alignment(T, h, "horizon")
-    for e in events:
-        if 0.0 < e < T:
-            _check_alignment(e, h, "switching boundary")
-
+    times = _grid(h, T, events)
+    steps = times.size - 1
     y = np.asarray(s0, dtype=float).copy()
-    steps = int(round(T / h))
-    times = np.arange(steps + 1) * h
     out = np.empty((steps + 1,) + y.shape)
     stage1 = np.empty_like(out)
     out[0] = y
@@ -133,22 +160,15 @@ def integrate(rhs, s0, h: float, T: float, events=()):
         k3 = rhs(t0 + half, y + half * k2, t0)
         k4 = rhs(t0 + h, y + h * k3, t0)
         y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        out[m + 1] = y
         peak = np.max(np.abs(y))
         if not np.isfinite(peak) or peak > DIVERGENCE_LIMIT:
-            out[m + 1] = y
-            raise DivergenceError(
-                f"state magnitude {peak:.3g} at t={times[m + 1]:.6g} exceeds "
-                f"{DIVERGENCE_LIMIT:.0e}; the configuration is numerically unstable "
-                "(check stepsize and gains)",
-                t=float(times[m + 1]),
-                partial=(times[: m + 2], out[: m + 2]),
-            )
-        out[m + 1] = y
+            raise _divergence(peak, times, out, m + 1)
     stage1[steps] = rhs(times[steps], y, times[steps])
     return times, out, stage1
 
 
-def _protocol_rhs(protocol: str, topology, inputs: InputSet, p: AlgorithmParams):
+def _protocol_rhs(protocol: str, topology, inputs, p: AlgorithmParams):
     """Compile the flat RHS for a protocol over a fixed digraph or schedule.
     Returns (rhs(t, y, t_step), has_z, events_fn(T))."""
 
@@ -181,34 +201,136 @@ def _protocol_rhs(protocol: str, topology, inputs: InputSet, p: AlgorithmParams)
     raise TypeError("topology must be a WeightedDigraph or a SwitchingSchedule")
 
 
+def _is_affine(protocol: str, p: AlgorithmParams) -> bool:
+    """dc1, and dc2 with constant gains theta, are dy/dt = A_sigma y + b(t)."""
+    if protocol == "dc1":
+        return True
+    return (protocol == "dc2" and p.theta is not None
+            and np.array_equal(p.theta.lower, p.theta.upper))
+
+
+def _affine_system(protocol: str, lap: np.ndarray, p: AlgorithmParams):
+    """(A, E) of dy/dt = A y + E (du + alpha u): y = (x, v) for dc1, where E
+    feeds the x rows, and y = (x, v, z) for dc2, where E feeds x and z."""
+    n = lap.shape[0]
+    a = zero_system_matrix(lap, p.alpha, p.beta)
+    eye, zero = np.eye(n), np.zeros((n, n))
+    if protocol == "dc1":
+        return a, np.vstack((eye, zero))
+    theta = np.diag(p.theta.lower)
+    info = a[:n, :n]  # -alpha I - beta L
+    # dz = du + alpha u + info z - v;  dv = alpha beta L z;  dx = -theta (x - z) + dz
+    a = np.block([[-theta, -eye, theta + info],
+                  [zero, zero, a[n:, :n]],
+                  [zero, -eye, info]])
+    return a, np.vstack((eye, zero, eye))
+
+
+def _rk4_affine(a: np.ndarray, e: np.ndarray, h: float):
+    """Classical RK4 on dy/dt = A y + E f(t) is exactly
+    y_{k+1} = y_k + N y_k + Q0 f(t_k) + Qh f(t_k + h/2) + Q1 f(t_k + h),
+    where I + N = sum_{j<=4} (hA)^j / j! is the stability polynomial.
+    Returns (N, Q0, Qh, Q1).  Stepping by the increment N y_k keeps the sum
+    of the integral states v conserved to roundoff of the increment, as in
+    the stage-wise form; forming I + N first would round it to that of v."""
+    eye = np.eye(a.shape[0])
+    ha = h * a
+    ha2 = ha @ ha
+    ha3 = ha2 @ ha
+    incr = ha + ha2 / 2.0 + ha3 / 6.0 + ha3 @ ha / 24.0
+    q0 = (h / 6.0) * (eye + ha + ha2 / 2.0 + ha3 / 4.0) @ e
+    qh = (h / 6.0) * (4.0 * eye + 2.0 * ha + ha2 / 2.0) @ e
+    return incr, q0, qh, (h / 6.0) * e
+
+
+def _affine_run(protocol, topology, inputs: InputSet, p: AlgorithmParams,
+                y0: np.ndarray, n: int, h: float, T: float):
+    """Step the linear protocols as y_{k+1} = y_k + N_sigma y_k + c_k, one
+    switching segment at a time, forming c_k in blocks of AFFINE_BLOCK steps
+    from one input evaluation on the block's stage times.  Returns (times,
+    states, commands) with commands[k] = the x rows of A_sigma y_k + b(t_k)."""
+    switching = isinstance(topology, SwitchingSchedule)
+    if not switching and not isinstance(topology, WeightedDigraph):
+        raise TypeError("topology must be a WeightedDigraph or a SwitchingSchedule")
+    graphs = topology.graphs if switching else (topology,)
+    times = _grid(h, T, topology.boundaries(T) if switching else ())
+    pieces = topology.segments_in(T) if switching else [(0.0, T, 0)]
+    systems = {}
+
+    def system(idx):
+        if idx not in systems:
+            a, e = _affine_system(protocol, laplacian(graphs[idx]), p)
+            systems[idx] = (a[:n],) + _rk4_affine(a, e, h)
+        return systems[idx]
+
+    out = np.empty((times.size, y0.size))
+    commands = np.empty((times.size, n))
+    out[0] = y0
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
+        for start, end, idx in pieces:
+            a_x, incr, q0, qh, q1 = system(idx)
+            k_end = int(round(end / h))
+            for k0 in range(int(round(start / h)), k_end, AFFINE_BLOCK):
+                k1 = min(k0 + AFFINE_BLOCK, k_end)
+                u, du = inputs.eval_all(_half_steps(times[k0:k1 + 1], h))
+                f = du + p.alpha * u
+                c = f[0:-1:2] @ q0.T + f[1::2] @ qh.T + f[2::2] @ q1.T
+                y = out[k0]
+                for j in range(k1 - k0):
+                    y = y + (incr @ y + c[j])
+                    out[k0 + 1 + j] = y
+                commands[k0:k1] = out[k0:k1] @ a_x.T + f[0:-1:2]  # E's x rows are I
+                peak = np.abs(out[k0 + 1:k1 + 1]).max(axis=1)
+                bad = np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))
+                if bad.size:
+                    raise _divergence(peak[bad[0]], times, out, k0 + 1 + bad[0])
+    # the last stored point takes the digraph active at T, as integrate's does
+    commands[-1] = out[-1] @ system(graph_at(topology, T) if switching else 0)[0].T + f[-1]
+    return times, out, commands
+
+
 def simulate_protocol(protocol: str, topology, inputs: InputSet, p: AlgorithmParams,
                       state0: AgentState, h: float, T: float) -> Trajectory:
-    """Run one continuous protocol and package the stored grid."""
+    """Run one continuous protocol and package the stored grid.
+
+    dc1, and dc2 with constant theta, step as an affine recurrence
+    (``_affine_run``).  The other protocols integrate their ``dc*_rhs``
+    closures with ``integrate``, reading the inputs from a table sampled once
+    on the half-step grid.
+    """
     n = state0.n
-    rhs, has_z, events_fn = _protocol_rhs(protocol, topology, inputs, p)
+    affine = _is_affine(protocol, p)
+    if affine:
+        has_z = protocol == "dc2"
+    else:
+        table = InputTable.sample(inputs, _half_steps(_grid(h, T), h), 0.5 * h)
+        rhs, has_z, events_fn = _protocol_rhs(protocol, topology, table, p)
     if has_z and state0.z is None:
         raise ValueError(f"protocol {protocol} needs an initial z state")
     y0 = state0.pack() if has_z else np.concatenate((state0.x, state0.v))
     try:
-        times, ys, stage1 = integrate(rhs, y0, h, T, events=events_fn(T))
+        if affine:
+            times, ys, commands = _affine_run(protocol, topology, inputs, p, y0, n, h, T)
+        else:
+            times, ys, stage1 = integrate(rhs, y0, h, T, events=events_fn(T))
+            commands = stage1[:, :n]
     except DivergenceError as err:
         if err.partial is not None:
             pt, py = err.partial
             err.partial = _package(protocol, pt, py, n, has_z, inputs, p)
         raise
-    return _package(protocol, times, ys, n, has_z, inputs, p, stage1)
+    return _package(protocol, times, ys, n, has_z, inputs, p, commands)
 
 
-def _package(protocol, times, ys, n, has_z, inputs, p, stage1=None) -> Trajectory:
-    avg = np.array([inputs.values(float(t)).mean() for t in times])
+def _package(protocol, times, ys, n, has_z, inputs, p, commands=None) -> Trajectory:
     traj = Trajectory(
         times=times,
         x=ys[:, :n],
         v=ys[:, n:2 * n],
-        avg_u=avg,
+        avg_u=inputs.values(times).mean(axis=1),
         protocol=protocol,
         z=ys[:, 2 * n:] if has_z else None,
-        commands=stage1[:, :n] if stage1 is not None else None,
+        commands=commands,
     )
     if protocol == "dc3":
         psi = np.array([p.psi(float(t)) if p.psi is not None else 0.0 for t in times])
@@ -219,26 +341,30 @@ def _package(protocol, times, ys, n, has_z, inputs, p, stage1=None) -> Trajector
 def simulate_discrete(g: WeightedDigraph, inputs: InputSet, p: AlgorithmParams,
                       z0, v0, delta: float, num_steps: int,
                       warn_inadmissible: bool = True) -> Trajectory:
-    """Iterate the discrete tracker for num_steps samples of stepsize delta."""
+    """Iterate the discrete tracker for num_steps samples of stepsize delta,
+    with the inputs sampled at every k delta in one evaluation."""
     step = make_stepsize(delta, p.alpha, p.beta, float(g.out_degrees.max()),
                          warn=warn_inadmissible)
-    state = DiscreteState.initial(z0, v0, inputs)
+    if len(inputs) != g.n:
+        raise ValueError(f"state/inputs dimension does not match digraph size {g.n}")
+    lap = laplacian(g)
     ks = np.arange(num_steps + 1)
-    xs = np.empty((num_steps + 1, g.n))
-    vs = np.empty_like(xs)
-    zs = np.empty_like(xs)
-    xs[0], vs[0], zs[0] = state.x_out, state.v, state.z
-    for m in range(num_steps):
-        state = dcdisc_step(state, g, inputs, p, step)
-        peak = max(np.max(np.abs(state.z)), np.max(np.abs(state.v)))
+    times = ks * delta
+    u = inputs.values(times)
+    zs = np.empty((num_steps + 1, g.n))
+    vs = np.empty_like(zs)
+    zs[0], vs[0] = z0, v0
+    for k in range(num_steps):
+        zs[k + 1], vs[k + 1] = dcdisc_update(lap, zs[k], vs[k], u[k], p.alpha, p.beta, delta)
+        peak = max(np.max(np.abs(zs[k + 1])), np.max(np.abs(vs[k + 1])))
         if not np.isfinite(peak) or peak > DIVERGENCE_LIMIT:
             raise DivergenceError(
-                f"discrete state magnitude {peak:.3g} at k={state.k}; stepsize "
+                f"discrete state magnitude {peak:.3g} at k={k + 1}; stepsize "
                 f"{delta} (bound {step.bound:.6g}) is too aggressive",
-                t=state.k * delta)
-        xs[m + 1], vs[m + 1], zs[m + 1] = state.x_out, state.v, state.z
-    times = ks * delta
-    avg = np.array([inputs.values(float(t)).mean() for t in times])
+                t=(k + 1) * delta)
+    avg = u.mean(axis=1)
+    xs = u
+    xs += zs  # published outputs x_out = z + u(k), in the samples' buffer
     return Trajectory(times=times, x=xs, v=vs, avg_u=avg, protocol="dcdisc",
                       z=zs, k_index=ks, meta={"delta": delta, "bound": step.bound})
 
@@ -252,19 +378,6 @@ def simulate_zero_system(g: WeightedDigraph, alpha: float, beta: float,
     times, ys, _ = integrate(lambda t, y, ts: a_mat @ y, state0, h, T)
     n = g.n
     return times, ys[:, :n], ys[:, n:]
-
-
-def pi_udot_series(inputs: InputSet, grid) -> tuple[np.ndarray, np.ndarray]:
-    """(||Pi_N u_dot(t)|| per grid point, per-agent |u_dot| sup).  One pass
-    serves the tracking-bound quadrature and the gamma/mu statistics."""
-    grid = np.asarray(grid, dtype=float)
-    series = np.empty(grid.size)
-    mu = np.zeros(len(inputs))
-    for k, t in enumerate(grid):
-        du = inputs.derivatives(float(t))
-        series[k] = np.linalg.norm(du - du.mean())
-        np.maximum(mu, np.abs(du), out=mu)
-    return series, mu
 
 
 def fit_decay_rate(times: np.ndarray, err: np.ndarray,
@@ -371,8 +484,8 @@ def run_scenario(cfg):
                 gamma=gamma,
                 kappa=kappa,
                 lambda_hat_sigma=None if fixed else lam_hat)
-            s_vals = np.array([bnd.transient_bound_s(float(t), b) for t in traj.times])
-            curves["bound_s"] = bnd.BoundCurve(grid=traj.times, values=s_vals)
+            curves["bound_s"] = bnd.BoundCurve(
+                grid=traj.times, values=bnd.transient_bound_s(traj.times, b))
             curves["bound_tracking"] = bnd.tracking_bound_curve(traj.times, b, series)
 
     if ult is not None:
@@ -396,32 +509,31 @@ def run_scenario(cfg):
 def write_trajectory_csv(path, traj: Trajectory, curves=None):
     """Uniform CSV dump: t, x1..xN, v1..vN, [z1..zN,] avg, err1..errN
     [, bound_s, bound_tracking, bound_ultimate]; the discrete protocol
-    prepends its iteration index k.  Twelve significant digits throughout."""
+    prepends its iteration index k.  Twelve significant digits throughout
+    (%.12g, which prints the integer k as an integer).  Rows are formatted
+    CSV_BLOCK at a time so the table is never built whole."""
     curves = curves or {}
     n = traj.n
-    cols: list[tuple[str, np.ndarray]] = []
-    if traj.k_index is not None:
-        cols.append(("k", traj.k_index))
-    cols.append(("t", traj.times))
-    cols += [(f"x{i + 1}", traj.x[:, i]) for i in range(n)]
-    cols += [(f"v{i + 1}", traj.v[:, i]) for i in range(n)]
-    if traj.z is not None:
-        cols += [(f"z{i + 1}", traj.z[:, i]) for i in range(n)]
-    cols.append(("avg", traj.avg_u))
-    errs = traj.errors
-    cols += [(f"err{i + 1}", errs[:, i]) for i in range(n)]
-    for name in ("bound_s", "bound_tracking", "bound_ultimate"):
-        if name in curves:
-            cols.append((name, curves[name].values))
-    header = ",".join(name for name, _ in cols)
+    header = (["k"] if traj.k_index is not None else []) + ["t"]
+    for prefix, part in (("x", traj.x), ("v", traj.v), ("z", traj.z)):
+        if part is not None:
+            header += [f"{prefix}{i + 1}" for i in range(n)]
+    header += ["avg"] + [f"err{i + 1}" for i in range(n)]
+    bounds = [name for name in ("bound_s", "bound_tracking", "bound_ultimate") if name in curves]
+    header += bounds
+
+    def columns(a, b):
+        cols = [traj.k_index[a:b, None]] if traj.k_index is not None else []
+        cols += [traj.times[a:b, None], traj.x[a:b], traj.v[a:b]]
+        if traj.z is not None:
+            cols.append(traj.z[a:b])
+        avg = traj.avg_u[a:b, None]
+        cols += [avg, traj.x[a:b] - avg]
+        cols += [curves[name].values[a:b, None] for name in bounds]
+        return np.hstack(cols, dtype=float)
+
     rows = len(traj.times)
     with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for r in range(rows):
-            fh.write(",".join(_fmt(col[r]) for _, col in cols) + "\n")
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".12g")
+        fh.write(",".join(header) + "\n")
+        for a in range(0, rows, CSV_BLOCK):
+            np.savetxt(fh, columns(a, a + CSV_BLOCK), fmt="%.12g", delimiter=",")

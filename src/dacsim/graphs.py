@@ -149,8 +149,7 @@ def is_weight_balanced(g: WeightedDigraph, tol: float = BALANCE_TOL) -> bool:
     """True iff weighted in-degree equals out-degree at every node (1^T L = 0)."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    col_sums = laplacian(g).sum(axis=0)
-    return bool(np.max(np.abs(col_sums)) <= tol)
+    return bool(np.max(np.abs(g.in_degrees - g.out_degrees)) <= tol)
 
 
 def strongly_connected_components(g: WeightedDigraph) -> list[list[int]]:

@@ -166,24 +166,12 @@ def _require_limits(p: AlgorithmParams) -> np.ndarray:
     return p.sat_limits
 
 
-def _input_memo(inputs: InputSet):
-    """One-slot (t -> (u, du)) memo.  The integrator evaluates the two middle
-    stages at the same time, and a step's last stage at the next step's first
-    time, so this halves signal evaluations.  One memo per compiled RHS keeps
-    the InputSet itself stateless."""
-    slot = [None, None, None]
-
-    def at(t):
-        if t != slot[0]:
-            slot[0] = t
-            slot[1], slot[2] = inputs.eval_all(t)
-        return slot[1], slot[2]
-
-    return at
-
-
 # ---------------------------------------------------------------------------
 # Flat-vector right-hand sides (what the integrator consumes)
+#
+# ``inputs`` is anything with eval_all(t) -> (u, du): an InputSet evaluates
+# the signals at t, an InputTable reads them from samples taken on the
+# integrator's half-step grid.
 # ---------------------------------------------------------------------------
 
 def dc1_rhs(lap: np.ndarray, inputs: InputSet, p: AlgorithmParams,
@@ -193,11 +181,10 @@ def dc1_rhs(lap: np.ndarray, inputs: InputSet, p: AlgorithmParams,
     n = lap.shape[0]
     alpha, beta = p.alpha, p.beta
     limits = _require_limits(p) if saturate else None
-    memo = _input_memo(inputs)
 
     def f(t, y):
         x, v = y[:n], y[n:]
-        u, du = memo(t)
+        u, du = inputs.eval_all(t)
         lx = lap @ x
         dx = du - alpha * (x - u) - beta * lx - v
         if limits is not None:
@@ -223,11 +210,10 @@ def dc2_rhs(lap: np.ndarray, inputs: InputSet, p: AlgorithmParams,
     if theta is None:
         raise ValueError("dc2/dc3 need a theta gain")
     limits = _require_limits(p) if saturate else None
-    memo = _input_memo(inputs)
 
     def f(t, y):
         x, v, z = y[:n], y[n:2 * n], y[2 * n:]
-        u, du = memo(t)
+        u, du = inputs.eval_all(t)
         lz = lap @ (z + psi(t)) if psi is not None else lap @ z
         dz = du - alpha * (z - u) - beta * lz - v
         dx = -theta.at(t) * (x - z) + dz

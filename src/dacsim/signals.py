@@ -2,10 +2,11 @@
 statistics (disagreement gamma, per-agent derivative sup) that feed the
 error bounds.
 
-Signals are small kind+params records compiled to scalar closures at
-construction.  Piecewise signals evaluate right-continuously at breakpoints
-and report the right-hand derivative there, matching the switching-signal
-convention used elsewhere in the package.
+Signals are small kind+params records compiled at construction to numpy
+closures that evaluate a whole array of times in one call.  Piecewise
+signals evaluate right-continuously at breakpoints and report the right-hand
+derivative there, matching the switching-signal convention used elsewhere in
+the package.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 __all__ = [
     "InputSignal",
     "InputSet",
+    "InputTable",
     "SignalStats",
     "make_signal",
     "signal_from_json",
@@ -26,6 +28,7 @@ __all__ = [
     "network_average",
     "disagreement_gamma",
     "discrete_disagreement_gamma",
+    "pi_udot_series",
     "preset_scenario",
     "SCENARIO_PRESETS",
 ]
@@ -44,6 +47,8 @@ SIGNAL_KINDS = (
     "sum-of-terms",
 )
 
+GAMMA_BLOCK = 256  # sample differences per block in discrete_disagreement_gamma
+
 # Bias terms of the six monitoring agents in the sampled-process preset.
 SAMPLED_BIASES = (-0.55, 1.0, 0.6, -0.9, -0.6, 0.4)
 
@@ -52,6 +57,9 @@ SAMPLED_BIASES = (-0.55, 1.0, 0.6, -0.9, -0.6, 0.4)
 class InputSignal:
     """One reference input: a signal kind, its parameters, and how the
     derivative is produced (closed form, or central differences with step h_d).
+
+    ``value`` and ``derivative`` take a time or an array of times; a scalar
+    time gives a float, an array gives an array of the same shape.
     """
 
     kind: str
@@ -69,16 +77,29 @@ class InputSignal:
         if self.h_d <= 0:
             raise ValueError("central-difference step h_d must be positive")
         self._vfn, self._dfn = _compile(self.kind, self.params)
+        if self.derivative_mode == "central_difference":
+            self._dfn = _central_difference(self._vfn, self.h_d)
 
-    def value(self, t: float) -> float:
-        return self._vfn(t)
+    def value(self, t):
+        return _scalar_or_array(self._vfn(np.asarray(t, dtype=float)))
 
-    def derivative(self, t: float) -> float:
-        if self.derivative_mode == "analytic":
-            return self._dfn(t)
-        h = self.h_d
-        lo = max(t - h, 0.0)
-        return (self._vfn(t + h) - self._vfn(lo)) / (t + h - lo)
+    def derivative(self, t):
+        return _scalar_or_array(self._dfn(np.asarray(t, dtype=float)))
+
+
+def _scalar_or_array(out):
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _central_difference(vfn, h):
+    """Central difference with step h, one-sided at t < h so that no sample
+    falls before t = 0."""
+
+    def dfn(t):
+        lo = np.maximum(t - h, 0.0)
+        return (vfn(t + h) - vfn(lo)) / (t + h - lo)
+
+    return dfn
 
 
 def make_signal(kind: str, derivative_mode: str = "analytic", h_d: float = 1e-6, **params) -> InputSignal:
@@ -86,7 +107,8 @@ def make_signal(kind: str, derivative_mode: str = "analytic", h_d: float = 1e-6,
 
 
 def _compile(kind, params):
-    """Build (value, derivative) closures for a signal record."""
+    """Build (value, derivative) closures for a signal record.  Both take a
+    float ndarray of times (0-d included) and return values of its shape."""
     p = dict(params)
 
     def need(*names):
@@ -95,14 +117,17 @@ def _compile(kind, params):
             raise ValueError(f"signal kind {kind!r} is missing parameter(s) {missing}")
         return [float(p[n]) for n in names]
 
+    def fill(c):
+        return lambda t: np.full(np.shape(t), c)
+
     if kind == "constant":
         (c,) = need("value")
-        return (lambda t: c), (lambda t: 0.0)
+        return fill(c), fill(0.0)
 
     if kind == "linear":
         a = float(p.get("slope", 0.0))
         b = float(p.get("intercept", 0.0))
-        return (lambda t: a * t + b), (lambda t: a)
+        return (lambda t: a * t + b), fill(a)
 
     if kind in ("sine", "cosine"):
         amp = float(p.get("amplitude", 1.0))
@@ -110,12 +135,12 @@ def _compile(kind, params):
         phase = float(p.get("phase", 0.0))
         if kind == "sine":
             return (
-                lambda t: amp * math.sin(freq * t + phase),
-                lambda t: amp * freq * math.cos(freq * t + phase),
+                lambda t: amp * np.sin(freq * t + phase),
+                lambda t: amp * freq * np.cos(freq * t + phase),
             )
         return (
-            lambda t: amp * math.cos(freq * t + phase),
-            lambda t: -amp * freq * math.sin(freq * t + phase),
+            lambda t: amp * np.cos(freq * t + phase),
+            lambda t: -amp * freq * np.sin(freq * t + phase),
         )
 
     if kind == "atan":
@@ -123,7 +148,7 @@ def _compile(kind, params):
         rate = float(p.get("rate", 1.0))
         shift = float(p.get("shift", 0.0))
         return (
-            lambda t: amp * math.atan(rate * t + shift),
+            lambda t: amp * np.arctan(rate * t + shift),
             lambda t: amp * rate / (1.0 + (rate * t + shift) ** 2),
         )
 
@@ -133,10 +158,10 @@ def _compile(kind, params):
         shift = float(p.get("shift", 0.0))
 
         def tanh_d(t):
-            th = math.tanh(rate * t + shift)
+            th = np.tanh(rate * t + shift)
             return amp * rate * (1.0 - th * th)
 
-        return (lambda t: amp * math.tanh(rate * t + shift)), tanh_d
+        return (lambda t: amp * np.tanh(rate * t + shift)), tanh_d
 
     if kind == "reciprocal-power":
         coeff, shift = need("coefficient", "shift")
@@ -150,8 +175,8 @@ def _compile(kind, params):
         (coeff,) = need("coefficient")
         rate = float(p.get("rate", 1.0))
         return (
-            lambda t: coeff * math.exp(-rate * t),
-            lambda t: -coeff * rate * math.exp(-rate * t),
+            lambda t: coeff * np.exp(-rate * t),
+            lambda t: -coeff * rate * np.exp(-rate * t),
         )
 
     if kind == "sum-of-terms":
@@ -159,7 +184,7 @@ def _compile(kind, params):
         if not terms:
             raise ValueError("sum-of-terms needs at least one term")
         vfns = [s._vfn for s in terms]
-        dfns = [s.derivative for s in terms]  # honor each term's derivative mode
+        dfns = [s._dfn for s in terms]  # each term's own derivative mode
         return (
             lambda t: sum(f(t) for f in vfns),
             lambda t: sum(f(t) for f in dfns),
@@ -172,28 +197,28 @@ def _compile(kind, params):
         half_period = float(p.get("half_period", 10.0))
         if half_period <= 0:
             raise ValueError("half_period must be positive")
-        cv, cd = carrier._vfn, carrier.derivative
+        cv, cd = carrier._vfn, carrier._dfn
 
         # Square gate from alternating unit steps: 1 on [0, hp), 0 on [hp, 2hp), ...
         # H(0) = 1, so the gate is right-continuous and its right-derivative is 0.
         def gate(t):
-            return 1.0 if int(math.floor(t / half_period)) % 2 == 0 else 0.0
+            return np.where(np.floor(t / half_period) % 2 == 0, 1.0, 0.0)
 
         return (lambda t: gate(t) * cv(t)), (lambda t: gate(t) * cd(t))
 
     if kind == "sampled-piecewise-constant":
-        values = [float(v) for v in p.get("values", [])]
-        if not values:
+        values = np.array([float(v) for v in p.get("values", [])])
+        if not values.size:
             raise ValueError("sampled-piecewise-constant needs a nonempty value list")
         hold = float(p.get("hold", 1.0))
         if hold <= 0:
             raise ValueError("hold duration must be positive")
-        last = len(values) - 1
+        last = values.size - 1
 
         def held(t):
-            return values[min(int(math.floor(t / hold)), last)]
+            return values[np.minimum(np.floor(t / hold), last).astype(np.intp)]
 
-        return held, (lambda t: 0.0)
+        return held, fill(0.0)
 
     raise ValueError(f"unknown signal kind {kind!r}")
 
@@ -246,7 +271,11 @@ def eval_input(sig: InputSignal, t: float) -> tuple[float, float]:
 
 @dataclass
 class InputSet:
-    """Ordered inputs of the whole network, one signal per agent."""
+    """Ordered inputs of the whole network, one signal per agent.
+
+    ``values`` and ``derivatives`` take a time, giving shape (n,), or an
+    array of times, giving shape (len(t), n) with one row per time.
+    """
 
     signals: tuple
     meta: dict = field(default_factory=dict, compare=False)
@@ -259,18 +288,48 @@ class InputSet:
     def __len__(self):
         return len(self.signals)
 
-    def values(self, t: float) -> np.ndarray:
-        if t < 0:
-            raise ValueError("input signals are defined for t >= 0 only")
-        return np.array([s._vfn(t) for s in self.signals])
+    def values(self, t) -> np.ndarray:
+        return self._columns([s._vfn for s in self.signals], t)
 
-    def derivatives(self, t: float) -> np.ndarray:
-        if t < 0:
+    def derivatives(self, t) -> np.ndarray:
+        return self._columns([s._dfn for s in self.signals], t)
+
+    def eval_all(self, t) -> tuple[np.ndarray, np.ndarray]:
+        return self.values(t), self.derivatives(t)
+
+    @staticmethod
+    def _columns(fns, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        if np.any(t < 0):
             raise ValueError("input signals are defined for t >= 0 only")
-        return np.array([s.derivative(t) for s in self.signals])
+        out = np.empty(t.shape + (len(fns),))
+        for i, f in enumerate(fns):  # one column at a time: no second full-size copy
+            out[..., i] = f(t)
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class InputTable:
+    """u and its derivative sampled once at the grid times t_j = j * dt.
+    ``eval_all`` looks a grid time up by index, so a right-hand side built on
+    a table reads the inputs without evaluating them; a time off the grid is
+    an error."""
+
+    dt: float
+    u: np.ndarray
+    du: np.ndarray
+
+    @classmethod
+    def sample(cls, inputs: InputSet, times, dt: float) -> "InputTable":
+        """Sample ``inputs`` at ``times``, which must be (to roundoff) j * dt."""
+        u, du = inputs.eval_all(times)
+        return cls(dt=dt, u=u, du=du)
 
     def eval_all(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        return self.values(t), self.derivatives(t)
+        j = round(t / self.dt)
+        if not 0 <= j < self.u.shape[0] or abs(t - j * self.dt) > 1e-3 * self.dt:
+            raise ValueError(f"t={t} is not a sample time of the input table")
+        return self.u[j], self.du[j]
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,6 +349,13 @@ def network_average(inputs: InputSet, t: float) -> tuple[float, float]:
     return float(u.mean()), float(du.mean())
 
 
+def pi_udot_series(inputs: InputSet, grid) -> tuple[np.ndarray, np.ndarray]:
+    """(||Pi_N u_dot(t)|| per grid point, per-agent |u_dot| sup).  One pass
+    serves the tracking-bound quadrature and the gamma/mu statistics."""
+    du = inputs.derivatives(np.asarray(grid, dtype=float))
+    return np.linalg.norm(du - du.mean(axis=1, keepdims=True), axis=1), np.abs(du).max(axis=0)
+
+
 def disagreement_gamma(inputs: InputSet, grid) -> SignalStats:
     """Sup over the grid of the projected derivative norm, plus per-agent sups.
 
@@ -301,26 +367,19 @@ def disagreement_gamma(inputs: InputSet, grid) -> SignalStats:
         raise ValueError("grid must be nonempty")
     if grid.size > 1 and np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
-    gamma = 0.0
-    mu = np.zeros(len(inputs))
-    for t in grid:
-        du = inputs.derivatives(float(t))
-        gamma = max(gamma, float(np.linalg.norm(du - du.mean())))
-        np.maximum(mu, np.abs(du), out=mu)
-    return SignalStats(gamma=gamma, mu=mu, grid=grid)
+    series, mu = pi_udot_series(inputs, grid)
+    return SignalStats(gamma=float(series.max()), mu=mu, grid=grid)
 
 
 def discrete_disagreement_gamma(inputs: InputSet, delta: float, num_steps: int) -> float:
     """Sup over k of ||Pi_N (u(k+1) - u(k))|| with samples at t = k*delta."""
     if delta <= 0 or num_steps < 1:
         raise ValueError("need delta > 0 and at least one step")
+    u = inputs.values(np.arange(num_steps + 1) * delta)
     gamma = 0.0
-    prev = inputs.values(0.0)
-    for k in range(1, num_steps + 1):
-        cur = inputs.values(k * delta)
-        d = cur - prev
-        gamma = max(gamma, float(np.linalg.norm(d - d.mean())))
-        prev = cur
+    for a in range(0, num_steps, GAMMA_BLOCK):  # blocks bound the temporaries
+        d = np.diff(u[a:a + GAMMA_BLOCK + 1], axis=0)
+        gamma = max(gamma, float(np.linalg.norm(d - d.mean(axis=1, keepdims=True), axis=1).max()))
     return gamma
 
 

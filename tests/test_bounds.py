@@ -67,6 +67,19 @@ class TestTransientBound:
         with pytest.raises(ValueError):
             transient_bound_s(-0.5, bound_inputs())
 
+    @pytest.mark.parametrize("alpha,kappa", [(1.0, None), (RING_LAMBDA2, None), (0.3, 2.5)])
+    def test_array_matches_scalar(self, alpha, kappa):
+        # generic, confluent (alpha = beta lam) and switching-mode envelopes
+        extra = {} if kappa is None else {"kappa": kappa, "lambda_hat_sigma": 0.4}
+        b = bound_inputs(alpha=alpha, y0=1.5, w0=0.7, **extra)
+        grid = np.linspace(0.0, 30.0, 301)
+        values = transient_bound_s(grid, b)
+        assert values.shape == grid.shape
+        np.testing.assert_allclose(values, [transient_bound_s(float(t), b) for t in grid],
+                                   rtol=1e-14, atol=0.0)
+        with pytest.raises(ValueError):
+            transient_bound_s(np.array([0.0, -1e-9]), b)
+
     def test_switching_mode_scales_transition_terms(self):
         plain = bound_inputs()
         scaled = bound_inputs(kappa=2.0, lambda_hat_sigma=RING_LAMBDA2)

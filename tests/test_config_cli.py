@@ -218,3 +218,61 @@ class TestCli:
         for name in ALL_PRESETS:
             assert (tmp_path / "out" / f"{Path(name).stem}.csv").exists()
             assert (tmp_path / "out" / f"{Path(name).stem}_metrics.json").exists()
+
+
+NAN, INF = float("nan"), float("inf")
+NON_NUMBERS = [
+    ("params.alpha", {"params": {"alpha": NAN, "beta": 1.0}}),
+    ("params.beta", {"params": {"alpha": 1.0, "beta": INF}}),
+    ("params.alpha", {"params": {"alpha": True, "beta": 1.0}}),
+    ("horizon", {"horizon": INF}),
+    ("horizon", {"horizon": -INF}),
+    ("step", {"step": NAN}),
+    ("tail_start", {"tail_start": NAN}),
+    ("seed", {"seed": True}),
+    ("seed", {"seed": INF}),
+    ("init.x0[2]", {"init": {"x0": [0.0, 0.0, NAN, 0.0, 0.0, 0.0]}}),
+    ("inputs.signals[1].params.value",
+     {"inputs": {"signals": [{"kind": "constant", "params": {"value": INF if k == 1 else 1.0}}
+                             for k in range(6)]}}),
+    ("graph.edges[0][2]", {"graph": {"n": 2, "edges": [[1, 2, NAN], [2, 1, 1.0]]}}),
+    ("graph.n", {"graph": {"n": INF, "edges": []}}),
+]
+
+
+class TestNonFiniteAndBooleanNumbers:
+    @pytest.mark.parametrize("field,override", NON_NUMBERS)
+    def test_validate_rejects(self, field, override):
+        with pytest.raises(ConfigError) as excinfo:
+            validate_scenario(tiny_scenario(**override))
+        assert f'"{field}"' in str(excinfo.value)
+
+    @pytest.mark.parametrize("field,override", NON_NUMBERS)
+    def test_cli_exits_with_config_error(self, field, override, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(tiny_scenario(**override)))  # NaN/Infinity literals
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert field in capsys.readouterr().out
+        assert not (tmp_path / "out" / "tiny.csv").exists()
+
+    def test_flag_still_takes_a_boolean(self):
+        cfg = validate_scenario(tiny_scenario(waive_graph_checks=True))
+        assert cfg.protocol == "dc1"
+
+    def test_step_count_overflow(self):
+        with pytest.raises(ConfigError, match="than can be counted"):
+            validate_scenario(tiny_scenario(horizon=1e308, step=1e-3))
+
+
+def test_agent_count_resolved_at_validation(monkeypatch):
+    from dacsim.config import ScenarioConfig
+    cfg = validate_scenario(tiny_scenario(protocol="dc2", params={
+        "alpha": 1.0, "beta": 1.0, "theta": 2.0, "sat_limits": 3.0}))
+    assert cfg.n == 6
+
+    def no_rebuild(self):
+        raise AssertionError("build_params rebuilt the topology")
+
+    monkeypatch.setattr(ScenarioConfig, "build_topology", no_rebuild)
+    params = cfg.build_params()
+    assert params.theta.lower.shape == (6,) and params.sat_limits.shape == (6,)

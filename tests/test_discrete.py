@@ -195,3 +195,20 @@ class TestTrajectories:
         lzu = lap @ (z + u)
         euler = np.concatenate((z + delta * (-z - lzu - v), v + delta * lzu))
         assert np.abs(np.concatenate((s1.z, s1.v)) - euler).max() <= 1e-14
+
+
+def test_run_loop_matches_repeated_steps():
+    # simulate_discrete samples the inputs once and builds L once; its
+    # iterates must equal dcdisc_step applied k times
+    rng = np.random.default_rng(21)
+    g = random_balanced_strongly_connected(rng, 5)
+    inputs = InputSet(signals=preset_scenario("sampled_bias", seed=3).signals[:5])
+    p = AlgorithmParams(alpha=0.8, beta=0.6)
+    z0, v0 = rng.uniform(-1, 1, (2, 5))
+    traj = simulate_discrete(g, inputs, p, z0, v0, delta=0.3, num_steps=40)
+    s = DiscreteState.initial(z0, v0, inputs)
+    for k in range(41):
+        assert np.array_equal(traj.z[k], s.z) and np.array_equal(traj.v[k], s.v)
+        assert np.array_equal(traj.x[k], s.x_out)
+        s = dcdisc_step(s, g, inputs, p, 0.3)
+    np.testing.assert_array_equal(traj.avg_u, inputs.values(traj.times).mean(axis=1))

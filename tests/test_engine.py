@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dacsim.config import load_scenario, validate_scenario
 from dacsim.engine import (
@@ -17,9 +19,11 @@ from dacsim.engine import (
     simulate_zero_system,
     write_trajectory_csv,
 )
-from dacsim.protocols import AgentState, AlgorithmParams
-from dacsim.signals import InputSet, make_signal, preset_scenario
-from conftest import case2_schedule
+from dacsim.graphs import laplacian
+from dacsim.protocols import AgentState, AlgorithmParams, ThetaGain, dc1_rhs, dc2_rhs
+from dacsim.signals import InputSet, InputTable, make_signal, preset_scenario
+from dacsim.switching import SwitchingSchedule, graph_at
+from conftest import case2_schedule, random_balanced_strongly_connected
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "dacsim" / "scenarios"
 
@@ -220,3 +224,150 @@ class TestSwitchingIntegration:
         with pytest.raises(ValueError, match="boundary"):
             simulate_protocol("dc1", sched, inputs,
                               AlgorithmParams(3.0, 10.0), st, h=0.3, T=12.0)
+
+
+# ---------------------------------------------------------------------------
+# affine recurrence vs the closure right-hand sides
+# ---------------------------------------------------------------------------
+
+def closure_run(protocol, topology, inputs, p, y0, h, T):
+    """The RK4 closure path from the public pieces: dc1_rhs/dc2_rhs over a
+    table of the inputs on the half-step grid, integrated by ``integrate``."""
+    steps = int(round(T / h))
+    table = InputTable.sample(inputs, np.arange(2 * steps + 1) * (0.5 * h), 0.5 * h)
+    factory = dc1_rhs if protocol == "dc1" else dc2_rhs
+    if isinstance(topology, SwitchingSchedule):
+        fns = [factory(laplacian(g), table, p) for g in topology.graphs]
+        return integrate(lambda t, y, ts: fns[graph_at(topology, ts)](t, y), y0, h, T,
+                         events=topology.boundaries(T))
+    f = factory(laplacian(topology), table, p)
+    return integrate(lambda t, y, ts: f(t, y), y0, h, T)
+
+
+def assert_paths_agree(protocol, topology, inputs, p, x0, v0, h, T, z0=None):
+    traj = simulate_protocol(protocol, topology, inputs, p,
+                             AgentState(x=x0, v=v0, z=z0), h=h, T=T)
+    affine = np.hstack([traj.x, traj.v] + ([traj.z] if z0 is not None else []))
+    y0 = np.concatenate([x0, v0] + ([z0] if z0 is not None else []))
+    times, closure, stage1 = closure_run(protocol, topology, inputs, p, y0, h, T)
+    np.testing.assert_array_equal(traj.times, times)
+    scale = max(1.0, float(np.abs(closure).max()))
+    gap = float(np.abs(affine - closure).max())
+    assert gap <= 1e-12 * scale, (gap, scale)
+    assert float(np.abs(traj.commands - stage1[:, :len(x0)]).max()) <= 1e-11 * scale
+
+
+class TestAffinePath:
+    # horizons cut to two schedule periods (case1), past the last switch
+    # (case2), or a few time constants (fixed digraphs)
+    @pytest.mark.parametrize("fname,horizon", [
+        ("case1.json", 16.0), ("case2.json", 12.0), ("static.json", 8.0),
+        ("offset_sines.json", 8.0), ("rate.json", 8.0)])
+    def test_bundled_scenarios(self, fname, horizon):
+        raw = json.loads((SCENARIOS / fname).read_text())
+        raw.update(horizon=horizon, tail_start=0.75 * horizon)
+        cfg = validate_scenario(raw, name=fname)
+        has_z = cfg.protocol == "dc2"
+        assert_paths_agree(cfg.protocol, cfg.build_topology(), cfg.build_inputs(),
+                           cfg.build_params(), cfg.x0, cfg.v0, cfg.step, cfg.horizon,
+                           z0=cfg.z0 if has_z else None)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 30), st.booleans(),
+           st.sampled_from(["dc1", "dc2"]))
+    def test_random_balanced_digraphs(self, seed, switching, protocol):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        if switching:
+            graphs = tuple(random_balanced_strongly_connected(rng, n) for _ in range(3))
+            topology = SwitchingSchedule(graphs=graphs, period=1.5,
+                                         segments=((0.0, 0), (0.5, 1), (1.0, 2)))
+        else:
+            topology = random_balanced_strongly_connected(rng, n)
+        inputs = InputSet(signals=tuple(
+            make_signal("sum-of-terms", terms=[
+                make_signal("sine", amplitude=float(rng.uniform(0.1, 3.0)),
+                            frequency=float(rng.uniform(0.1, 2.0))),
+                make_signal("constant", value=float(rng.uniform(-2.0, 2.0)))])
+            for _ in range(n)))
+        alpha, beta = (float(v) for v in rng.uniform(0.5, 3.0, 2))
+        theta = ThetaGain.constant(rng.uniform(0.1, 5.0, n)) if protocol == "dc2" else None
+        x0, v0 = rng.uniform(-3.0, 3.0, (2, n))
+        assert_paths_agree(protocol, topology, inputs,
+                           AlgorithmParams(alpha, beta, theta=theta), x0, v0, 0.01, 3.0,
+                           z0=x0.copy() if protocol == "dc2" else None)
+
+    def test_divergence_same_on_both_paths(self, ring6):
+        inputs = preset_scenario("case2")
+        p = AlgorithmParams(3.0, 10.0)
+        h, T = 0.25, 10.0  # h beta lambda_max = 5, outside RK4's stability interval
+        with pytest.raises(DivergenceError) as affine:
+            simulate_protocol("dc1", ring6, inputs, p,
+                              AgentState(x=np.zeros(6), v=np.zeros(6)), h=h, T=T)
+        with pytest.raises(DivergenceError) as closure:
+            closure_run("dc1", ring6, inputs, p, np.zeros(12), h, T)
+        times, states = closure.value.partial
+        partial = affine.value.partial
+        assert affine.value.t == closure.value.t
+        assert len(partial.times) == len(times) < int(T / h)
+        state = np.hstack((partial.x, partial.v))
+        np.testing.assert_allclose(state, states, rtol=1e-9)
+        assert np.abs(state[-1]).max() > 1e12 >= np.abs(state[:-1]).max()
+
+    def test_divergence_cli_exit_and_partial(self, tmp_path, capsys):
+        from dacsim.cli import EXIT_DIVERGED, main
+        data = json.loads((SCENARIOS / "static.json").read_text())
+        data.update(name="unstable", step=0.25, horizon=10.0, tail_start=5.0,
+                    params={"alpha": 3.0, "beta": 10.0})
+        path = tmp_path / "unstable.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_DIVERGED
+        assert "DIVERGED" in capsys.readouterr().out
+        lines = (tmp_path / "out" / "unstable.partial.csv").read_text().splitlines()
+        assert lines[0].startswith("t,x1") and 2 < len(lines) < 42
+
+
+# ---------------------------------------------------------------------------
+# blockwise CSV writer vs per-cell formatting
+# ---------------------------------------------------------------------------
+
+def per_cell_csv(traj, curves):
+    """The writer's previous formulation: every cell through format(., ".12g"),
+    integers through str."""
+    def fmt(value):
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return format(float(value), ".12g")
+
+    n = traj.n
+    cols = [("k", traj.k_index)] if traj.k_index is not None else []
+    cols.append(("t", traj.times))
+    for prefix, part in (("x", traj.x), ("v", traj.v), ("z", traj.z)):
+        if part is not None:
+            cols += [(f"{prefix}{i + 1}", part[:, i]) for i in range(n)]
+    cols.append(("avg", traj.avg_u))
+    cols += [(f"err{i + 1}", traj.errors[:, i]) for i in range(n)]
+    cols += [(name, curves[name].values)
+             for name in ("bound_s", "bound_tracking", "bound_ultimate") if name in curves]
+    lines = [",".join(name for name, _ in cols)]
+    lines += [",".join(fmt(col[r]) for _, col in cols) for r in range(len(traj.times))]
+    return "\n".join(lines) + "\n"
+
+
+class TestBlockwiseCsv:
+    def test_matches_per_cell_formatting(self, tmp_path):
+        from dacsim.bounds import BoundCurve
+        rng = np.random.default_rng(3)
+        rows = 4999
+        special = np.array([-0.0, 1e-300, 1e300, np.inf, np.nan, -np.inf, 0.1, 123456789012.0])
+        x = rng.normal(0.0, 1e3, (rows, 3))
+        x[:special.size, 0] = special
+        x[-special.size:, 2] = special[::-1]
+        traj = Trajectory(times=np.arange(rows) * 0.01, x=x, v=rng.normal(size=(rows, 3)),
+                          z=rng.normal(size=(rows, 3)), avg_u=rng.normal(size=rows),
+                          protocol="dcdisc", k_index=np.arange(rows))
+        curves = {"bound_ultimate": BoundCurve(grid=traj.times, values=np.full(rows, 1e-300)),
+                  "bound_s": BoundCurve(grid=traj.times, values=np.abs(rng.normal(size=rows)))}
+        path = tmp_path / "w.csv"
+        write_trajectory_csv(path, traj, curves)
+        assert path.read_text() == per_cell_csv(traj, curves)  # 4999 rows: three blocks

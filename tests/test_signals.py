@@ -196,3 +196,102 @@ class TestJson:
     def test_missing_parameter(self):
         with pytest.raises(ValueError, match="missing parameter"):
             make_signal("reciprocal-power", coefficient=1.0)
+
+
+class TestArrayEvaluation:
+    """One array call must agree with the scalar calls at every time."""
+
+    KINDS = {
+        "constant": make_signal("constant", value=2.5),
+        "linear": make_signal("linear", slope=-0.3, intercept=1.0),
+        "sine": make_signal("sine", amplitude=2.0, frequency=0.7, phase=0.2),
+        "cosine": make_signal("cosine", amplitude=1.5, frequency=1.3, phase=-0.4),
+        "atan": make_signal("atan", amplitude=2.0, rate=0.5, shift=-1.0),
+        "tanh": make_signal("tanh", amplitude=-1.0, rate=2.0, shift=0.5),
+        "reciprocal-power": make_signal("reciprocal-power", coefficient=1.0, shift=2.0, power=3.0),
+        "exponential-decay": make_signal("exponential-decay", coefficient=10.0, rate=0.8),
+        "step-modulated-composite": preset_scenario("saturation").signals[1],
+        "sampled-piecewise-constant": preset_scenario("sampled_bias", seed=4).signals[3],
+        "sum-of-terms": make_signal("sum-of-terms", terms=[
+            preset_scenario("case1").signals[0],
+            make_signal("sum-of-terms", terms=[
+                make_signal("tanh", derivative_mode="central_difference", h_d=1e-5),
+                make_signal("cosine", amplitude=0.5)])]),
+    }
+
+    def test_every_kind_covered(self):
+        from dacsim.signals import SIGNAL_KINDS
+        assert set(self.KINDS) == set(SIGNAL_KINDS)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_array_matches_scalar(self, kind):
+        sig = self.KINDS[kind]
+        # uniform points plus the breakpoints of the gate (10, 20, ...) and the hold (2, 4, ...)
+        grid = np.concatenate((np.linspace(0.0, 50.0, 997), np.arange(0.0, 50.0, 2.0)))
+        values, derivs = sig.value(grid), sig.derivative(grid)
+        assert values.shape == derivs.shape == grid.shape
+        scalar_v = np.array([sig.value(float(t)) for t in grid])
+        scalar_d = np.array([sig.derivative(float(t)) for t in grid])
+        # numpy's array and scalar power loops may round one ulp apart
+        for got, want in ((values, scalar_v), (derivs, scalar_d)):
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15 * np.abs(want).max())
+        assert isinstance(sig.value(1.0), float) and isinstance(sig.derivative(1.0), float)
+
+    def test_gate_right_continuous_at_exact_multiples(self):
+        sig = make_signal("step-modulated-composite",
+                          carrier=make_signal("constant", value=3.0), half_period=0.5)
+        t = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 0.5 - 1e-12, 1.0 - 1e-12])
+        np.testing.assert_array_equal(sig.value(t), [3.0, 0.0, 3.0, 0.0, 3.0, 3.0, 0.0])
+        np.testing.assert_array_equal(sig.derivative(t), np.zeros(7))
+
+    def test_hold_right_continuous_at_exact_multiples(self):
+        sig = make_signal("sampled-piecewise-constant", values=[1.0, 2.0, 3.0], hold=0.25)
+        t = np.array([0.0, 0.25, 0.5, 0.75, 10.0, 0.25 - 1e-12, 0.5 - 1e-12])
+        # past the last sample the final value holds
+        np.testing.assert_array_equal(sig.value(t), [1.0, 2.0, 3.0, 3.0, 3.0, 1.0, 2.0])
+        assert sig.value(0.5) == 3.0
+
+    def test_central_difference_near_zero(self):
+        h = 1e-3
+        sig = make_signal("sine", derivative_mode="central_difference", h_d=h)
+        t = np.array([0.0, 0.25 * h, h, 2 * h, 1.0])
+        expected = []
+        for s in t:
+            lo = max(s - h, 0.0)  # one-sided below h: no sample before t = 0
+            expected.append((math.sin(s + h) - math.sin(lo)) / (s + h - lo))
+        np.testing.assert_allclose(sig.derivative(t), expected, rtol=1e-12)
+        np.testing.assert_array_equal(sig.derivative(t), [sig.derivative(float(s)) for s in t])
+
+    def test_input_set_shapes(self):
+        inputs = preset_scenario("case1")
+        assert inputs.values(3.0).shape == (6,)
+        grid = np.linspace(0.0, 4.0, 9)
+        table = inputs.values(grid)
+        assert table.shape == (9, 6)
+        np.testing.assert_array_equal(table[4], inputs.values(float(grid[4])))
+        np.testing.assert_array_equal(inputs.derivatives(grid)[7],
+                                      inputs.derivatives(float(grid[7])))
+        with pytest.raises(ValueError, match="t >= 0"):
+            inputs.values(np.array([0.0, -1e-3]))
+
+
+class TestInputTable:
+    def test_lookup_on_grid(self):
+        from dacsim.signals import InputTable
+        inputs = preset_scenario("case2")
+        dt = 0.05
+        table = InputTable.sample(inputs, np.arange(41) * dt, dt)
+        for j in (0, 7, 40):
+            u, du = table.eval_all(j * dt)
+            np.testing.assert_array_equal(u, inputs.values(j * dt))
+            np.testing.assert_array_equal(du, inputs.derivatives(j * dt))
+        # a stage time computed another way still finds its sample
+        u, _ = table.eval_all(0.3 + 0.5 * 0.1)
+        np.testing.assert_array_equal(u, table.u[7])
+
+    @pytest.mark.parametrize("t", [0.025, -0.05, 2.05])
+    def test_off_grid_rejected(self, t):
+        from dacsim.signals import InputTable
+        table = InputTable.sample(preset_scenario("case2"), np.arange(41) * 0.05, 0.05)
+        with pytest.raises(ValueError, match="sample time"):
+            table.eval_all(t)
