@@ -125,17 +125,12 @@ def zero_system_equilibrium(v0_or_w0, alpha: float) -> tuple[float, float]:
     return -total / (alpha * w0.size), total / w0.size
 
 
-def _exp(x):
-    """math.exp for a float (the cheap scalar path), np.exp for an array."""
-    return math.exp(x) if isinstance(x, float) else np.exp(x)
-
-
 def _branch_factor(t, alpha: float, blam: float, kappa: float):
     """The confluent-aware transient factor multiplying (alpha ||y0|| + ||w0||)
     in s(t) and ||du(0)|| in the tracking bound; t is a float or an array."""
     if abs(alpha - blam) < CONFLUENT_REL_TOL * alpha:
-        return kappa * t * _exp(-blam * t)
-    return kappa * (_exp(-alpha * t) - _exp(-blam * t)) / (blam - alpha)
+        return kappa * t * np.exp(-blam * t)
+    return kappa * (np.exp(-alpha * t) - np.exp(-blam * t)) / (blam - alpha)
 
 
 def transient_bound_s(t, b: BoundInputs):
@@ -150,17 +145,17 @@ def transient_bound_s(t, b: BoundInputs):
     kappa and lam come from the switching fields when present.  A scalar t
     gives a float, an array of times an array.
     """
-    scalar = np.ndim(t) == 0
-    t = float(t) if scalar else np.asarray(t, dtype=float)
-    if (t < 0) if scalar else np.any(t < 0):
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError("t must be nonnegative")
     alpha = b.alpha
     blam = b.beta * b.effective_lambda_hat
     kappa = b.effective_kappa
-    ea = _exp(-alpha * t)
-    eb = _exp(-blam * t)
+    ea = np.exp(-alpha * t)
+    eb = np.exp(-blam * t)
     s = (ea + kappa * eb) * b.y0_norm + ea * b.w0_norm / alpha
-    return s + _branch_factor(t, alpha, blam, kappa) * (alpha * b.y0_norm + b.w0_norm)
+    s = s + _branch_factor(t, alpha, blam, kappa) * (alpha * b.y0_norm + b.w0_norm)
+    return float(s) if t.ndim == 0 else s
 
 
 def tracking_bound(t: float, b: BoundInputs,

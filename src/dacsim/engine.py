@@ -202,11 +202,12 @@ def _protocol_rhs(protocol: str, topology, inputs, p: AlgorithmParams):
 
 
 def _is_affine(protocol: str, p: AlgorithmParams) -> bool:
-    """dc1, and dc2 with constant gains theta, are dy/dt = A_sigma y + b(t)."""
+    """dc1, and dc2 with a constant gain theta, are dy/dt = A_sigma y + b(t).
+    A gain with equal bounds but its own callable stays on the closure path,
+    which checks every value the callable returns against the bounds."""
     if protocol == "dc1":
         return True
-    return (protocol == "dc2" and p.theta is not None
-            and np.array_equal(p.theta.lower, p.theta.upper))
+    return protocol == "dc2" and p.theta is not None and p.theta.is_constant
 
 
 def _affine_system(protocol: str, lap: np.ndarray, p: AlgorithmParams):
@@ -217,7 +218,7 @@ def _affine_system(protocol: str, lap: np.ndarray, p: AlgorithmParams):
     eye, zero = np.eye(n), np.zeros((n, n))
     if protocol == "dc1":
         return a, np.vstack((eye, zero))
-    theta = np.diag(p.theta.lower)
+    theta = np.diag(np.broadcast_to(p.theta.at(0.0), (n,)))  # a scalar gain serves every agent
     info = a[:n, :n]  # -alpha I - beta L
     # dz = du + alpha u + info z - v;  dv = alpha beta L z;  dx = -theta (x - z) + dz
     a = np.block([[-theta, -eye, theta + info],
@@ -284,8 +285,8 @@ def _affine_run(protocol, topology, inputs: InputSet, p: AlgorithmParams,
                 bad = np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))
                 if bad.size:
                     raise _divergence(peak[bad[0]], times, out, k0 + 1 + bad[0])
-    # the last stored point takes the digraph active at T, as integrate's does
-    commands[-1] = out[-1] @ system(graph_at(topology, T) if switching else 0)[0].T + f[-1]
+    # the last stored point takes the digraph active there, as integrate's does
+    commands[-1] = out[-1] @ system(graph_at(topology, times[-1]) if switching else 0)[0].T + f[-1]
     return times, out, commands
 
 
@@ -293,10 +294,10 @@ def simulate_protocol(protocol: str, topology, inputs: InputSet, p: AlgorithmPar
                       state0: AgentState, h: float, T: float) -> Trajectory:
     """Run one continuous protocol and package the stored grid.
 
-    dc1, and dc2 with constant theta, step as an affine recurrence
-    (``_affine_run``).  The other protocols integrate their ``dc*_rhs``
-    closures with ``integrate``, reading the inputs from a table sampled once
-    on the half-step grid.
+    dc1, and dc2 with a ``ThetaGain.constant`` gain, step as an affine
+    recurrence (``_affine_run``).  The other protocols integrate their
+    ``dc*_rhs`` closures with ``integrate``, reading the inputs from a table
+    sampled once on the half-step grid.
     """
     n = state0.n
     affine = _is_affine(protocol, p)

@@ -114,13 +114,29 @@ class ThetaGain:
     @classmethod
     def constant(cls, values) -> "ThetaGain":
         vals = np.atleast_1d(np.asarray(values, dtype=float))
-        return cls(fn=lambda t: vals, lower=vals, upper=vals)
+        return cls(fn=_ConstantGain(vals), lower=vals, upper=vals)
+
+    @property
+    def is_constant(self) -> bool:
+        """True for a gain built by ``constant``: theta(t) is the same at
+        every t, so it can never leave its bounds."""
+        return isinstance(self.fn, _ConstantGain)
 
     def at(self, t: float) -> np.ndarray:
         th = np.atleast_1d(np.asarray(self.fn(t), dtype=float))
         if np.any(th < self.lower - 1e-12) or np.any(th > self.upper + 1e-12):
             raise ValueError(f"theta(t={t}) leaves its declared bounds")
         return th
+
+
+class _ConstantGain:
+    """theta(t) = values for every t."""
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+
+    def __call__(self, t: float) -> np.ndarray:
+        return self.values
 
 
 @dataclass(eq=False)

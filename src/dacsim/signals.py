@@ -47,7 +47,10 @@ SIGNAL_KINDS = (
     "sum-of-terms",
 )
 
-GAMMA_BLOCK = 256  # sample differences per block in discrete_disagreement_gamma
+# Sample differences per block in discrete_disagreement_gamma.  One whole-run
+# np.diff and its norm temporaries raised peak RSS from 47.9 to 55.2 MB on a
+# 10 000-step, 40-agent dcdisc run; the blocks keep it at the former.
+GAMMA_BLOCK = 256
 
 # Bias terms of the six monitoring agents in the sampled-process preset.
 SAMPLED_BIASES = (-0.55, 1.0, 0.6, -0.9, -0.6, 0.4)

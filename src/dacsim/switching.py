@@ -105,9 +105,14 @@ class SwitchingSchedule:
         return sorted(out)
 
     def segments_in(self, horizon: float) -> list[tuple[float, float, int]]:
-        """Contiguous (start, end, graph_index) pieces covering [0, horizon)."""
+        """Contiguous (start, end, graph_index) pieces covering [0, horizon).
+        A cyclic piece takes the digraph active at its midpoint: an unrolled
+        boundary r*period + t_j can round just below the switch it stands
+        for, where graph_at would still return the previous digraph."""
         cuts = [0.0] + self.boundaries(horizon) + [horizon]
-        return [(a, b, graph_at(self, a)) for a, b in zip(cuts, cuts[1:]) if b > a]
+        cyclic = self.period is not None
+        return [(a, b, graph_at(self, 0.5 * (a + b) if cyclic else a))
+                for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
 def graph_at(sched: SwitchingSchedule, t: float) -> int:

@@ -297,6 +297,35 @@ class TestAffinePath:
                            AlgorithmParams(alpha, beta, theta=theta), x0, v0, 0.01, 3.0,
                            z0=x0.copy() if protocol == "dc2" else None)
 
+    def test_period_not_exact_in_binary(self):
+        # 3 * 0.3 rounds to 0.8999999999999999, whose fmod by 0.3 falls just
+        # short of the period: the piece from there on must still run graph 0
+        rng = np.random.default_rng(5)
+        graphs = tuple(random_balanced_strongly_connected(rng, 4) for _ in range(3))
+        topology = SwitchingSchedule(graphs=graphs, period=0.3,
+                                     segments=((0.0, 0), (0.1, 1), (0.2, 2)))
+        inputs = InputSet(signals=tuple(make_signal("sine", amplitude=1.0 + i, frequency=2.0)
+                                        for i in range(4)))
+        x0, v0 = rng.uniform(-3.0, 3.0, (2, 4))
+        assert_paths_agree("dc1", topology, inputs, AlgorithmParams(1.0, 2.0),
+                           x0, v0, 0.01, 3.0)
+
+    def test_scalar_constant_theta(self, ring6):
+        # ThetaGain.constant(2.0) has shape (1,) and serves all six agents
+        x0 = np.linspace(-1.0, 1.0, 6)
+        assert_paths_agree("dc2", ring6, preset_scenario("case2"),
+                           AlgorithmParams(3.0, 10.0, theta=ThetaGain.constant(2.0)),
+                           x0, np.zeros(6), 0.01, 2.0, z0=x0.copy())
+
+    def test_equal_bounds_callable_still_checked(self, ring6):
+        # equal bounds with a callable of its own: theta leaves them at t = 1
+        theta = ThetaGain(fn=lambda t: np.full(6, 1.0 if t < 1.0 else 2.0),
+                          lower=np.ones(6), upper=np.ones(6))
+        state = AgentState(x=np.zeros(6), v=np.zeros(6), z=np.zeros(6))
+        with pytest.raises(ValueError, match="leaves its declared bounds"):
+            simulate_protocol("dc2", ring6, preset_scenario("case2"),
+                              AlgorithmParams(3.0, 10.0, theta=theta), state, h=0.01, T=2.0)
+
     def test_divergence_same_on_both_paths(self, ring6):
         inputs = preset_scenario("case2")
         p = AlgorithmParams(3.0, 10.0)

@@ -35,6 +35,15 @@ class TestGraphAt:
         assert graph_at(sched, 11.0) == graph_at(sched, 3.0)
         assert graph_at(sched, 8.0) == graph_at(sched, 0.0)
 
+    def test_pieces_of_a_period_inexact_in_binary(self):
+        graphs = (topology_preset("fig1b"), topology_preset("fig1c"), topology_preset("fig1d"))
+        sched = SwitchingSchedule(graphs=graphs, segments=((0.0, 0), (0.1, 1), (0.2, 2)),
+                                  period=0.3)
+        pieces = sched.segments_in(1.2)
+        assert [idx for _, _, idx in pieces] == [0, 1, 2] * 4
+        start, _, idx = pieces[9]  # 3 * 0.3 rounds to 0.8999999999999999
+        assert start < 0.9 and idx == 0
+
     def test_unbounded_tail_and_declared_end(self):
         open_ended = three_segment_schedule()
         assert graph_at(open_ended, 1e6) == 2
