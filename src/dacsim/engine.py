@@ -42,8 +42,9 @@ __all__ = [
 
 DIVERGENCE_LIMIT = 1e12
 GRID_ALIGN_RTOL = 1e-6
-AFFINE_BLOCK = 2048  # steps per forcing block of the affine recurrence
-CSV_BLOCK = 2000  # rows per np.savetxt call; a whole-table array raises peak memory
+AFFINE_BLOCK = 2048  # steps per forcing block and scan of the affine recurrence
+DISCRETE_BLOCK = 1024  # dcdisc iterations between divergence checks
+CSV_CELLS = 2 ** 13  # cells formatted per write; 2 ** 15 raised discrete_wide's peak memory by 1 MB
 
 
 class DivergenceError(RuntimeError):
@@ -244,12 +245,39 @@ def _rk4_affine(a: np.ndarray, e: np.ndarray, h: float):
     return incr, q0, qh, (h / 6.0) * e
 
 
+def _affine_scan(incr: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Overwrite the rows of g with w_j = sum_{i<=j} P^(j-i) g_i, P = I + N,
+    the recurrence w_j = w_{j-1} + N w_{j-1} + g_j, and return it.  This is
+    Hillis-Steele doubling: after the pass of stride s, row j holds the
+    terms i > j - 2s.  N_d = P^s - I stays in increment form
+    (N_{d+1} = 2 N_d + N_d^2), so I + N is never formed.  Once P^s
+    overflows, an exactly zero row still adds nothing to later rows, as in
+    stepping the recurrence one row at a time.  Working in place keeps the
+    block's temporaries, and the run's peak memory, small."""
+    w = g
+    nd, s = incr, 1
+    while s < len(w):
+        prev = w[:-s]
+        if np.isfinite(nd).all():
+            step = prev @ nd.T
+            step += prev
+            w[s:] += step
+        else:
+            live = np.flatnonzero(prev.any(axis=1))
+            w[s + live] += prev[live] + prev[live] @ nd.T
+        nd = 2.0 * nd + nd @ nd
+        s *= 2
+    return w
+
+
 def _affine_run(protocol, topology, inputs: InputSet, p: AlgorithmParams,
                 y0: np.ndarray, n: int, h: float, T: float):
     """Step the linear protocols as y_{k+1} = y_k + N_sigma y_k + c_k, one
     switching segment at a time, forming c_k in blocks of AFFINE_BLOCK steps
-    from one input evaluation on the block's stage times.  Returns (times,
-    states, commands) with commands[k] = the x rows of A_sigma y_k + b(t_k)."""
+    from one input evaluation on the block's stage times.  Within a block
+    from y = y_{k0}, y_{k0+1+j} = y + w_j where w is the scan of
+    g_j = c_j + N y (``_affine_scan``).  Returns (times, states, commands)
+    with commands[k] = the x rows of A_sigma y_k + b(t_k)."""
     switching = isinstance(topology, SwitchingSchedule)
     if not switching and not isinstance(topology, WeightedDigraph):
         raise TypeError("topology must be a WeightedDigraph or a SwitchingSchedule")
@@ -277,9 +305,8 @@ def _affine_run(protocol, topology, inputs: InputSet, p: AlgorithmParams,
                 f = du + p.alpha * u
                 c = f[0:-1:2] @ q0.T + f[1::2] @ qh.T + f[2::2] @ q1.T
                 y = out[k0]
-                for j in range(k1 - k0):
-                    y = y + (incr @ y + c[j])
-                    out[k0 + 1 + j] = y
+                c += incr @ y  # g_j, scanned in place
+                np.add(y, _affine_scan(incr, c), out=out[k0 + 1:k1 + 1])
                 commands[k0:k1] = out[k0:k1] @ a_x.T + f[0:-1:2]  # E's x rows are I
                 peak = np.abs(out[k0 + 1:k1 + 1]).max(axis=1)
                 bad = np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))
@@ -355,14 +382,21 @@ def simulate_discrete(g: WeightedDigraph, inputs: InputSet, p: AlgorithmParams,
     zs = np.empty((num_steps + 1, g.n))
     vs = np.empty_like(zs)
     zs[0], vs[0] = z0, v0
-    for k in range(num_steps):
-        zs[k + 1], vs[k + 1] = dcdisc_update(lap, zs[k], vs[k], u[k], p.alpha, p.beta, delta)
-        peak = max(np.max(np.abs(zs[k + 1])), np.max(np.abs(vs[k + 1])))
-        if not np.isfinite(peak) or peak > DIVERGENCE_LIMIT:
-            raise DivergenceError(
-                f"discrete state magnitude {peak:.3g} at k={k + 1}; stepsize "
-                f"{delta} (bound {step.bound:.6g}) is too aggressive",
-                t=(k + 1) * delta)
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
+        for k0 in range(0, num_steps, DISCRETE_BLOCK):
+            k1 = min(k0 + DISCRETE_BLOCK, num_steps)
+            for k in range(k0, k1):
+                zs[k + 1], vs[k + 1] = dcdisc_update(lap, zs[k], vs[k], u[k],
+                                                     p.alpha, p.beta, delta)
+            peak = np.maximum(np.abs(zs[k0 + 1:k1 + 1]).max(axis=1),
+                              np.abs(vs[k0 + 1:k1 + 1]).max(axis=1))
+            bad = np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))
+            if bad.size:
+                k = k0 + 1 + int(bad[0])
+                raise DivergenceError(
+                    f"discrete state magnitude {peak[bad[0]]:.3g} at k={k}; stepsize "
+                    f"{delta} (bound {step.bound:.6g}) is too aggressive",
+                    t=k * delta)
     avg = u.mean(axis=1)
     xs = u
     xs += zs  # published outputs x_out = z + u(k), in the samples' buffer
@@ -512,7 +546,7 @@ def write_trajectory_csv(path, traj: Trajectory, curves=None):
     [, bound_s, bound_tracking, bound_ultimate]; the discrete protocol
     prepends its iteration index k.  Twelve significant digits throughout
     (%.12g, which prints the integer k as an integer).  Rows are formatted
-    CSV_BLOCK at a time so the table is never built whole."""
+    about CSV_CELLS cells at a time so the table is never built whole."""
     curves = curves or {}
     n = traj.n
     header = (["k"] if traj.k_index is not None else []) + ["t"]
@@ -534,7 +568,9 @@ def write_trajectory_csv(path, traj: Trajectory, curves=None):
         return np.hstack(cols, dtype=float)
 
     rows = len(traj.times)
+    row = ",".join(["%.12g"] * len(header))
+    block = max(1, CSV_CELLS // len(header))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for a in range(0, rows, CSV_BLOCK):
-            np.savetxt(fh, columns(a, a + CSV_BLOCK), fmt="%.12g", delimiter=",")
+        for a in range(0, rows, block):
+            fh.write("".join([row % tuple(r) + "\n" for r in columns(a, a + block).tolist()]))

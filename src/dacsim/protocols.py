@@ -226,13 +226,14 @@ def dc2_rhs(lap: np.ndarray, inputs: InputSet, p: AlgorithmParams,
     if theta is None:
         raise ValueError("dc2/dc3 need a theta gain")
     limits = _require_limits(p) if saturate else None
+    fixed = theta.at(0.0) if theta.is_constant else None  # checked once, not per stage
 
     def f(t, y):
         x, v, z = y[:n], y[n:2 * n], y[2 * n:]
         u, du = inputs.eval_all(t)
         lz = lap @ (z + psi(t)) if psi is not None else lap @ z
         dz = du - alpha * (z - u) - beta * lz - v
-        dx = -theta.at(t) * (x - z) + dz
+        dx = -(fixed if fixed is not None else theta.at(t)) * (x - z) + dz
         if limits is not None:
             dx = np.clip(dx, -limits, limits)
         return np.concatenate((dx, alpha * beta * lz, dz))

@@ -9,7 +9,7 @@ from dacsim.discrete import (
     max_stepsize,
     pdelta_spectrum_check,
 )
-from dacsim.engine import integrate, simulate_discrete
+from dacsim.engine import DivergenceError, integrate, simulate_discrete
 from dacsim.graphs import build_digraph, laplacian, topology_preset
 from dacsim.protocols import AlgorithmParams
 from dacsim.signals import InputSet, make_signal, preset_scenario
@@ -212,3 +212,23 @@ def test_run_loop_matches_repeated_steps():
         assert np.array_equal(traj.x[k], s.x_out)
         s = dcdisc_step(s, g, inputs, p, 0.3)
     np.testing.assert_array_equal(traj.avg_u, inputs.values(traj.times).mean(axis=1))
+
+
+def test_divergence_reports_first_bad_iterate():
+    # delta just past the bound: |eig P| = 1.02, so the state first passes
+    # 1e12 well inside the run's second block of iterations
+    g, inputs, p = topology_preset("fig1a"), preset_scenario("case2"), AlgorithmParams(1.0, 1.0)
+    delta = 1.01
+    with pytest.warns(UserWarning, match="not below the admissibility bound"):
+        with pytest.raises(DivergenceError) as err:
+            simulate_discrete(g, inputs, p, np.zeros(6), np.zeros(6), delta, num_steps=4000)
+    s = DiscreteState.initial(np.zeros(6), np.zeros(6), inputs)
+    while True:
+        s = dcdisc_step(s, g, inputs, p, delta)
+        peak = max(np.abs(s.z).max(), np.abs(s.v).max())
+        if peak > 1e12:
+            break
+    assert 1024 < s.k < 2048
+    assert err.value.t == s.k * delta
+    assert str(err.value) == (f"discrete state magnitude {peak:.3g} at k={s.k}; stepsize "
+                              f"{delta} (bound 1) is too aggressive")

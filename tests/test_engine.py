@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dacsim.config import load_scenario, validate_scenario
 from dacsim.engine import (
+    AFFINE_BLOCK,
     DivergenceError,
     Trajectory,
     error_metrics,
@@ -18,6 +19,9 @@ from dacsim.engine import (
     simulate_protocol,
     simulate_zero_system,
     write_trajectory_csv,
+    _affine_scan,
+    _affine_system,
+    _rk4_affine,
 )
 from dacsim.graphs import laplacian
 from dacsim.protocols import AgentState, AlgorithmParams, ThetaGain, dc1_rhs, dc2_rhs
@@ -357,6 +361,80 @@ class TestAffinePath:
 
 
 # ---------------------------------------------------------------------------
+# doubling scan vs the step-by-step affine recurrence
+# ---------------------------------------------------------------------------
+
+def sequential_block(incr, c, y):
+    """The recurrence one step at a time, as the engine stepped it before
+    the scan: rows y_{k0+1}, ..., y_{k0+B} from y = y_{k0}."""
+    out = np.empty_like(c)
+    for j in range(len(c)):
+        y = y + (incr @ y + c[j])
+        out[j] = y
+    return out
+
+
+def scan_block(incr, c, y):
+    return y + _affine_scan(incr, c + incr @ y)
+
+
+class TestAffineScan:
+    @settings(max_examples=24, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 30), st.sampled_from(["dc1", "dc2"]),
+           st.sampled_from([1, 2, 3, 255, 256, 257, AFFINE_BLOCK]))
+    def test_matches_sequential_recurrence(self, seed, protocol, length):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        g = random_balanced_strongly_connected(rng, n)
+        alpha, beta = (float(v) for v in rng.uniform(0.5, 3.0, 2))
+        theta = ThetaGain.constant(rng.uniform(0.1, 5.0, n)) if protocol == "dc2" else None
+        a, e = _affine_system(protocol, laplacian(g), AlgorithmParams(alpha, beta, theta=theta))
+        h = 0.01
+        incr, q0, qh, q1 = _rk4_affine(a, e, h)
+        f = rng.uniform(-3.0, 3.0, (2 * length + 1, n))
+        c = f[0:-1:2] @ q0.T + f[1::2] @ qh.T + f[2::2] @ q1.T
+        y = rng.uniform(-3.0, 3.0, a.shape[0])
+        ref = sequential_block(incr, c, y)
+        gap = float(np.abs(scan_block(incr, c, y) - ref).max())
+        assert gap <= 1e-12 * max(1.0, float(np.abs(ref).max())), gap
+
+    def test_segments_shorter_than_a_block(self):
+        # pieces of 5, 1 and 31 steps, so every block ends at a switch; the
+        # times are exact in binary, so graph_at on the closure path takes
+        # each step's digraph without rounding
+        rng = np.random.default_rng(13)
+        graphs = tuple(random_balanced_strongly_connected(rng, 5) for _ in range(3))
+        h = 1.0 / 64.0
+        topology = SwitchingSchedule(graphs=graphs, period=37 * h,
+                                     segments=((0.0, 0), (5 * h, 1), (6 * h, 2)))
+        inputs = InputSet(signals=tuple(make_signal("sine", amplitude=1.0 + i, frequency=0.7)
+                                        for i in range(5)))
+        x0, v0 = rng.uniform(-3.0, 3.0, (2, 5))
+        assert_paths_agree("dc1", topology, inputs, AlgorithmParams(1.5, 2.0),
+                           x0, v0, h, 3.0)
+
+    def test_divergence_inside_first_block_after_exact_zeros(self, ring6):
+        # the state stays exactly 0 until the inputs switch on at t = 200
+        # (row 800), long after P^512 has overflowed: the zero rows must not
+        # turn into 0 * inf = nan, so the first bad row is the one integrate finds
+        inputs = InputSet(signals=tuple(
+            make_signal("sampled-piecewise-constant", values=[0.0, 1.0 + i], hold=200.0)
+            for i in range(6)))
+        p = AlgorithmParams(3.0, 10.0)
+        h, T = 0.25, 400.0
+        assert T / h < AFFINE_BLOCK
+        with pytest.raises(DivergenceError) as affine:
+            simulate_protocol("dc1", ring6, inputs, p,
+                              AgentState(x=np.zeros(6), v=np.zeros(6)), h=h, T=T)
+        with pytest.raises(DivergenceError) as closure:
+            closure_run("dc1", ring6, inputs, p, np.zeros(12), h, T)
+        assert affine.value.t == closure.value.t > 200.0
+        partial = affine.value.partial
+        assert len(partial.times) == len(closure.value.partial[0])
+        assert not np.any(np.hstack((partial.x, partial.v))[:800])
+
+
+# ---------------------------------------------------------------------------
 # blockwise CSV writer vs per-cell formatting
 # ---------------------------------------------------------------------------
 
@@ -399,4 +477,4 @@ class TestBlockwiseCsv:
                   "bound_s": BoundCurve(grid=traj.times, values=np.abs(rng.normal(size=rows)))}
         path = tmp_path / "w.csv"
         write_trajectory_csv(path, traj, curves)
-        assert path.read_text() == per_cell_csv(traj, curves)  # 4999 rows: three blocks
+        assert path.read_text() == per_cell_csv(traj, curves)  # 4999 rows: eleven blocks
