@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .engine import check_on_grid
 from .graphs import graph_from_json, is_strongly_connected, is_weight_balanced, topology_preset
 from .protocols import PROTOCOL_IDS, AlgorithmParams, ThetaGain
 from .signals import SCENARIO_PRESETS, InputSet, preset_scenario, signal_from_json
@@ -32,6 +33,11 @@ PARAM_KEYS = {"alpha", "beta", "theta", "sat_limits", "psi", "delta", "kappa", "
 INIT_KEYS = {"x0", "v0", "z0"}
 OUTPUT_KEYS = {"csv", "metrics", "svg"}
 DEFAULT_STEP = 1e-3
+# Largest stored state of a run, in float64 cells: the rows of its time grid
+# times its state columns per agent (x and v, and z where the protocol keeps
+# one), checked before any per-step work or allocation.
+STATE_BUDGET = 10 ** 8
+STATE_WIDTH = {"dc1": 2, "dc1_sat": 2, "dc2": 3, "dc2_sat": 3, "dc3": 3, "dcdisc": 3}
 
 
 class ConfigError(ValueError):
@@ -249,15 +255,24 @@ def validate_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         step = DEFAULT_STEP
     unit = None
     if protocol == "dcdisc" and isinstance(delta, (int, float)) and delta > 0:
-        unit, what, tol = delta, "delta steps for dcdisc", 1e-9
+        unit, what = delta, "delta steps for dcdisc"
     elif protocol != "dcdisc":
-        unit, what, tol = step, "integration steps", 1e-6
+        unit, what = step, "integration steps"
     if unit is not None:
         count = horizon / unit
         if not math.isfinite(count):
             problems.append(f'"horizon" spans more {what} than can be counted')
-        elif abs(count - round(count)) > tol:
-            problems.append(f'"horizon" must be a whole number of {what}')
+        else:
+            if protocol != "dcdisc":
+                _off_grid(horizon, step, '"horizon"', problems)
+            elif abs(count - round(count)) > 1e-9:
+                problems.append(f'"horizon" must be a whole number of {what}')
+            if n is not None and protocol in STATE_WIDTH:
+                rows, width = round(count) + 1, STATE_WIDTH[protocol] * n
+                if rows * width > STATE_BUDGET:
+                    problems.append(f'"horizon" gives {rows} stored rows of {width} state '
+                                    f'values, {rows * width:.3g} in all, above the budget '
+                                    f'of {STATE_BUDGET:.0e}')
 
     tail_start = data.get("tail_start", 0.75 * float(horizon))
     if not isinstance(tail_start, (int, float)) or not 0 <= tail_start < horizon:
@@ -290,9 +305,14 @@ def validate_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         outputs = {}
     _check_keys(outputs, OUTPUT_KEYS, '"outputs"', problems)
 
+    if hasattr(topology, "boundaries") and not problems:
+        # grid alignment is no graph hypothesis: "waive_graph_checks" keeps it
+        for b in topology.boundaries(horizon):
+            if _off_grid(b, step, "switching boundary", problems):
+                break
     waived = bool(data.get("waive_graph_checks", False))
     if topology is not None and not waived and not problems:
-        problems.extend(_topology_problems(topology, step, horizon))
+        problems.extend(_topology_problems(topology, horizon))
 
     if problems:
         raise ConfigError(problems)
@@ -331,9 +351,19 @@ def _init_vector(spec, n, x0, u0, label):
     return arr
 
 
-def _topology_problems(topology, step, horizon) -> list[str]:
-    """Graph hypotheses (weight balance, connectivity/admissibility) plus
-    grid alignment of the switching boundaries."""
+def _off_grid(value, step, what, problems) -> bool:
+    """Report value unless it is a whole number of steps (``check_on_grid``,
+    the rule the run applies)."""
+    try:
+        check_on_grid(value, step, what)
+    except ValueError as exc:
+        problems.append(str(exc))
+        return True
+    return False
+
+
+def _topology_problems(topology, horizon) -> list[str]:
+    """Graph hypotheses: weight balance, connectivity/admissibility."""
     problems = []
     if hasattr(topology, "weights"):  # fixed digraph
         if not is_weight_balanced(topology):
@@ -348,11 +378,6 @@ def _topology_problems(topology, step, horizon) -> list[str]:
         detail = "; ".join(report.notes) or "see admissibility report"
         problems.append(f"switching schedule is not admissible: {detail} "
                         '(set "waive_graph_checks" to run anyway)')
-    for b in topology.boundaries(horizon):
-        if abs(b / step - round(b / step)) > 1e-6:
-            problems.append(f"switching boundary t={b:g} is not on the integration grid; "
-                            f"use a step dividing every dwell interval")
-            break
     return problems
 
 

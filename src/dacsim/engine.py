@@ -37,14 +37,15 @@ __all__ = [
     "pi_udot_series",
     "run_scenario",
     "write_trajectory_csv",
+    "check_on_grid",
     "DIVERGENCE_LIMIT",
 ]
 
 DIVERGENCE_LIMIT = 1e12
-GRID_ALIGN_RTOL = 1e-6
+GRID_ALIGN_TOL = 1e-6  # steps a grid time may lie from the nearest whole step
 AFFINE_BLOCK = 2048  # steps per forcing block and scan of the affine recurrence
 DISCRETE_BLOCK = 1024  # dcdisc iterations between divergence checks
-CSV_CELLS = 2 ** 13  # cells formatted per write; 2 ** 15 raised discrete_wide's peak memory by 1 MB
+CSV_CELLS = 2 ** 13  # cells per format_g12 block; 2 ** 15 raised discrete_wide's peak memory by 5 MB
 
 
 class DivergenceError(RuntimeError):
@@ -93,9 +94,15 @@ class ErrorReport:
     tail_start: float = 0.0
 
 
-def _check_alignment(value: float, h: float, what: str):
+def check_on_grid(value: float, h: float, what: str):
+    """Raise ValueError unless value is a whole number of steps h, to within
+    GRID_ALIGN_TOL steps.  This is the one alignment rule, for the horizon
+    and the switching boundaries, of both config validation and the run.
+    The tolerance is absolute in steps: one relative to the step count
+    would let a boundary sit whole steps off the grid on a long run, while
+    the rounding of value / h stays far below it within the state budget."""
     steps = value / h
-    if abs(steps - round(steps)) > GRID_ALIGN_RTOL * max(1.0, abs(steps)):
+    if abs(steps - round(steps)) > GRID_ALIGN_TOL:
         suggestion = value / max(1, math.ceil(steps))
         raise ValueError(
             f"{what} {value} is not a multiple of the step {h}; "
@@ -109,10 +116,10 @@ def _grid(h: float, T: float, events=()) -> np.ndarray:
         raise ValueError("step h must be positive")
     if T < h:
         raise ValueError("horizon T must be at least one step")
-    _check_alignment(T, h, "horizon")
+    check_on_grid(T, h, "horizon")
     for e in events:
         if 0.0 < e < T:
-            _check_alignment(e, h, "switching boundary")
+            check_on_grid(e, h, "switching boundary")
     return np.arange(int(round(T / h)) + 1) * h
 
 
@@ -169,9 +176,18 @@ def integrate(rhs, s0, h: float, T: float, events=()):
     return times, out, stage1
 
 
-def _protocol_rhs(protocol: str, topology, inputs, p: AlgorithmParams):
+def _step_pieces(sched: SwitchingSchedule, h: float, T: float):
+    """(k0, k1, graph index) step ranges of the ``segments_in`` pieces, the
+    switching segments both integration paths step."""
+    return [(int(round(a / h)), int(round(b / h)), idx) for a, b, idx in sched.segments_in(T)]
+
+
+def _protocol_rhs(protocol: str, topology, inputs, p: AlgorithmParams, h: float, T: float):
     """Compile the flat RHS for a protocol over a fixed digraph or schedule.
-    Returns (rhs(t, y, t_step), has_z, events_fn(T))."""
+    Returns (rhs(t, y, t_step), has_z, events).  Under a schedule, the step
+    from t_step runs the digraph of its piece (``_step_pieces``, as on the
+    affine path), looked up by step number: graph_at's fmod can round an
+    unrolled switch time below the switch."""
 
     def build(lap):
         if protocol == "dc1":
@@ -188,17 +204,21 @@ def _protocol_rhs(protocol: str, topology, inputs, p: AlgorithmParams):
 
     if isinstance(topology, WeightedDigraph):
         f, has_z = build(laplacian(topology))
-        return (lambda t, y, ts: f(t, y)), has_z, (lambda T: ())
+        return (lambda t, y, ts: f(t, y)), has_z, ()
     if isinstance(topology, SwitchingSchedule):
         compiled = [build(laplacian(g)) for g in topology.graphs]
         fns = [c[0] for c in compiled]
         has_z = compiled[0][1]
-        sched = topology
+        step_graph = np.empty(int(round(T / h)) + 1, dtype=np.intp)
+        for k0, k1, idx in _step_pieces(topology, h, T):
+            step_graph[k0:k1] = idx
+        # the last stored point takes the digraph active there, as in _affine_run
+        step_graph[-1] = graph_at(topology, T)
 
         def rhs(t, y, ts):
-            return fns[graph_at(sched, ts)](t, y)
+            return fns[step_graph[int(round(ts / h))]](t, y)
 
-        return rhs, has_z, sched.boundaries
+        return rhs, has_z, topology.boundaries(T)
     raise TypeError("topology must be a WeightedDigraph or a SwitchingSchedule")
 
 
@@ -283,7 +303,7 @@ def _affine_run(protocol, topology, inputs: InputSet, p: AlgorithmParams,
         raise TypeError("topology must be a WeightedDigraph or a SwitchingSchedule")
     graphs = topology.graphs if switching else (topology,)
     times = _grid(h, T, topology.boundaries(T) if switching else ())
-    pieces = topology.segments_in(T) if switching else [(0.0, T, 0)]
+    pieces = _step_pieces(topology, h, T) if switching else [(0, times.size - 1, 0)]
     systems = {}
 
     def system(idx):
@@ -296,10 +316,9 @@ def _affine_run(protocol, topology, inputs: InputSet, p: AlgorithmParams,
     commands = np.empty((times.size, n))
     out[0] = y0
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
-        for start, end, idx in pieces:
+        for k_start, k_end, idx in pieces:
             a_x, incr, q0, qh, q1 = system(idx)
-            k_end = int(round(end / h))
-            for k0 in range(int(round(start / h)), k_end, AFFINE_BLOCK):
+            for k0 in range(k_start, k_end, AFFINE_BLOCK):
                 k1 = min(k0 + AFFINE_BLOCK, k_end)
                 u, du = inputs.eval_all(_half_steps(times[k0:k1 + 1], h))
                 f = du + p.alpha * u
@@ -332,7 +351,7 @@ def simulate_protocol(protocol: str, topology, inputs: InputSet, p: AlgorithmPar
         has_z = protocol == "dc2"
     else:
         table = InputTable.sample(inputs, _half_steps(_grid(h, T), h), 0.5 * h)
-        rhs, has_z, events_fn = _protocol_rhs(protocol, topology, table, p)
+        rhs, has_z, events = _protocol_rhs(protocol, topology, table, p, h, T)
     if has_z and state0.z is None:
         raise ValueError(f"protocol {protocol} needs an initial z state")
     y0 = state0.pack() if has_z else np.concatenate((state0.x, state0.v))
@@ -340,7 +359,7 @@ def simulate_protocol(protocol: str, topology, inputs: InputSet, p: AlgorithmPar
         if affine:
             times, ys, commands = _affine_run(protocol, topology, inputs, p, y0, n, h, T)
         else:
-            times, ys, stage1 = integrate(rhs, y0, h, T, events=events_fn(T))
+            times, ys, stage1 = integrate(rhs, y0, h, T, events=events)
             commands = stage1[:, :n]
     except DivergenceError as err:
         if err.partial is not None:
@@ -546,7 +565,13 @@ def write_trajectory_csv(path, traj: Trajectory, curves=None):
     [, bound_s, bound_tracking, bound_ultimate]; the discrete protocol
     prepends its iteration index k.  Twelve significant digits throughout
     (%.12g, which prints the integer k as an integer).  Rows are formatted
-    about CSV_CELLS cells at a time so the table is never built whole."""
+    about CSV_CELLS cells at a time so the table is never built whole, each
+    block by ``csvformat.format_g12``, byte for byte as ``"%.12g" %``."""
+    # imported here, not with the package: without cached bytecode its
+    # compile would lengthen the set-up of every run, not only of those
+    # that write a CSV
+    from .csvformat import format_g12
+
     curves = curves or {}
     n = traj.n
     header = (["k"] if traj.k_index is not None else []) + ["t"]
@@ -568,9 +593,8 @@ def write_trajectory_csv(path, traj: Trajectory, curves=None):
         return np.hstack(cols, dtype=float)
 
     rows = len(traj.times)
-    row = ",".join(["%.12g"] * len(header))
     block = max(1, CSV_CELLS // len(header))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for a in range(0, rows, block):
-            fh.write("".join([row % tuple(r) + "\n" for r in columns(a, a + block).tolist()]))
+            fh.write(format_g12(columns(a, a + block)))

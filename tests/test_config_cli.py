@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +263,24 @@ class TestNonFiniteAndBooleanNumbers:
     def test_step_count_overflow(self):
         with pytest.raises(ConfigError, match="than can be counted"):
             validate_scenario(tiny_scenario(horizon=1e308, step=1e-3))
+
+
+class TestStateBudget:
+    def test_long_horizon_rejected_before_the_admissibility_scan(self, tmp_path, capsys):
+        # 1e9 rows of 12 states; the schedule scan alone took ~20 s.  Every
+        # bundled scenario stays within the budget (test_round_trip loads them)
+        data = json.loads((SCENARIOS / "case1.json").read_text())
+        data.update(horizon=1e6, tail_start=9e5)
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="budget") as excinfo:
+            validate_scenario(data)
+        assert time.perf_counter() - start < 1.0
+        assert len(excinfo.value.problems) == 1
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().out.count("budget") == 2
 
 
 def test_agent_count_resolved_at_validation(monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dacsim.config import load_scenario, validate_scenario
+from dacsim.csvformat import format_g12
 from dacsim.engine import (
     AFFINE_BLOCK,
     DivergenceError,
@@ -21,6 +22,7 @@ from dacsim.engine import (
     write_trajectory_csv,
     _affine_scan,
     _affine_system,
+    _grid,
     _rk4_affine,
 )
 from dacsim.graphs import laplacian
@@ -356,8 +358,31 @@ class TestAffinePath:
         path.write_text(json.dumps(data))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_DIVERGED
         assert "DIVERGED" in capsys.readouterr().out
-        lines = (tmp_path / "out" / "unstable.partial.csv").read_text().splitlines()
+        text = (tmp_path / "out" / "unstable.partial.csv").read_text()
+        lines = text.splitlines()
         assert lines[0].startswith("t,x1") and 2 < len(lines) < 42
+        with pytest.raises(DivergenceError) as err:
+            run_scenario(load_scenario(path))
+        assert text == per_cell_csv(err.value.partial, {})  # its last row is past 1e12
+
+    def test_closure_path_takes_the_pieces_of_the_affine_path(self):
+        # fmod(0.42, 0.37) = 0.04999999999999999, so graph_at puts the step
+        # from t = 0.42 on digraph 0, where its piece (midpoint 0.425) runs 1
+        rng = np.random.default_rng(5)
+        graphs = tuple(random_balanced_strongly_connected(rng, 4) for _ in range(3))
+        topology = SwitchingSchedule(graphs=graphs, period=0.37,
+                                     segments=((0.0, 0), (0.05, 1), (0.06, 2)))
+        inputs = InputSet(signals=tuple(make_signal("sine", amplitude=1.0 + i, frequency=2.0)
+                                        for i in range(4)))
+        gains = rng.uniform(0.5, 3.0, 4)
+        x0, v0 = rng.uniform(-3.0, 3.0, (2, 4))
+        runs = [simulate_protocol("dc2", topology, inputs, AlgorithmParams(1.0, 2.0, theta=theta),
+                                  AgentState(x=x0, v=v0, z=x0.copy()), h=0.01, T=3.0)
+                for theta in (ThetaGain.constant(gains),  # affine path
+                              ThetaGain(fn=lambda t: gains, lower=gains, upper=gains))]
+        affine, closure = (np.hstack((r.x, r.v, r.z)) for r in runs)
+        scale = max(1.0, float(np.abs(closure).max()))
+        assert float(np.abs(affine - closure).max()) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -478,3 +503,114 @@ class TestBlockwiseCsv:
         path = tmp_path / "w.csv"
         write_trajectory_csv(path, traj, curves)
         assert path.read_text() == per_cell_csv(traj, curves)  # 4999 rows: eleven blocks
+
+
+# ---------------------------------------------------------------------------
+# the %.12g block kernel vs Python's formatting
+# ---------------------------------------------------------------------------
+
+def percent_g12(block):
+    return "".join(",".join("%.12g" % v for v in row) + "\n" for row in block.tolist()).encode()
+
+
+def assert_kernel_exact(values):
+    values = np.asarray(values, dtype=float)
+    for cols in (1, 2, 7):
+        block = np.resize(values, (-(-values.size // cols), cols))  # cycles to fill the block
+        assert format_g12(block) == percent_g12(block), cols
+
+
+G12_EDGES = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308, 1e-290, 1e300,
+    1234567890125.0, 100000000000.5, 12345678901.25,  # exact ties at the 12th digit
+    1e-5, 0.0001, 1e11, 1e12, 1e-4 - 1e-20, 1e15, 1e16, 1e21, 1e22, 1e23,
+    99999999999.95, 9.999999999995e-5, 999999999999.5, 999999999999.4, 0.5, 0.1, 1 / 3,
+    math.pi * 1e-7, math.e * 1e13, 123456789012.0, 1e-300, 1e-310,
+]
+
+
+class TestFormatG12:
+    def test_edge_values(self):
+        edges = np.array(G12_EDGES)
+        with np.errstate(over="ignore"):
+            near = np.concatenate((edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)))
+        assert_kernel_exact(np.concatenate((near, -near)))
+
+    def test_integer_iteration_indices(self):
+        k = np.concatenate((np.arange(2001), [40000, 10 ** 11 - 1, 10 ** 11, 10 ** 12 - 1,
+                                              10 ** 12, 10 ** 12 + 1, 2 ** 53]))
+        assert_kernel_exact(k)
+
+    def test_decimal_grid_times(self):
+        for h in (0.001, 0.002, 0.005, 0.182, 0.37):
+            assert_kernel_exact(np.arange(5001) * h)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 2047), st.integers(0, 2 ** 52 - 1)),
+                    min_size=1, max_size=64))
+    def test_raw_bit_patterns(self, fields):
+        # sign, biased exponent and fraction of a float64: every exponent
+        # including subnormals (0) and inf/nan (2047) is drawn alike
+        bits = np.array([(sign << 63) | (exp << 52) | frac for sign, exp, frac in fields],
+                        dtype=np.uint64)
+        assert_kernel_exact(bits.view(np.float64))
+
+    @pytest.mark.parametrize("skew", [-0.5, 0.5])
+    def test_decade_misjudged_by_log10(self, skew, monkeypatch):
+        # floor(log10 |x|) off by one decade for half the values: the scaled
+        # mantissa has to move the exponent back
+        rng = np.random.default_rng(7)
+        values = np.concatenate((G12_EDGES, rng.normal(0.0, 1.0, 4000) * 10.0 ** rng.integers(-12, 14, 4000)))
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + skew)
+        assert_kernel_exact(values)
+
+    def test_wide_random_blocks(self):
+        rng = np.random.default_rng(11)
+        values = rng.normal(0.0, 1.0, 20000) * 10.0 ** rng.integers(-12, 14, 20000)
+        assert_kernel_exact(values)
+
+    @pytest.mark.parametrize("fname", sorted(p.name for p in SCENARIOS.glob("*.json")))
+    def test_bundled_scenarios_write_per_cell_csv(self, fname, tmp_path):
+        raw = json.loads((SCENARIOS / fname).read_text())
+        horizon = 20.0 if raw["protocol"] == "dcdisc" else 3.0  # past case1/case2's first switch
+        raw.update(horizon=horizon, tail_start=0.75 * horizon)
+        traj, _, curves = run_scenario(validate_scenario(raw, name=fname))
+        path = tmp_path / "out.csv"
+        write_trajectory_csv(path, traj, curves)
+        assert path.read_text() == per_cell_csv(traj, curves)
+
+
+# ---------------------------------------------------------------------------
+# one grid-alignment rule for config validation and the run
+# ---------------------------------------------------------------------------
+
+class TestGridAlignment:
+    def scenario(self, boundary, waive):
+        return {"name": "offgrid", "protocol": "dc1", "params": {"alpha": 1.0, "beta": 1.0},
+                "schedule": {"graphs": [{"preset": "fig1b"}, {"preset": "fig1a"}],
+                             "segments": [[0.0, 0], [boundary, 1]], "repeat": "none"},
+                "inputs": {"preset": "case2"}, "horizon": 12.0, "step": 0.001,
+                "tail_start": 11.0, "waive_graph_checks": waive}
+
+    @pytest.mark.parametrize("boundary,aligned", [(10.000005, False), (10.0 + 1e-12, True)])
+    @pytest.mark.parametrize("waive", [False, True])
+    def test_validate_and_run_agree(self, boundary, aligned, waive, tmp_path, capsys):
+        # 10.000005 is 5e-3 of a step off the grid: 5e-7 of its 1e4 steps
+        from dacsim.cli import EXIT_CONFIG, main
+        from dacsim.config import ConfigError
+        path = tmp_path / "offgrid.json"
+        path.write_text(json.dumps(self.scenario(boundary, waive)))
+        if aligned:
+            assert main(["validate", str(path)]) == 0
+            assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+            _grid(0.001, 12.0, [boundary])
+            return
+        with pytest.raises(ConfigError, match="switching boundary"):
+            load_scenario(path)
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "switching boundary" in capsys.readouterr().out
+        with pytest.raises(ValueError, match="switching boundary"):
+            _grid(0.001, 12.0, [boundary])
