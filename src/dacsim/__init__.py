@@ -32,12 +32,7 @@ from .signals import (
 from .protocols import (
     AgentState,
     AlgorithmParams,
-    Message,
     ThetaGain,
-    apply_saturation,
-    dc1_derivative,
-    dc2_derivative,
-    dc3_derivative,
     init_state,
 )
 from .discrete import (
@@ -60,7 +55,6 @@ from .bounds import (
     BoundCurve,
     BoundInputs,
     convergence_rate,
-    tracking_bound,
     tracking_bound_curve,
     transient_bound_s,
     ultimate_bound,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "ZeroErrorCheck",
     "zero_system_equilibrium",
     "transient_bound_s",
-    "tracking_bound",
     "tracking_bound_curve",
     "ultimate_bound",
     "convergence_rate",
@@ -158,32 +157,15 @@ def transient_bound_s(t, b: BoundInputs):
     return float(s) if t.ndim == 0 else s
 
 
-def tracking_bound(t: float, b: BoundInputs,
-                   pi_udot_norm: Callable[[float], float],
-                   quad_step: float = 1e-3) -> float:
-    """Tracking-error envelope at time t:
+def tracking_bound_curve(grid, b: BoundInputs, pi_udot_samples) -> BoundCurve:
+    """Tracking-error envelope at every grid point, in one O(len(grid)) sweep:
 
-    s(t) + int_0^t e^{-beta lam (t - tau)} ||Pi_N du(tau)|| dtau
+    s(t) + kappa int_0^t e^{-beta lam (t - tau)} ||Pi_N du(tau)|| dtau
          + branch(t) ||du(0)||,
 
-    with the integral by composite trapezoid at roughly ``quad_step``
-    resolution (the integrand is smooth between input breakpoints).
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0.0:
-        return transient_bound_s(0.0, b)
-    num = max(2, int(math.ceil(t / quad_step)) + 1)
-    grid = np.linspace(0.0, t, num)
-    samples = np.array([pi_udot_norm(float(tau)) for tau in grid])
-    curve = tracking_bound_curve(grid, b, samples)
-    return float(curve.values[-1])
-
-
-def tracking_bound_curve(grid, b: BoundInputs, pi_udot_samples) -> BoundCurve:
-    """tracking_bound evaluated at every grid point in one O(len(grid)) sweep.
-
-    The fading-memory integral obeys
+    with ``pi_udot_samples`` the integrand's ||Pi_N du|| on the grid and the
+    integral by composite trapezoid on it (the integrand is smooth between
+    input breakpoints).  The fading-memory integral obeys
     I(t_{k+1}) = e^{-beta lam h} I(t_k) + trapezoid over [t_k, t_{k+1}],
     which reproduces the composite trapezoid rule on the full grid exactly.
     """

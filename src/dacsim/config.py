@@ -18,7 +18,7 @@ import numpy as np
 
 from .engine import check_on_grid
 from .graphs import graph_from_json, is_strongly_connected, is_weight_balanced, topology_preset
-from .protocols import PROTOCOL_IDS, AlgorithmParams, ThetaGain
+from .protocols import PROTOCOL_IDS, Z_STATE_PROTOCOLS, AlgorithmParams, ThetaGain
 from .signals import SCENARIO_PRESETS, InputSet, preset_scenario, signal_from_json
 from .switching import schedule_from_json, validate_admissible
 
@@ -198,7 +198,7 @@ def validate_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         value = params.get(gain)
         if not isinstance(value, (int, float)) or value <= 0:
             problems.append(f'"params.{gain}" must be a positive number, got {value!r}')
-    if protocol in ("dc2", "dc2_sat", "dc3") and "theta" not in params:
+    if protocol in Z_STATE_PROTOCOLS and "theta" not in params:
         problems.append(f'protocol {protocol} requires "params.theta"')
     if protocol in ("dc1_sat", "dc2_sat") and "sat_limits" not in params:
         problems.append(f'protocol {protocol} requires "params.sat_limits"')
@@ -306,7 +306,13 @@ def validate_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
     _check_keys(outputs, OUTPUT_KEYS, '"outputs"', problems)
 
     if hasattr(topology, "boundaries") and not problems:
-        # grid alignment is no graph hypothesis: "waive_graph_checks" keeps it
+        # neither the schedule's domain nor grid alignment is a graph
+        # hypothesis: "waive_graph_checks" keeps both.  The run reads the
+        # digraph at t = horizon, and graph_at is defined before end_time.
+        end = topology.end_time
+        if end is not None and not (isinstance(end, (int, float)) and end > horizon):
+            problems.append(f'schedule "end_time" must be a number beyond the horizon '
+                            f'{horizon:g}, got {end!r}')
         for b in topology.boundaries(horizon):
             if _off_grid(b, step, "switching boundary", problems):
                 break

@@ -20,7 +20,7 @@ import numpy as np
 from . import bounds as bnd
 from .discrete import dcdisc_update, make_stepsize, zero_system_matrix
 from .graphs import WeightedDigraph, laplacian, spectral_summary
-from .protocols import AgentState, AlgorithmParams, dc1_rhs, dc2_rhs, dc3_rhs
+from .protocols import Z_STATE_PROTOCOLS, AgentState, AlgorithmParams, dc1_rhs, dc2_rhs, dc3_rhs
 from .signals import InputSet, InputTable, discrete_disagreement_gamma, pi_udot_series
 from .switching import SwitchingSchedule, graph_at
 
@@ -184,31 +184,30 @@ def _step_pieces(sched: SwitchingSchedule, h: float, T: float):
 
 def _protocol_rhs(protocol: str, topology, inputs, p: AlgorithmParams, h: float, T: float):
     """Compile the flat RHS for a protocol over a fixed digraph or schedule.
-    Returns (rhs(t, y, t_step), has_z, events).  Under a schedule, the step
-    from t_step runs the digraph of its piece (``_step_pieces``, as on the
-    affine path), looked up by step number: graph_at's fmod can round an
-    unrolled switch time below the switch."""
+    Returns (rhs(t, y, t_step), events).  Under a schedule, the step from
+    t_step runs the digraph of its piece (``_step_pieces``, as on the affine
+    path), looked up by step number: graph_at's fmod can round an unrolled
+    switch time below the switch.  The factories are looked up in this
+    module at call time, so rebinding ``engine.dc*_rhs`` takes effect."""
 
     def build(lap):
         if protocol == "dc1":
-            return dc1_rhs(lap, inputs, p), False
+            return dc1_rhs(lap, inputs, p)
         if protocol == "dc1_sat":
-            return dc1_rhs(lap, inputs, p, saturate=True), False
+            return dc1_rhs(lap, inputs, p, saturate=True)
         if protocol == "dc2":
-            return dc2_rhs(lap, inputs, p), True
+            return dc2_rhs(lap, inputs, p)
         if protocol == "dc2_sat":
-            return dc2_rhs(lap, inputs, p, saturate=True), True
+            return dc2_rhs(lap, inputs, p, saturate=True)
         if protocol == "dc3":
-            return dc3_rhs(lap, inputs, p), True
+            return dc3_rhs(lap, inputs, p)
         raise ValueError(f"unknown continuous protocol {protocol!r}")
 
     if isinstance(topology, WeightedDigraph):
-        f, has_z = build(laplacian(topology))
-        return (lambda t, y, ts: f(t, y)), has_z, ()
+        f = build(laplacian(topology))
+        return (lambda t, y, ts: f(t, y)), ()
     if isinstance(topology, SwitchingSchedule):
-        compiled = [build(laplacian(g)) for g in topology.graphs]
-        fns = [c[0] for c in compiled]
-        has_z = compiled[0][1]
+        fns = [build(laplacian(g)) for g in topology.graphs]
         step_graph = np.empty(int(round(T / h)) + 1, dtype=np.intp)
         for k0, k1, idx in _step_pieces(topology, h, T):
             step_graph[k0:k1] = idx
@@ -218,7 +217,7 @@ def _protocol_rhs(protocol: str, topology, inputs, p: AlgorithmParams, h: float,
         def rhs(t, y, ts):
             return fns[step_graph[int(round(ts / h))]](t, y)
 
-        return rhs, has_z, topology.boundaries(T)
+        return rhs, topology.boundaries(T)
     raise TypeError("topology must be a WeightedDigraph or a SwitchingSchedule")
 
 
@@ -346,12 +345,11 @@ def simulate_protocol(protocol: str, topology, inputs: InputSet, p: AlgorithmPar
     sampled once on the half-step grid.
     """
     n = state0.n
+    has_z = protocol in Z_STATE_PROTOCOLS
     affine = _is_affine(protocol, p)
-    if affine:
-        has_z = protocol == "dc2"
-    else:
+    if not affine:
         table = InputTable.sample(inputs, _half_steps(_grid(h, T), h), 0.5 * h)
-        rhs, has_z, events = _protocol_rhs(protocol, topology, table, p, h, T)
+        rhs, events = _protocol_rhs(protocol, topology, table, p, h, T)
     if has_z and state0.z is None:
         raise ValueError(f"protocol {protocol} needs an initial z state")
     y0 = state0.pack() if has_z else np.concatenate((state0.x, state0.v))
@@ -506,9 +504,8 @@ def run_scenario(cfg):
         traj = simulate_discrete(topology, inputs, params, cfg.z0, cfg.v0,
                                  cfg.delta, num_steps)
     else:
-        has_z = cfg.protocol in ("dc2", "dc2_sat", "dc3")
         state0 = AgentState(x=cfg.x0, v=cfg.v0,
-                            z=(cfg.z0 if has_z else None))
+                            z=cfg.z0 if cfg.protocol in Z_STATE_PROTOCOLS else None)
         traj = simulate_protocol(cfg.protocol, topology, inputs, params,
                                  state0, cfg.step, cfg.horizon)
 

@@ -16,39 +16,33 @@ degraded behavior the saturated comparison runs expose.
 
 Input derivatives always come from the signal model, never from
 differentiating the trajectory.  The ``*_rhs`` factories return flat-vector
-closures for the integrator; the ``*_derivative`` functions are the
-structured one-shot form of the same formulas.
+closures for the integrator.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .graphs import WeightedDigraph, laplacian
 from .signals import InputSet
 
 __all__ = [
     "AgentState",
     "AlgorithmParams",
     "ThetaGain",
-    "Message",
     "dc1_rhs",
     "dc2_rhs",
     "dc3_rhs",
-    "dc3_payloads",
-    "dc1_derivative",
-    "dc2_derivative",
-    "dc3_derivative",
-    "apply_saturation",
     "init_state",
     "PROTOCOL_IDS",
+    "Z_STATE_PROTOCOLS",
 ]
 
 PROTOCOL_IDS = ("dc1", "dc1_sat", "dc2", "dc2_sat", "dc3", "dcdisc")
+# the continuous protocols that keep the information state z, y = (x, v, z)
+Z_STATE_PROTOCOLS = ("dc2", "dc2_sat", "dc3")
 
 
 @dataclass(eq=False)
@@ -80,14 +74,6 @@ class AgentState:
     def pack(self) -> np.ndarray:
         parts = [self.x, self.v] if self.z is None else [self.x, self.v, self.z]
         return np.concatenate(parts)
-
-    @classmethod
-    def unpack(cls, flat: np.ndarray, n: int, has_z: bool = False) -> "AgentState":
-        expected = 3 * n if has_z else 2 * n
-        if flat.shape[0] != expected:
-            raise ValueError(f"flat state has length {flat.shape[0]}, expected {expected}")
-        z = flat[2 * n:] if has_z else None
-        return cls(x=flat[:n], v=flat[n:2 * n], z=z)
 
 
 @dataclass(eq=False)
@@ -160,22 +146,6 @@ class AlgorithmParams:
                 raise ValueError("saturation limits must be positive")
 
 
-@dataclass(frozen=True)
-class Message:
-    """One transmitted value: the sender's information state, masked when a
-    psi signal is configured (payload = z + psi(t))."""
-
-    sender: int
-    payload: float
-
-
-def apply_saturation(command: float, limit: float) -> float:
-    """sign(command) * min(|command|, limit)."""
-    if limit <= 0:
-        raise ValueError("saturation limit must be positive")
-    return math.copysign(min(abs(command), limit), command)
-
-
 def _require_limits(p: AlgorithmParams) -> np.ndarray:
     if p.sat_limits is None:
         raise ValueError("saturated protocol needs sat_limits")
@@ -244,46 +214,6 @@ def dc2_rhs(lap: np.ndarray, inputs: InputSet, p: AlgorithmParams,
 def dc3_rhs(lap: np.ndarray, inputs: InputSet, p: AlgorithmParams):
     """dc2 dynamics computed from the masked transmissions z + psi(t)."""
     return dc2_rhs(lap, inputs, p, saturate=False, psi=p.psi if p.psi is not None else (lambda t: 0.0))
-
-
-def dc3_payloads(state: AgentState, t: float, p: AlgorithmParams) -> np.ndarray:
-    """Values actually put on the wire at time t."""
-    psi = p.psi(t) if p.psi is not None else 0.0
-    return state.z + psi
-
-
-# ---------------------------------------------------------------------------
-# Structured one-shot derivatives (same formulas, AgentState in and out)
-# ---------------------------------------------------------------------------
-
-def _check_dims(state: AgentState, g: WeightedDigraph, inputs: InputSet, need_z: bool):
-    if state.n != g.n or len(inputs) != g.n:
-        raise ValueError(f"state/inputs dimension does not match digraph size {g.n}")
-    if need_z and state.z is None:
-        raise ValueError("this protocol needs the information state z")
-
-
-def dc1_derivative(state: AgentState, t: float, g: WeightedDigraph, inputs: InputSet,
-                   p: AlgorithmParams, saturate: bool = False) -> AgentState:
-    _check_dims(state, g, inputs, need_z=False)
-    flat = dc1_rhs(laplacian(g), inputs, p, saturate)(t, state.pack())
-    return AgentState.unpack(flat, g.n)
-
-
-def dc2_derivative(state: AgentState, t: float, g: WeightedDigraph, inputs: InputSet,
-                   p: AlgorithmParams, saturate: bool = False) -> AgentState:
-    _check_dims(state, g, inputs, need_z=True)
-    flat = dc2_rhs(laplacian(g), inputs, p, saturate)(t, state.pack())
-    return AgentState.unpack(flat, g.n, has_z=True)
-
-
-def dc3_derivative(state: AgentState, t: float, g: WeightedDigraph, inputs: InputSet,
-                   p: AlgorithmParams) -> tuple[AgentState, list[Message]]:
-    _check_dims(state, g, inputs, need_z=True)
-    flat = dc3_rhs(laplacian(g), inputs, p)(t, state.pack())
-    payloads = dc3_payloads(state, t, p)
-    messages = [Message(sender=i + 1, payload=float(payloads[i])) for i in range(state.n)]
-    return AgentState.unpack(flat, g.n, has_z=True), messages
 
 
 def init_state(policy: str, x0, v0=None, alpha: float = 1.0,

@@ -144,7 +144,7 @@ def test_criterion_02_transient_bound_both_regimes(zero_system_runs):
             bi = BoundInputs(alpha=alpha, beta=beta, lambda_hat_2=RING_LAMBDA2,
                              y0_norm=float(np.linalg.norm(y0[:, b])),
                              w0_norm=float(np.linalg.norm(w0[:, b])))
-            s_vals = np.array([transient_bound_s(float(t), bi) for t in times])
+            s_vals = transient_bound_s(times, bi)
             shift = w0[:, b].sum() / (alpha * 6.0)
             lhs = np.linalg.norm(ys[:, :, b] + shift, axis=1)
             worst_ratio = max(worst_ratio, float((lhs / np.maximum(s_vals, 1e-300)).max()))

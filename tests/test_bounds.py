@@ -5,7 +5,6 @@ import pytest
 
 from dacsim.bounds import (
     BoundInputs,
-    tracking_bound,
     tracking_bound_curve,
     transient_bound_s,
     ultimate_bound,
@@ -90,18 +89,26 @@ class TestTransientBound:
         assert transient_bound_s(3.0, scaled) > transient_bound_s(3.0, plain)
 
 
+def tracking_bound_at(t, b, pi_udot_norm, quad_step=1e-3):
+    """The tracking envelope at one time t: ``tracking_bound_curve`` on
+    linspace(0, t) at about quad_step resolution, read at its end."""
+    grid = np.linspace(0.0, t, max(2, math.ceil(t / quad_step) + 1))
+    samples = np.array([pi_udot_norm(float(tau)) for tau in grid])
+    return float(tracking_bound_curve(grid, b, samples).values[-1])
+
+
 class TestTrackingBound:
     def test_static_inputs_reduce_to_s(self):
         b = bound_inputs(y0=2.0, w0=1.0)
         for t in (0.0, 0.7, 5.0):
-            assert tracking_bound(t, b, lambda tau: 0.0) == pytest.approx(
+            assert tracking_bound_at(t, b, lambda tau: 0.0) == pytest.approx(
                 transient_bound_s(t, b))
 
     def test_constant_disagreement_saturates_at_ultimate_bound(self):
         gamma = math.sqrt(2.0)
         b = bound_inputs(y0=0.0, w0=0.0, gamma=gamma)
         limit = ultimate_bound(1.0, RING_LAMBDA2, gamma)
-        val = tracking_bound(60.0, b, lambda tau: gamma, quad_step=5e-3)
+        val = tracking_bound_at(60.0, b, lambda tau: gamma, quad_step=5e-3)
         assert val == pytest.approx(limit, rel=1e-3)
 
     def test_curve_matches_pointwise_evaluation(self):
@@ -112,7 +119,7 @@ class TestTrackingBound:
         for idx in (0, 300, 800, 1200):
             t = float(grid[idx])
             assert curve.values[idx] == pytest.approx(
-                tracking_bound(t, b, f, quad_step=5e-3), rel=1e-5, abs=1e-12)
+                tracking_bound_at(t, b, f, quad_step=5e-3), rel=1e-5, abs=1e-12)
 
 
 class TestUltimateBound:
@@ -203,7 +210,7 @@ class TestBoundDomination:
                 bi = BoundInputs(alpha=alpha, beta=1.0, lambda_hat_2=RING_LAMBDA2,
                                  y0_norm=float(np.linalg.norm(y0[:, b])),
                                  w0_norm=float(np.linalg.norm(w0[:, b])))
-                s_vals = np.array([transient_bound_s(float(t), bi) for t in times])
+                s_vals = transient_bound_s(times, bi)
                 shift = w0[:, b].sum() / (alpha * 6)
                 lhs = np.linalg.norm(ys[:, :, b] + shift, axis=1)
                 assert np.all(lhs <= s_vals * (1.0 + 1e-6))

@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 from dacsim.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
-from dacsim.config import ConfigError, load_scenario, scenario_to_json, validate_scenario
+from dacsim.config import (
+    STATE_WIDTH,
+    ConfigError,
+    load_scenario,
+    scenario_to_json,
+    validate_scenario,
+)
+from dacsim.engine import run_scenario
+from dacsim.protocols import PROTOCOL_IDS, Z_STATE_PROTOCOLS
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "dacsim" / "scenarios"
 ALL_PRESETS = sorted(p.name for p in SCENARIOS.glob("*.json"))
@@ -263,6 +271,64 @@ class TestNonFiniteAndBooleanNumbers:
     def test_step_count_overflow(self):
         with pytest.raises(ConfigError, match="than can be counted"):
             validate_scenario(tiny_scenario(horizon=1e308, step=1e-3))
+
+
+class TestScheduleEnd:
+    """A schedule must run past the horizon whatever the waiver: the run
+    reads the digraph at t = horizon, and graph_at is undefined from the
+    schedule's end_time on."""
+
+    @staticmethod
+    def scenario(protocol, end_time, waive):
+        data = tiny_scenario(protocol=protocol, horizon=4.0, tail_start=3.0,
+                             params={"alpha": 1.0, "beta": 1.0, "sat_limits": 5.0},
+                             schedule={"graphs": [{"preset": "fig1a"}, {"preset": "fig1b"}],
+                                       "segments": [[0.0, 0], [1.0, 1]],
+                                       "end_time": end_time})
+        del data["graph"]
+        if waive:
+            data["waive_graph_checks"] = True
+        return data
+
+    @pytest.mark.parametrize("end_time", [2.0, 4.0])
+    @pytest.mark.parametrize("waive", [False, True])
+    @pytest.mark.parametrize("protocol", ["dc1", "dc1_sat"])  # affine and closure paths
+    def test_end_at_or_before_the_horizon_is_a_config_error(self, protocol, waive, end_time,
+                                                            tmp_path, capsys):
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(self.scenario(protocol, end_time, waive)))
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().out.count('"end_time" must be a number beyond the horizon') == 2
+        assert not (tmp_path / "out" / "tiny.csv").exists()
+
+    @pytest.mark.parametrize("protocol", ["dc1", "dc1_sat"])
+    def test_end_past_the_horizon_runs_under_the_waiver(self, protocol, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(self.scenario(protocol, 5.0, waive=True)))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert (tmp_path / "out" / "tiny.csv").exists()
+
+
+@pytest.mark.parametrize("protocol", [p for p in PROTOCOL_IDS if p != "dcdisc"])
+def test_z_state_protocols_named_once(protocol):
+    """Z_STATE_PROTOCOLS decides both which runs keep z and which configs
+    need a theta gain."""
+    keeps_z = protocol in Z_STATE_PROTOCOLS
+    no_theta = tiny_scenario(protocol=protocol, params={"alpha": 1.0, "beta": 1.0,
+                                                        "sat_limits": 5.0})
+    if keeps_z:
+        with pytest.raises(ConfigError, match='requires "params.theta"'):
+            validate_scenario(no_theta)
+    else:
+        validate_scenario(no_theta)
+    cfg = validate_scenario(tiny_scenario(protocol=protocol, params={
+        "alpha": 1.0, "beta": 1.0, "theta": 2.0, "sat_limits": 5.0}))
+    traj, _, _ = run_scenario(cfg)
+    assert (traj.z is not None) == keeps_z
+    if keeps_z:
+        assert traj.z.shape == traj.x.shape
+    assert STATE_WIDTH[protocol] == (3 if keeps_z else 2)
 
 
 class TestStateBudget:

@@ -9,10 +9,9 @@ from dacsim.protocols import (
     AgentState,
     AlgorithmParams,
     ThetaGain,
-    apply_saturation,
-    dc1_derivative,
-    dc2_derivative,
-    dc3_derivative,
+    dc1_rhs,
+    dc2_rhs,
+    dc3_rhs,
     init_state,
 )
 from dacsim.signals import InputSet, make_signal, preset_scenario
@@ -27,69 +26,73 @@ def params(alpha=1.0, beta=1.0, **kw):
     return AlgorithmParams(alpha=alpha, beta=beta, **kw)
 
 
+def rhs_at(factory, state, t, g, inputs, p, **kw):
+    """The factory's flat right-hand side at (t, state), split into its x, v
+    and z rows (z is empty for dc1)."""
+    flat = factory(laplacian(g), inputs, p, **kw)(t, state.pack())
+    n = state.n
+    return flat[:n], flat[n:2 * n], flat[2 * n:]
+
+
 class TestDc1Derivative:
     def test_fixed_point(self):
         # x at the average and v = alpha (u - avg 1) is stationary
         state = AgentState(x=[2.0, 2.0], v=[-1.0, 1.0])
-        d = dc1_derivative(state, 0.0, two_node_pair(), constants([1.0, 3.0]), params())
-        assert np.allclose(d.x, 0.0, atol=1e-15)
-        assert np.allclose(d.v, 0.0, atol=1e-15)
+        dx, dv, _ = rhs_at(dc1_rhs, state, 0.0, two_node_pair(), constants([1.0, 3.0]), params())
+        assert np.allclose(dx, 0.0, atol=1e-15)
+        assert np.allclose(dv, 0.0, atol=1e-15)
 
     def test_direct_substitution(self):
         state = AgentState(x=[1.0, 3.0], v=[0.0, 0.0])
-        d = dc1_derivative(state, 0.0, two_node_pair(), constants([1.0, 3.0]), params())
-        assert np.allclose(d.x, [2.0, -2.0])
-        assert np.allclose(d.v, [-2.0, 2.0])
+        dx, dv, _ = rhs_at(dc1_rhs, state, 0.0, two_node_pair(), constants([1.0, 3.0]), params())
+        assert np.allclose(dx, [2.0, -2.0])
+        assert np.allclose(dv, [-2.0, 2.0])
 
     def test_single_agent_low_pass(self):
         g = build_digraph(1, [])
         inputs = constants([5.0])
         state = AgentState(x=[1.0], v=[0.7])
-        d = dc1_derivative(state, 0.0, g, inputs, params(alpha=2.0))
-        assert d.x[0] == pytest.approx(0.0 - 2.0 * (1.0 - 5.0) - 0.7)
-        assert d.v[0] == 0.0
-
-    def test_dimension_mismatch(self):
-        state = AgentState(x=np.zeros(3), v=np.zeros(3))
-        with pytest.raises(ValueError, match="dimension"):
-            dc1_derivative(state, 0.0, two_node_pair(), constants([1.0, 2.0]), params())
+        dx, dv, _ = rhs_at(dc1_rhs, state, 0.0, g, inputs, params(alpha=2.0))
+        assert dx[0] == pytest.approx(0.0 - 2.0 * (1.0 - 5.0) - 0.7)
+        assert dv[0] == 0.0
 
 
 class TestDc2Derivative:
     def test_x_equals_z_gives_dx_equals_dz(self):
         theta = ThetaGain.constant([2.0, 3.0])
         state = AgentState(x=[0.4, -1.0], v=[0.1, -0.1], z=[0.4, -1.0])
-        d = dc2_derivative(state, 0.0, two_node_pair(), constants([1.0, 3.0]),
+        dx, _, dz = rhs_at(dc2_rhs, state, 0.0, two_node_pair(), constants([1.0, 3.0]),
                            params(theta=theta))
-        assert np.allclose(d.x, d.z)
+        assert np.allclose(dx, dz)
 
     def test_information_phase_reproduces_dc1(self):
         theta = ThetaGain.constant([1.0, 1.0])
         state2 = AgentState(x=[9.0, -9.0], v=[0.0, 0.0], z=[1.0, 3.0])
-        d2 = dc2_derivative(state2, 0.0, two_node_pair(), constants([1.0, 3.0]),
-                            params(theta=theta))
+        _, dv2, dz2 = rhs_at(dc2_rhs, state2, 0.0, two_node_pair(), constants([1.0, 3.0]),
+                             params(theta=theta))
         state1 = AgentState(x=[1.0, 3.0], v=[0.0, 0.0])
-        d1 = dc1_derivative(state1, 0.0, two_node_pair(), constants([1.0, 3.0]), params())
-        assert np.allclose(d2.z, d1.x)
-        assert np.allclose(d2.v, d1.v)
+        dx1, dv1, _ = rhs_at(dc1_rhs, state1, 0.0, two_node_pair(), constants([1.0, 3.0]),
+                             params())
+        assert np.allclose(dz2, dx1)
+        assert np.allclose(dv2, dv1)
 
     def test_equilibrium(self):
         u = np.array([1.0, 3.0])
         avg = u.mean()
         state = AgentState(x=[avg, avg], v=1.0 * (u - avg), z=[avg, avg])
-        d = dc2_derivative(state, 0.0, two_node_pair(), constants(u),
-                           params(theta=ThetaGain.constant([4.0, 0.5])))
-        assert max(np.abs(d.x).max(), np.abs(d.v).max(), np.abs(d.z).max()) <= 1e-12
+        d = rhs_at(dc2_rhs, state, 0.0, two_node_pair(), constants(u),
+                   params(theta=ThetaGain.constant([4.0, 0.5])))
+        assert max(np.abs(part).max() for part in d) <= 1e-12
 
     def test_theta_bounds_enforced_lazily(self):
         theta = ThetaGain(fn=lambda t: np.array([1.0 + t, 1.0]),
                           lower=[0.5, 0.5], upper=[1.5, 1.5])
         state = AgentState(x=[0.0, 0.0], v=[0.0, 0.0], z=[0.0, 0.0])
-        dc2_derivative(state, 0.2, two_node_pair(), constants([1.0, 2.0]),
-                       params(theta=theta))
+        rhs_at(dc2_rhs, state, 0.2, two_node_pair(), constants([1.0, 2.0]),
+               params(theta=theta))
         with pytest.raises(ValueError, match="bounds"):
-            dc2_derivative(state, 2.0, two_node_pair(), constants([1.0, 2.0]),
-                           params(theta=theta))
+            rhs_at(dc2_rhs, state, 2.0, two_node_pair(), constants([1.0, 2.0]),
+                   params(theta=theta))
 
 
 class TestDc3Derivative:
@@ -99,38 +102,40 @@ class TestDc3Derivative:
         self.state = AgentState(x=[0.5, 0.2], v=[0.3, -0.3], z=[1.2, 0.8])
         self.theta = ThetaGain.constant([1.0, 2.0])
 
+    def payloads(self, p):
+        """The transmitted values of a short dc3 run from self.state."""
+        traj = simulate_protocol("dc3", self.g, self.inputs, p, self.state, h=0.01, T=0.1)
+        return traj, traj.messages_sample
+
     def test_zero_mask_matches_dc2_and_raw_payload(self):
         p = params(theta=self.theta, psi=lambda t: 0.0)
-        d3, messages = dc3_derivative(self.state, 0.0, self.g, self.inputs, p)
-        d2 = dc2_derivative(self.state, 0.0, self.g, self.inputs, params(theta=self.theta))
-        for a, b in ((d3.x, d2.x), (d3.v, d2.v), (d3.z, d2.z)):
+        d3 = rhs_at(dc3_rhs, self.state, 0.0, self.g, self.inputs, p)
+        d2 = rhs_at(dc2_rhs, self.state, 0.0, self.g, self.inputs, params(theta=self.theta))
+        for a, b in zip(d3, d2):
             assert np.allclose(a, b, atol=0)
-        assert [m.payload for m in messages] == [1.2, 0.8]
-        assert [m.sender for m in messages] == [1, 2]
+        traj, sent = self.payloads(p)
+        assert sent[0].tolist() == [1.2, 0.8]
+        assert sent.shape == (traj.times.size, 2)  # one payload per agent, in agent order
+        assert np.array_equal(sent, traj.z)
 
     def test_payload_is_state_plus_mask(self):
         p = params(theta=self.theta, psi=lambda t: 0.3)
-        _, messages = dc3_derivative(self.state, 0.0, self.g, self.inputs, p)
-        assert messages[0].payload == pytest.approx(1.5)
+        traj, sent = self.payloads(p)
+        assert sent[0, 0] == pytest.approx(1.5)
+        assert np.array_equal(sent, traj.z + 0.3)
 
     def test_constant_mask_leaves_derivative_unchanged(self):
         p = params(theta=self.theta, psi=lambda t: 42.0)
-        d3, _ = dc3_derivative(self.state, 0.0, self.g, self.inputs, p)
-        d2 = dc2_derivative(self.state, 0.0, self.g, self.inputs, params(theta=self.theta))
-        assert np.allclose(d3.x, d2.x, atol=1e-12)
-        assert np.allclose(d3.v, d2.v, atol=1e-12)
-        assert np.allclose(d3.z, d2.z, atol=1e-12)
+        d3 = rhs_at(dc3_rhs, self.state, 0.0, self.g, self.inputs, p)
+        d2 = rhs_at(dc2_rhs, self.state, 0.0, self.g, self.inputs, params(theta=self.theta))
+        for a, b in zip(d3, d2):
+            assert np.allclose(a, b, atol=1e-12)
 
 
 class TestSaturation:
-    def test_definition(self):
-        assert apply_saturation(20.0, 15.0) == 15.0
-        assert apply_saturation(-20.0, 15.0) == -15.0
-        assert apply_saturation(3.0, 15.0) == 3.0
-
     def test_nonpositive_limit(self):
         with pytest.raises(ValueError):
-            apply_saturation(1.0, 0.0)
+            params(sat_limits=0.0)
 
     def test_commands_clamped_exactly_along_trajectory(self):
         g = topology_preset("fig1a")
@@ -206,15 +211,15 @@ class TestTrajectoryProperties:
         x = np.full(6, avg)
         v = alpha * (u - avg)
         theta = ThetaGain.constant(np.full(6, 2.2))
-        d1 = dc1_derivative(AgentState(x=x, v=v), 0.0, g, inputs,
-                            params(alpha=alpha, beta=0.9))
-        assert max(np.abs(d1.x).max(), np.abs(d1.v).max()) <= 1e-12
+        dx, dv, _ = rhs_at(dc1_rhs, AgentState(x=x, v=v), 0.0, g, inputs,
+                           params(alpha=alpha, beta=0.9))
+        assert max(np.abs(dx).max(), np.abs(dv).max()) <= 1e-12
         st = AgentState(x=x, v=v, z=x.copy())
-        d2 = dc2_derivative(st, 0.0, g, inputs, params(alpha=alpha, beta=0.9, theta=theta))
-        assert max(np.abs(d2.x).max(), np.abs(d2.v).max(), np.abs(d2.z).max()) <= 1e-12
-        d3, _ = dc3_derivative(st, 0.0, g, inputs,
-                               params(alpha=alpha, beta=0.9, theta=theta, psi=math.cos))
-        assert max(np.abs(d3.x).max(), np.abs(d3.v).max(), np.abs(d3.z).max()) <= 1e-12
+        d2 = rhs_at(dc2_rhs, st, 0.0, g, inputs, params(alpha=alpha, beta=0.9, theta=theta))
+        assert max(np.abs(part).max() for part in d2) <= 1e-12
+        d3 = rhs_at(dc3_rhs, st, 0.0, g, inputs,
+                    params(alpha=alpha, beta=0.9, theta=theta, psi=math.cos))
+        assert max(np.abs(part).max() for part in d3) <= 1e-12
 
 
 class TestScalarSaturatedTracking:
@@ -225,7 +230,7 @@ class TestScalarSaturatedTracking:
 
         def rhs(t, y, ts):
             err = beta * (y[0] - math.sin(t)) - math.cos(t)
-            return np.array([-apply_saturation(err, cbar)])
+            return np.array([-np.clip(err, -cbar, cbar)])
 
         for x0 in (-10.0, 0.0, 10.0):
             times, ys, _ = integrate(rhs, np.array([x0]), h=1e-3, T=40.0)
