@@ -11,8 +11,6 @@ Exit codes: 0 ok, 1 config error, 2 divergence, 3 I/O failure.
 
 from __future__ import annotations
 
-import argparse
-import concurrent.futures
 import json
 import sys
 from dataclasses import asdict
@@ -172,6 +170,8 @@ def _cmd_batch(args):
     if not files:
         print(f"no scenario files in {args.dir}")
         return EXIT_CONFIG
+    import concurrent.futures  # only batch runs a pool: kept out of every run's set-up
+
     jobs = [(str(f), args.out, args.svg, args.seed, args.step) for f in files]
     worst = EXIT_OK
     with concurrent.futures.ProcessPoolExecutor() as pool:
@@ -192,6 +192,8 @@ def _cmd_presets(args):
 
 
 def build_parser():
+    import argparse  # only the command line parses arguments: kept out of every run's set-up
+
     parser = argparse.ArgumentParser(
         prog="dacsim",
         description="Simulate dynamic average consensus protocols and check "

@@ -21,7 +21,7 @@ from . import bounds as bnd
 from .discrete import dcdisc_update, make_stepsize, zero_system_matrix
 from .graphs import WeightedDigraph, laplacian, spectral_summary
 from .protocols import Z_STATE_PROTOCOLS, AgentState, AlgorithmParams, dc1_rhs, dc2_rhs, dc3_rhs
-from .signals import InputSet, InputTable, discrete_disagreement_gamma, pi_udot_series
+from .signals import InputSet, InputTable, pi_norms, pi_udot_series, sampled_gamma
 from .switching import SwitchingSchedule, graph_at
 
 __all__ = [
@@ -60,7 +60,9 @@ class DivergenceError(RuntimeError):
 @dataclass(eq=False)
 class Trajectory:
     """Uniformly sampled run: states per stored time, the applied (possibly
-    clamped) velocity commands, and for masked runs the transmitted payloads."""
+    clamped) velocity commands, and for masked runs the transmitted payloads.
+    ``avg_u`` and ``pi_udot`` (||Pi_N u_dot||, None for dcdisc) are the input
+    statistics at the stored times, taken from the samples the run stepped on."""
 
     times: np.ndarray
     x: np.ndarray
@@ -71,6 +73,7 @@ class Trajectory:
     commands: Optional[np.ndarray] = None
     messages_sample: Optional[np.ndarray] = None
     k_index: Optional[np.ndarray] = None
+    pi_udot: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -132,14 +135,16 @@ def _half_steps(times: np.ndarray, h: float) -> np.ndarray:
     return grid
 
 
-def _divergence(peak: float, times: np.ndarray, states: np.ndarray, k: int) -> DivergenceError:
-    """The abort for stored row k, the first one past the trust region."""
+def _divergence(peak: float, times: np.ndarray, states: np.ndarray, k: int,
+                *rows) -> DivergenceError:
+    """The abort for stored row k, the first one past the trust region.  The
+    partial trajectory is (times, states, *rows) cut after row k."""
     return DivergenceError(
         f"state magnitude {peak:.3g} at t={times[k]:.6g} exceeds "
         f"{DIVERGENCE_LIMIT:.0e}; the configuration is numerically unstable "
         "(check stepsize and gains)",
         t=float(times[k]),
-        partial=(times[: k + 1], states[: k + 1]),
+        partial=tuple(a[: k + 1] for a in (times, states) + rows),
     )
 
 
@@ -295,8 +300,10 @@ def _affine_run(protocol, topology, inputs: InputSet, p: AlgorithmParams,
     switching segment at a time, forming c_k in blocks of AFFINE_BLOCK steps
     from one input evaluation on the block's stage times.  Within a block
     from y = y_{k0}, y_{k0+1+j} = y + w_j where w is the scan of
-    g_j = c_j + N y (``_affine_scan``).  Returns (times, states, commands)
-    with commands[k] = the x rows of A_sigma y_k + b(t_k)."""
+    g_j = c_j + N y (``_affine_scan``).  Returns (times, states, commands,
+    avg_u, pi_udot) with commands[k] = the x rows of A_sigma y_k + b(t_k)
+    and the input statistics read off the stage samples at the stored times;
+    a divergence's partial trajectory carries them as far as it reaches."""
     switching = isinstance(topology, SwitchingSchedule)
     if not switching and not isinstance(topology, WeightedDigraph):
         raise TypeError("topology must be a WeightedDigraph or a SwitchingSchedule")
@@ -313,6 +320,7 @@ def _affine_run(protocol, topology, inputs: InputSet, p: AlgorithmParams,
 
     out = np.empty((times.size, y0.size))
     commands = np.empty((times.size, n))
+    avg_u, pi_udot = np.empty(times.size), np.empty(times.size)
     out[0] = y0
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
         for k_start, k_end, idx in pieces:
@@ -320,6 +328,9 @@ def _affine_run(protocol, topology, inputs: InputSet, p: AlgorithmParams,
             for k0 in range(k_start, k_end, AFFINE_BLOCK):
                 k1 = min(k0 + AFFINE_BLOCK, k_end)
                 u, du = inputs.eval_all(_half_steps(times[k0:k1 + 1], h))
+                # the even stage rows are the stored times k0..k1
+                avg_u[k0:k1 + 1] = u[::2].mean(axis=1)
+                pi_udot[k0:k1 + 1] = pi_norms(du[::2])
                 f = du + p.alpha * u
                 c = f[0:-1:2] @ q0.T + f[1::2] @ qh.T + f[2::2] @ q1.T
                 y = out[k0]
@@ -329,10 +340,24 @@ def _affine_run(protocol, topology, inputs: InputSet, p: AlgorithmParams,
                 peak = np.abs(out[k0 + 1:k1 + 1]).max(axis=1)
                 bad = np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))
                 if bad.size:
-                    raise _divergence(peak[bad[0]], times, out, k0 + 1 + bad[0])
+                    raise _divergence(peak[bad[0]], times, out, k0 + 1 + bad[0],
+                                      avg_u, pi_udot)
     # the last stored point takes the digraph active there, as integrate's does
     commands[-1] = out[-1] @ system(graph_at(topology, times[-1]) if switching else 0)[0].T + f[-1]
-    return times, out, commands
+    return times, out, commands, avg_u, pi_udot
+
+
+def _table_stats(table: InputTable, rows: int):
+    """(avg_u, pi_udot) at the first ``rows`` stored times of a run whose
+    inputs were sampled on the half-step grid: the table's even rows, read
+    AFFINE_BLOCK rows at a time so no full-size temporary sits beside the
+    table and the integration buffers."""
+    avg_u, pi_udot = np.empty(rows), np.empty(rows)
+    for a in range(0, rows, AFFINE_BLOCK):
+        b = min(a + AFFINE_BLOCK, rows)
+        avg_u[a:b] = table.u[2 * a:2 * b:2].mean(axis=1)
+        pi_udot[a:b] = pi_norms(table.du[2 * a:2 * b:2])
+    return avg_u, pi_udot
 
 
 def simulate_protocol(protocol: str, topology, inputs: InputSet, p: AlgorithmParams,
@@ -355,25 +380,30 @@ def simulate_protocol(protocol: str, topology, inputs: InputSet, p: AlgorithmPar
     y0 = state0.pack() if has_z else np.concatenate((state0.x, state0.v))
     try:
         if affine:
-            times, ys, commands = _affine_run(protocol, topology, inputs, p, y0, n, h, T)
+            times, ys, commands, avg_u, pi_udot = _affine_run(
+                protocol, topology, inputs, p, y0, n, h, T)
         else:
             times, ys, stage1 = integrate(rhs, y0, h, T, events=events)
             commands = stage1[:, :n]
+            avg_u, pi_udot = _table_stats(table, times.size)
     except DivergenceError as err:
         if err.partial is not None:
-            pt, py = err.partial
-            err.partial = _package(protocol, pt, py, n, has_z, inputs, p)
+            pt, py, *stats = err.partial
+            if not stats:
+                stats = _table_stats(table, pt.size)
+            err.partial = _package(protocol, pt, py, n, has_z, p, *stats)
         raise
-    return _package(protocol, times, ys, n, has_z, inputs, p, commands)
+    return _package(protocol, times, ys, n, has_z, p, avg_u, pi_udot, commands)
 
 
-def _package(protocol, times, ys, n, has_z, inputs, p, commands=None) -> Trajectory:
+def _package(protocol, times, ys, n, has_z, p, avg_u, pi_udot, commands=None) -> Trajectory:
     traj = Trajectory(
         times=times,
         x=ys[:, :n],
         v=ys[:, n:2 * n],
-        avg_u=inputs.values(times).mean(axis=1),
+        avg_u=avg_u,
         protocol=protocol,
+        pi_udot=pi_udot,
         z=ys[:, 2 * n:] if has_z else None,
         commands=commands,
     )
@@ -387,7 +417,8 @@ def simulate_discrete(g: WeightedDigraph, inputs: InputSet, p: AlgorithmParams,
                       z0, v0, delta: float, num_steps: int,
                       warn_inadmissible: bool = True) -> Trajectory:
     """Iterate the discrete tracker for num_steps samples of stepsize delta,
-    with the inputs sampled at every k delta in one evaluation."""
+    with the inputs sampled at every k delta in one evaluation.  Those samples
+    also give avg_u and meta["gamma"], sup_k ||Pi_N (u(k+1) - u(k))||."""
     step = make_stepsize(delta, p.alpha, p.beta, float(g.out_degrees.max()),
                          warn=warn_inadmissible)
     if len(inputs) != g.n:
@@ -415,10 +446,12 @@ def simulate_discrete(g: WeightedDigraph, inputs: InputSet, p: AlgorithmParams,
                     f"{delta} (bound {step.bound:.6g}) is too aggressive",
                     t=k * delta)
     avg = u.mean(axis=1)
+    gamma = sampled_gamma(u)
     xs = u
     xs += zs  # published outputs x_out = z + u(k), in the samples' buffer
     return Trajectory(times=times, x=xs, v=vs, avg_u=avg, protocol="dcdisc",
-                      z=zs, k_index=ks, meta={"delta": delta, "bound": step.bound})
+                      z=zs, k_index=ks,
+                      meta={"delta": delta, "bound": step.bound, "gamma": gamma})
 
 
 def simulate_zero_system(g: WeightedDigraph, alpha: float, beta: float,
@@ -441,12 +474,12 @@ def fit_decay_rate(times: np.ndarray, err: np.ndarray,
     e0 = e[0]
     if e0 <= 10 * floor:
         return math.nan
-    below = np.nonzero(e <= start_fraction * e0)[0]
-    if below.size == 0:
+    below = e <= start_fraction * e0
+    i0 = int(below.argmax())  # the first True, or 0 when there is none
+    if not below[i0]:
         return math.nan
-    i0 = below[0]
-    dead = np.nonzero(e[i0:] < floor)[0]
-    i1 = i0 + dead[0] if dead.size else e.size
+    dead = e[i0:] < floor
+    i1 = i0 + int(dead.argmax()) if dead.any() else e.size
     seg_t = times[i0:i1]
     seg_e = e[i0:i1]
     keep = seg_e >= floor
@@ -461,20 +494,28 @@ def error_metrics(traj: Trajectory, inputs: InputSet, tail_start: float,
                   gamma_used: float = 0.0) -> ErrorReport:
     """Tail sup errors, per-agent decay-rate fits, conservation residual, and
     (when an envelope is supplied) the count of stored points where the
-    offset-corrected error escapes it."""
+    offset-corrected error escapes it.  The errors are formed one agent
+    column at a time, so no (rows x n) temporary is built."""
     times = traj.times
     if tail_start >= times[-1]:
         raise ValueError("tail window is empty: tail_start beyond the horizon")
-    errors = traj.errors
-    tail = times >= tail_start
-    sup_tail = np.max(np.abs(errors[tail]), axis=0)
-    rates = np.array([fit_decay_rate(times, errors[:, i]) for i in range(traj.n)])
-    conservation = float(np.max(np.abs(traj.v.sum(axis=1) - traj.v.sum(axis=1)[0])))
+    tail = int(np.searchsorted(times, tail_start))  # first stored time >= tail_start
+    sup_tail = np.empty(traj.n)
+    rates = np.empty(traj.n)
+    # offset is the predicted equilibrium of x - avg(u), so the bounded
+    # quantity is the error measured from it, maximised over the agents
+    shifted = np.zeros(times.size) if bound_curve is not None else None
+    for i in range(traj.n):
+        err = traj.x[:, i] - traj.avg_u
+        sup_tail[i] = np.abs(err[tail:]).max()
+        rates[i] = fit_decay_rate(times, err)
+        if shifted is not None:
+            err -= offset
+            np.maximum(shifted, np.abs(err, out=err), out=shifted)
+    vsum = traj.v.sum(axis=1)
+    conservation = float(np.max(np.abs(vsum - vsum[0])))
     violations = 0
-    if bound_curve is not None:
-        # offset is the predicted equilibrium of x - avg(u), so the bounded
-        # quantity is the error measured from it.
-        shifted = np.max(np.abs(errors - offset), axis=1)
+    if shifted is not None:
         violations = int(np.sum(shifted > bound_curve.values * (1.0 + 1e-6)))
     return ErrorReport(
         per_agent_sup_error_tail=sup_tail,
@@ -515,11 +556,11 @@ def run_scenario(cfg):
     offset = -float(np.sum(cfg.v0)) / (params.alpha * len(inputs))
 
     if cfg.protocol == "dcdisc":
-        gamma = discrete_disagreement_gamma(inputs, cfg.delta, len(traj.times) - 1)
+        gamma = traj.meta["gamma"]
         ult = (bnd.ultimate_bound(params.beta, spectral.lambda_hat_2, gamma, delta=cfg.delta)
                if spectral.lambda_hat_2 > 0 else None)
     else:
-        series, _ = pi_udot_series(inputs, traj.times)
+        series = traj.pi_udot
         gamma = float(series.max())
         lam_hat = spectral.lambda_hat_2 if fixed else cfg.lambda_hat_sigma
         if lam_hat is not None and lam_hat <= 0:

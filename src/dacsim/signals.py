@@ -29,6 +29,8 @@ __all__ = [
     "disagreement_gamma",
     "discrete_disagreement_gamma",
     "pi_udot_series",
+    "pi_norms",
+    "sampled_gamma",
     "preset_scenario",
     "SCENARIO_PRESETS",
 ]
@@ -47,7 +49,7 @@ SIGNAL_KINDS = (
     "sum-of-terms",
 )
 
-# Sample differences per block in discrete_disagreement_gamma.  One whole-run
+# Sample differences per block in sampled_gamma.  One whole-run
 # np.diff and its norm temporaries raised peak RSS from 47.9 to 55.2 MB on a
 # 10 000-step, 40-agent dcdisc run; the blocks keep it at the former.
 GAMMA_BLOCK = 256
@@ -352,11 +354,26 @@ def network_average(inputs: InputSet, t: float) -> tuple[float, float]:
     return float(u.mean()), float(du.mean())
 
 
+def pi_norms(d: np.ndarray) -> np.ndarray:
+    """||Pi_N d|| of every row of d: the norm of the row minus its mean, the
+    disagreement part of a network-wide vector."""
+    return np.linalg.norm(d - d.mean(axis=1, keepdims=True), axis=1)
+
+
+def sampled_gamma(u: np.ndarray) -> float:
+    """Sup over k of ||Pi_N (u[k+1] - u[k])|| for the rows u[k] of input
+    samples, GAMMA_BLOCK differences at a time; 0 for a single row."""
+    gamma = 0.0
+    for a in range(0, len(u) - 1, GAMMA_BLOCK):  # blocks bound the temporaries
+        gamma = max(gamma, float(pi_norms(np.diff(u[a:a + GAMMA_BLOCK + 1], axis=0)).max()))
+    return gamma
+
+
 def pi_udot_series(inputs: InputSet, grid) -> tuple[np.ndarray, np.ndarray]:
     """(||Pi_N u_dot(t)|| per grid point, per-agent |u_dot| sup).  One pass
     serves the tracking-bound quadrature and the gamma/mu statistics."""
     du = inputs.derivatives(np.asarray(grid, dtype=float))
-    return np.linalg.norm(du - du.mean(axis=1, keepdims=True), axis=1), np.abs(du).max(axis=0)
+    return pi_norms(du), np.abs(du).max(axis=0)
 
 
 def disagreement_gamma(inputs: InputSet, grid) -> SignalStats:
@@ -378,12 +395,7 @@ def discrete_disagreement_gamma(inputs: InputSet, delta: float, num_steps: int) 
     """Sup over k of ||Pi_N (u(k+1) - u(k))|| with samples at t = k*delta."""
     if delta <= 0 or num_steps < 1:
         raise ValueError("need delta > 0 and at least one step")
-    u = inputs.values(np.arange(num_steps + 1) * delta)
-    gamma = 0.0
-    for a in range(0, num_steps, GAMMA_BLOCK):  # blocks bound the temporaries
-        d = np.diff(u[a:a + GAMMA_BLOCK + 1], axis=0)
-        gamma = max(gamma, float(np.linalg.norm(d - d.mean(axis=1, keepdims=True), axis=1).max()))
-    return gamma
+    return sampled_gamma(inputs.values(np.arange(num_steps + 1) * delta))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,14 @@ PALETTE = ("#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 34, 44
 
 
+def _escape(text: str) -> str:
+    """Text as XML character data: &, < and > as entities, as
+    xml.sax.saxutils.escape writes them.  That module is not imported: it
+    loads urllib.request (ssl, http, email), which added about 4 MB and
+    40 ms to the set-up of every run."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     span = hi - lo
     if span <= 0:
@@ -46,6 +54,7 @@ def render_svg(path, traj, title: str = "", width: int = 880, height: int = 500,
     plot_w = width - MARGIN_L - MARGIN_R
     plot_h = height - MARGIN_T - MARGIN_B
 
+    # plain arithmetic: a tick (float) or a whole strided column (array)
     def px(tt):
         return MARGIN_L + (tt - t0) / (t1 - t0) * plot_w
 
@@ -53,7 +62,7 @@ def render_svg(path, traj, title: str = "", width: int = 880, height: int = 500,
         return MARGIN_T + (hi - vv) / (hi - lo) * plot_h
 
     def polyline(ts, vs, color, sw, dash=""):
-        pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(ts, vs))
+        pts = " ".join(map("%.2f,%.2f".__mod__, zip(px(ts).tolist(), py(vs).tolist())))
         extra = f' stroke-dasharray="{dash}"' if dash else ""
         return (f'<polyline fill="none" stroke="{color}" stroke-width="{sw}"'
                 f'{extra} points="{pts}"/>')
@@ -67,7 +76,7 @@ def render_svg(path, traj, title: str = "", width: int = 880, height: int = 500,
     ]
     if title:
         parts.append(f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" '
-                     f'font-size="14">{title}</text>')
+                     f'font-size="14">{_escape(title)}</text>')
     for tick in _ticks(t0, t1):
         x = px(tick)
         parts.append(f'<line x1="{x:.2f}" y1="{MARGIN_T + plot_h}" x2="{x:.2f}" '

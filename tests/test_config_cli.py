@@ -3,6 +3,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -148,6 +149,24 @@ class TestCli:
         metrics = json.loads((tmp_path / "out" / "tiny_metrics.json").read_text())
         assert metrics["scenario"] == "tiny"
         assert len(metrics["per_agent_sup_error_tail"]) == 6
+
+    def test_svg_title_is_escaped(self, tmp_path):
+        name = 'ring <N=6> & "static"'
+        path = self.write(tmp_path, tiny_scenario(name=name))
+        assert main(["run", str(path), "--out", str(tmp_path / "out"), "--svg"]) == EXIT_OK
+        root = ElementTree.parse(tmp_path / "out" / f"{name}.svg").getroot()
+        titles = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")
+                  if el.get("font-size") == "14"]
+        assert titles == [name]
+
+    def test_cli_import_leaves_out_what_a_run_does_not_use(self):
+        # argument parsing, the batch pool, and urllib.request (which
+        # xml.sax.saxutils would load for the SVG title)
+        code = ("import sys, dacsim.cli; print(sorted("
+                "{'argparse', 'concurrent.futures', 'urllib.request'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_validate_dry_run(self, capsys):
         code = main(["validate", str(SCENARIOS / "case2.json")])

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dacsim.bounds import BoundCurve
 from dacsim.config import load_scenario, validate_scenario
 from dacsim.csvformat import format_g12
 from dacsim.engine import (
@@ -16,7 +18,9 @@ from dacsim.engine import (
     error_metrics,
     fit_decay_rate,
     integrate,
+    pi_udot_series,
     run_scenario,
+    simulate_discrete,
     simulate_protocol,
     simulate_zero_system,
     write_trajectory_csv,
@@ -26,8 +30,21 @@ from dacsim.engine import (
     _rk4_affine,
 )
 from dacsim.graphs import laplacian
-from dacsim.protocols import AgentState, AlgorithmParams, ThetaGain, dc1_rhs, dc2_rhs
-from dacsim.signals import InputSet, InputTable, make_signal, preset_scenario
+from dacsim.protocols import (
+    Z_STATE_PROTOCOLS,
+    AgentState,
+    AlgorithmParams,
+    ThetaGain,
+    dc1_rhs,
+    dc2_rhs,
+)
+from dacsim.signals import (
+    InputSet,
+    InputTable,
+    discrete_disagreement_gamma,
+    make_signal,
+    preset_scenario,
+)
 from dacsim.switching import SwitchingSchedule, graph_at
 from conftest import case2_schedule, random_balanced_strongly_connected
 
@@ -457,6 +474,129 @@ class TestAffineScan:
         partial = affine.value.partial
         assert len(partial.times) == len(closure.value.partial[0])
         assert not np.any(np.hstack((partial.x, partial.v))[:800])
+
+
+# ---------------------------------------------------------------------------
+# input statistics taken from the samples the run stepped on
+# ---------------------------------------------------------------------------
+
+def assert_stats_are_the_inputs(traj, inputs):
+    """avg_u and pi_udot equal one whole-run evaluation at the stored times,
+    bit for bit."""
+    assert np.array_equal(traj.avg_u, inputs.values(traj.times).mean(axis=1))
+    assert np.array_equal(traj.pi_udot, pi_udot_series(inputs, traj.times)[0])
+
+
+def transient_arrays(cfg):
+    """Peak minus retained traced memory of run_scenario, in (rows x n)
+    float64 arrays."""
+    tracemalloc.start()
+    try:
+        traj, report, curves = run_scenario(cfg)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (peak - current) / traj.x.nbytes
+
+
+class TestRunStatistics:
+    # h = 0.01 over T = 25 is 2500 steps: past one AFFINE_BLOCK, so the
+    # block seams of both paths are covered
+    @pytest.mark.parametrize("protocol,switching", [
+        ("dc1", False), ("dc1", True), ("dc2", False), ("dc1_sat", False), ("dc3", False)])
+    def test_match_a_whole_run_evaluation(self, protocol, switching, ring6):
+        h, T = 0.01, 25.0
+        assert T / h > AFFINE_BLOCK
+        inputs = preset_scenario("case1")
+        x0 = inputs.values(0.0)
+        p = AlgorithmParams(1.0, 2.0,
+                            theta=ThetaGain.constant(2.0) if protocol in Z_STATE_PROTOCOLS else None,
+                            sat_limits=4.0 if protocol == "dc1_sat" else None,
+                            psi=math.sin if protocol == "dc3" else None)
+        state = AgentState(x=x0, v=np.zeros(6),
+                           z=x0.copy() if protocol in Z_STATE_PROTOCOLS else None)
+        topology = case2_schedule() if switching else ring6
+        traj = simulate_protocol(protocol, topology, inputs, p, state, h=h, T=T)
+        assert len(traj.times) == int(T / h) + 1
+        assert_stats_are_the_inputs(traj, inputs)
+
+    @pytest.mark.parametrize("protocol", ["dc1", "dc3"])
+    def test_partial_trajectory_keeps_them(self, protocol, ring6):
+        # affine (dc1) and closure (dc3) divergences, inside the first block
+        inputs = preset_scenario("case2")
+        p = AlgorithmParams(3.0, 10.0, theta=ThetaGain.constant(1.0), psi=math.cos)
+        state = AgentState(x=np.zeros(6), v=np.zeros(6), z=np.zeros(6))
+        with pytest.raises(DivergenceError) as err:
+            simulate_protocol(protocol, ring6, inputs, p, state, h=0.25, T=100.0)
+        partial = err.value.partial
+        assert 2 < len(partial.times) < 400
+        assert_stats_are_the_inputs(partial, inputs)
+
+    def test_discrete_gamma_from_the_run_samples(self):
+        # 600 differences: three GAMMA_BLOCK blocks
+        rng = np.random.default_rng(8)
+        g = random_balanced_strongly_connected(rng, 7)
+        inputs = InputSet(signals=tuple(
+            make_signal("sampled-piecewise-constant", values=list(rng.normal(size=40)),
+                        hold=float(rng.uniform(0.5, 2.0)))
+            for _ in range(7)))
+        p = AlgorithmParams(1.0, 0.5)
+        traj = simulate_discrete(g, inputs, p, np.zeros(7), np.zeros(7), 0.05, 600)
+        assert traj.pi_udot is None
+        assert traj.meta["gamma"] > 0.0
+        assert traj.meta["gamma"] == discrete_disagreement_gamma(inputs, 0.05, 600)
+        cfg = load_scenario(SCENARIOS / "sampled_bias.json")
+        _, report, _ = run_scenario(cfg)
+        assert report.gamma_used == discrete_disagreement_gamma(
+            cfg.build_inputs(), cfg.delta, int(round(cfg.horizon / cfg.delta)))
+
+    @pytest.mark.parametrize("fname,horizon,limit", [("case1.json", 20.0, 2.5),
+                                                     ("sat.json", 10.0, 5.0)])
+    def test_no_full_size_temporaries_after_stepping(self, fname, horizon, limit):
+        # the affine run's blocks, and on the closure path its whole-run
+        # input table (4 arrays), are the only large transients left
+        raw = json.loads((SCENARIOS / fname).read_text())
+        raw.update(horizon=horizon, tail_start=0.75 * horizon)
+        assert transient_arrays(validate_scenario(raw, name=fname)) <= limit
+
+
+class TestErrorMetricsByColumn:
+    def test_matches_the_whole_matrix_formulas(self):
+        rng = np.random.default_rng(4)
+        times = np.linspace(0.0, 30.0, 3001)
+        rates = rng.uniform(0.2, 1.0, 5)
+        errors = rng.uniform(-2.0, 2.0, 5) * np.exp(-np.outer(times, rates))
+        errors += rng.normal(0.0, 1e-10, errors.shape)  # below the fit floor
+        avg = np.sin(times)
+        x = errors + avg[:, None]
+        traj = Trajectory(times=times, x=x, v=rng.normal(size=x.shape), avg_u=avg,
+                          protocol="dc1")
+        offset = 0.01
+        curve = BoundCurve(grid=times, values=np.full(times.size, 0.5))
+        report = error_metrics(traj, constants([0.0] * 5), tail_start=20.0,
+                               bound_curve=curve, offset=offset)
+        full = x - avg[:, None]
+        tail = times >= 20.0
+        assert np.array_equal(report.per_agent_sup_error_tail, np.abs(full[tail]).max(axis=0))
+        assert np.array_equal(report.fitted_rate,
+                              [fit_decay_rate(times, full[:, i]) for i in range(5)])
+        np.testing.assert_allclose(report.fitted_rate, rates, rtol=0.05)
+        shifted = np.abs(full - offset).max(axis=1)
+        assert report.bound_violations == int(np.sum(shifted > 0.5 * (1.0 + 1e-6))) > 0
+        vsum = traj.v.sum(axis=1)
+        assert report.conservation_residual == float(np.abs(vsum - vsum[0]).max())
+
+    @pytest.mark.parametrize("err,expected", [
+        (np.full(50, 3.0), "nan"),                      # never falls to half its start
+        (np.zeros(50), "nan"),                          # starts at the floor
+        (3.0 * np.exp(-0.4 * np.arange(200) * 0.1), 0.4),  # never reaches the floor
+        (np.r_[3.0 * np.exp(-np.arange(100) * 0.1), np.zeros(100)], 1.0)])  # hits it
+    def test_fit_window_edges(self, err, expected):
+        rate = fit_decay_rate(np.arange(err.size) * 0.1, err)
+        if expected == "nan":
+            assert math.isnan(rate)
+        else:
+            assert rate == pytest.approx(expected, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
