@@ -24,8 +24,9 @@ __all__ = [
     "SemiConvergenceReport",
     "max_stepsize",
     "make_stepsize",
+    "dcdisc_system",
+    "dcdisc_advance",
     "dcdisc_step",
-    "dcdisc_update",
     "zero_system_matrix",
     "pdelta_spectrum_check",
     "UNIT_CIRCLE_TOL",
@@ -96,29 +97,43 @@ def make_stepsize(delta: float, alpha: float, beta: float, d_max_out: float,
     return ss
 
 
-def dcdisc_update(lap: np.ndarray, z: np.ndarray, v: np.ndarray, u_k: np.ndarray,
-                  alpha: float, beta: float, d: float) -> tuple[np.ndarray, np.ndarray]:
-    """The update of one iteration on plain arrays, with u_k = u(k delta):
+def dcdisc_system(lap: np.ndarray, alpha: float, beta: float, d: float) -> np.ndarray:
+    """The (2n x 3n) increment matrix M = [d A | d [-beta L; alpha beta L]]
+    of one iteration, with A = ``zero_system_matrix``: the iterate
+    (z, v) moves by M (z, v, u(k delta)).  I + d A is the P_delta that
+    ``pdelta_spectrum_check`` classifies."""
+    feed = np.vstack((-beta * lap, alpha * beta * lap))
+    return d * np.hstack((zero_system_matrix(lap, alpha, beta), feed))
+
+
+def dcdisc_advance(m: np.ndarray, row: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One iteration in increment form, y_{k+1} = y_k + M (z_k, v_k, u_k):
+    ``row`` is (z_k, v_k, u(k delta)), M is ``dcdisc_system``'s, and
+    y_{k+1} = (z_{k+1}, v_{k+1}) is written to ``out`` and returned.  One
+    matrix-vector product and one add give, up to roundoff, the update
 
     z+ = z - delta alpha z - delta beta L (z + u(k)) - delta v
     v+ = v + delta alpha beta L (z + u(k))
-    """
-    lzu = lap @ (z + u_k)
-    return z - d * alpha * z - d * beta * lzu - d * v, v + d * alpha * beta * lzu
+
+    The v increment sums to 0 over the agents up to roundoff, so sum(v) is
+    conserved, and delta = 0 adds exactly 0."""
+    return np.add(row[:m.shape[0]], m @ row, out=out)
 
 
 def dcdisc_step(s: DiscreteState, g: WeightedDigraph, inputs: InputSet,
                 p: AlgorithmParams, delta: StepSize | float) -> DiscreteState:
-    """One iteration (``dcdisc_update``) with u sampled at t = k delta, and
-    the published output x_out+ = z+ + u(k+1)."""
+    """One iteration with u sampled at t = k delta, and the published output
+    x_out+ = z+ + u(k+1).  It runs ``dcdisc_advance`` on the matrix
+    ``simulate_discrete`` builds, so a run equals repeated steps bit for bit."""
     d = delta.delta if isinstance(delta, StepSize) else float(delta)
     if d < 0:
         raise ValueError("stepsize must be nonnegative")
     if s.z.shape[0] != g.n or len(inputs) != g.n:
         raise ValueError(f"state/inputs dimension does not match digraph size {g.n}")
     u = inputs.values(np.array([s.k, s.k + 1]) * d)
-    z_next, v_next = dcdisc_update(laplacian(g), s.z, s.v, u[0], p.alpha, p.beta, d)
-    return DiscreteState(z=z_next, v=v_next, k=s.k + 1, x_out=z_next + u[1])
+    m = dcdisc_system(laplacian(g), p.alpha, p.beta, d)
+    y = dcdisc_advance(m, np.concatenate((s.z, s.v, u[0])), np.empty(2 * g.n))
+    return DiscreteState(z=y[:g.n], v=y[g.n:], k=s.k + 1, x_out=y[:g.n] + u[1])
 
 
 def zero_system_matrix(lap: np.ndarray, alpha: float, beta: float) -> np.ndarray:

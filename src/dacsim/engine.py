@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import bounds as bnd
-from .discrete import dcdisc_update, make_stepsize, zero_system_matrix
+from .discrete import dcdisc_advance, dcdisc_system, make_stepsize, zero_system_matrix
 from .graphs import WeightedDigraph, laplacian, spectral_summary
 from .protocols import Z_STATE_PROTOCOLS, AgentState, AlgorithmParams, dc1_rhs, dc2_rhs, dc3_rhs
 from .signals import InputSet, InputTable, pi_norms, pi_udot_series, sampled_gamma
@@ -54,7 +54,9 @@ class DivergenceError(RuntimeError):
     def __init__(self, message, t=None, partial=None):
         super().__init__(message)
         self.t = t
-        self.partial = partial  # (times, states) accumulated so far
+        # the run up to the first bad row: a Trajectory from simulate_protocol
+        # and simulate_discrete, (times, states, ...) from integrate
+        self.partial = partial
 
 
 @dataclass(eq=False)
@@ -416,42 +418,56 @@ def _package(protocol, times, ys, n, has_z, p, avg_u, pi_udot, commands=None) ->
 def simulate_discrete(g: WeightedDigraph, inputs: InputSet, p: AlgorithmParams,
                       z0, v0, delta: float, num_steps: int,
                       warn_inadmissible: bool = True) -> Trajectory:
-    """Iterate the discrete tracker for num_steps samples of stepsize delta,
-    with the inputs sampled at every k delta in one evaluation.  Those samples
-    also give avg_u and meta["gamma"], sup_k ||Pi_N (u(k+1) - u(k))||."""
+    """Iterate the discrete tracker for num_steps samples of stepsize delta.
+    One (num_steps + 1, 3n) buffer holds the rows (z_k, v_k, u(k delta)):
+    the u columns are filled by one input evaluation, and each iteration is
+    ``dcdisc_advance``, one matrix-vector product with the run's
+    ``dcdisc_system`` matrix added into the next row.  The u samples also
+    give avg_u and meta["gamma"], sup_k ||Pi_N (u(k+1) - u(k))||; the
+    published outputs x = z + u then overwrite them.  A divergence's
+    partial trajectory is cut after the first row past the limit."""
     step = make_stepsize(delta, p.alpha, p.beta, float(g.out_degrees.max()),
                          warn=warn_inadmissible)
-    if len(inputs) != g.n:
-        raise ValueError(f"state/inputs dimension does not match digraph size {g.n}")
-    lap = laplacian(g)
+    n = g.n
+    if len(inputs) != n:
+        raise ValueError(f"state/inputs dimension does not match digraph size {n}")
     ks = np.arange(num_steps + 1)
     times = ks * delta
-    u = inputs.values(times)
-    zs = np.empty((num_steps + 1, g.n))
-    vs = np.empty_like(zs)
-    zs[0], vs[0] = z0, v0
+    rows = np.empty((num_steps + 1, 3 * n))
+    inputs.values(times, out=rows[:, 2 * n:])
+    meta = {"delta": delta, "bound": step.bound, "gamma": sampled_gamma(rows[:, 2 * n:])}
+    m = dcdisc_system(laplacian(g), p.alpha, p.beta, delta)
+    ys = rows[:, :2 * n]  # the iterates (z_k, v_k)
+    rows[0, :n], rows[0, n:2 * n] = z0, v0
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
         for k0 in range(0, num_steps, DISCRETE_BLOCK):
             k1 = min(k0 + DISCRETE_BLOCK, num_steps)
             for k in range(k0, k1):
-                zs[k + 1], vs[k + 1] = dcdisc_update(lap, zs[k], vs[k], u[k],
-                                                     p.alpha, p.beta, delta)
-            peak = np.maximum(np.abs(zs[k0 + 1:k1 + 1]).max(axis=1),
-                              np.abs(vs[k0 + 1:k1 + 1]).max(axis=1))
+                dcdisc_advance(m, rows[k], ys[k + 1])
+            block = ys[k0 + 1:k1 + 1]
+            peak = np.maximum(block.max(axis=1), -block.min(axis=1))  # max |.|, no copy
             bad = np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))
             if bad.size:
                 k = k0 + 1 + int(bad[0])
                 raise DivergenceError(
                     f"discrete state magnitude {peak[bad[0]]:.3g} at k={k}; stepsize "
                     f"{delta} (bound {step.bound:.6g}) is too aggressive",
-                    t=k * delta)
-    avg = u.mean(axis=1)
-    gamma = sampled_gamma(u)
-    xs = u
-    xs += zs  # published outputs x_out = z + u(k), in the samples' buffer
-    return Trajectory(times=times, x=xs, v=vs, avg_u=avg, protocol="dcdisc",
-                      z=zs, k_index=ks,
-                      meta={"delta": delta, "bound": step.bound, "gamma": gamma})
+                    t=k * delta,
+                    partial=_published(rows[:k + 1], ks[:k + 1], times[:k + 1], n, meta))
+    return _published(rows, ks, times, n, meta)
+
+
+def _published(rows, ks, times, n, meta) -> Trajectory:
+    """The dcdisc trajectory of buffer rows (z_k, v_k, u_k): avg_u from the
+    u columns, which then take the published outputs x = z + u in place.
+    The add goes one column at a time: numpy routes a 2-D add between two
+    views of one buffer through a temporary copy, a column add does not."""
+    xs = rows[:, 2 * n:]
+    avg = xs.mean(axis=1)
+    for i in range(n):
+        xs[:, i] += rows[:, i]
+    return Trajectory(times=times, x=xs, v=rows[:, n:2 * n], avg_u=avg, protocol="dcdisc",
+                      z=rows[:, :n], k_index=ks, meta=meta)
 
 
 def simulate_zero_system(g: WeightedDigraph, alpha: float, beta: float,
@@ -469,7 +485,9 @@ def fit_decay_rate(times: np.ndarray, err: np.ndarray,
                    floor: float = 1e-8, start_fraction: float = 0.5) -> float:
     """Log-linear decay-rate fit of |err|, restricted to the window between
     start_fraction * |err(0)| and the floor so neither the initial transient
-    nor the numerical noise floor contaminates the slope."""
+    nor the numerical noise floor contaminates the slope.  The rate is minus
+    the closed-form least-squares slope sum((t - tm)(y - ym)) / sum((t - tm)^2)
+    of y = log|err| over the window's points at or above the floor."""
     e = np.abs(np.asarray(err, dtype=float))
     e0 = e[0]
     if e0 <= 10 * floor:
@@ -485,8 +503,13 @@ def fit_decay_rate(times: np.ndarray, err: np.ndarray,
     keep = seg_e >= floor
     if keep.sum() < 10:
         return math.nan
-    slope = np.polyfit(seg_t[keep], np.log(seg_e[keep]), 1)[0]
-    return float(-slope)
+    # the least-squares slope of log|err| on t, from centred sums; elementwise
+    # products keep the sums off threaded BLAS dot products
+    tc = seg_t[keep]
+    tc -= tc.mean()
+    y = np.log(seg_e[keep])
+    y -= y.mean()
+    return float(-(tc * y).sum() / (tc * tc).sum())
 
 
 def error_metrics(traj: Trajectory, inputs: InputSet, tail_start: float,

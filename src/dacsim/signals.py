@@ -293,8 +293,10 @@ class InputSet:
     def __len__(self):
         return len(self.signals)
 
-    def values(self, t) -> np.ndarray:
-        return self._columns([s._vfn for s in self.signals], t)
+    def values(self, t, out=None) -> np.ndarray:
+        """u at t; ``out``, of shape t.shape + (n,), may be a view into a
+        larger buffer that receives the columns."""
+        return self._columns([s._vfn for s in self.signals], t, out)
 
     def derivatives(self, t) -> np.ndarray:
         return self._columns([s._dfn for s in self.signals], t)
@@ -303,11 +305,12 @@ class InputSet:
         return self.values(t), self.derivatives(t)
 
     @staticmethod
-    def _columns(fns, t) -> np.ndarray:
+    def _columns(fns, t, out=None) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         if np.any(t < 0):
             raise ValueError("input signals are defined for t >= 0 only")
-        out = np.empty(t.shape + (len(fns),))
+        if out is None:
+            out = np.empty(t.shape + (len(fns),))
         for i, f in enumerate(fns):  # one column at a time: no second full-size copy
             out[..., i] = f(t)
         return out

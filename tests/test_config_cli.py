@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import time
@@ -192,7 +193,14 @@ class TestCli:
         path = self.write(tmp_path, data)
         code = main(["run", str(path), "--out", str(tmp_path / "out")])
         assert code == EXIT_DIVERGED
-        assert "DIVERGED" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "DIVERGED" in out
+        k = int(re.search(r"at k=(\d+);", out).group(1))
+        partial = tmp_path / "out" / "tiny.partial.csv"
+        assert f"partial trajectory in {partial}" in out
+        lines = partial.read_text().splitlines()
+        assert lines[0].startswith("k,t,x1,")
+        assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(k + 1))
 
     def test_batch_runs_all(self, tmp_path, capsys):
         self.write(tmp_path, tiny_scenario(name="a"), "a.json")

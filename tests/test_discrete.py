@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dacsim.discrete import (
     DiscreteState,
@@ -232,3 +234,54 @@ def test_divergence_reports_first_bad_iterate():
     assert err.value.t == s.k * delta
     assert str(err.value) == (f"discrete state magnitude {peak:.3g} at k={s.k}; stepsize "
                               f"{delta} (bound 1) is too aggressive")
+
+
+class TestFusedStep:
+    """simulate_discrete steps (z, v) by one matrix-vector increment per
+    iteration; the literal update is its oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12),
+           alpha=st.floats(0.1, 5.0), beta=st.floats(0.1, 5.0),
+           fraction=st.floats(0.01, 0.99))
+    def test_run_matches_hand_iteration(self, seed, n, alpha, beta, fraction):
+        rng = np.random.default_rng(seed)
+        g = random_balanced_strongly_connected(rng, n)
+        delta = fraction * max_stepsize(alpha, beta, float(g.out_degrees.max()))
+        inputs = InputSet(signals=tuple(
+            make_signal("sampled-piecewise-constant", values=list(rng.normal(size=8)),
+                        hold=float(rng.uniform(0.5, 2.0)))
+            for _ in range(n)))
+        z0, v0 = rng.uniform(-1, 1, (2, n))
+        traj = simulate_discrete(g, inputs, AlgorithmParams(alpha, beta), z0, v0,
+                                 delta=delta, num_steps=200)
+        lap = laplacian(g)
+        z, v = z0, v0
+        for k in range(201):
+            u = inputs.values(k * delta)
+            scale = max(1.0, np.abs(z).max(), np.abs(v).max())
+            assert np.abs(traj.z[k] - z).max() <= 1e-12 * scale
+            assert np.abs(traj.v[k] - v).max() <= 1e-12 * scale
+            assert np.abs(traj.x[k] - (z + u)).max() <= 1e-12 * max(scale, np.abs(u).max())
+            z, v = hand_iteration(lap, z, v, u, alpha, beta, delta)
+        sums = traj.v.sum(axis=1)
+        assert np.abs(sums - sums[0]).max() <= 1e-12 * max(1.0, np.abs(traj.v).max())
+        # simulate_discrete rejects delta = 0; dcdisc_step runs the same kernel
+        s = DiscreteState(z=traj.z[7], v=traj.v[7], k=7, x_out=traj.x[7])
+        nxt = dcdisc_step(s, g, inputs, AlgorithmParams(alpha, beta), 0.0)
+        assert np.array_equal(nxt.z, s.z) and np.array_equal(nxt.v, s.v)
+
+    def test_partial_trajectory_is_cut_after_the_bad_row(self):
+        g, inputs, p = topology_preset("fig1a"), preset_scenario("case2"), AlgorithmParams(1.0, 1.0)
+        with pytest.warns(UserWarning, match="not below the admissibility bound"):
+            with pytest.raises(DivergenceError) as err:
+                simulate_discrete(g, inputs, p, np.zeros(6), np.zeros(6), 1.01, num_steps=4000)
+        partial = err.value.partial
+        k = int(round(err.value.t / 1.01))
+        assert np.array_equal(partial.k_index, np.arange(k + 1))
+        assert partial.times[-1] == err.value.t
+        u = inputs.values(partial.times)
+        np.testing.assert_array_equal(partial.avg_u, u.mean(axis=1))
+        np.testing.assert_array_equal(partial.x, partial.z + u)
+        assert max(np.abs(partial.z[-1]).max(), np.abs(partial.v[-1]).max()) > 1e12
+        assert np.abs(np.hstack((partial.z, partial.v))[:-1]).max() <= 1e12
