@@ -74,10 +74,6 @@ def execute(scenario, out_dir, svg=False, seed=None, step=None, quiet=False):
     except OSError as exc:
         return EXIT_IO, f"{cfg.name}: cannot create output directory: {exc}"
 
-    def out_path(kind, default_suffix):
-        custom = cfg.outputs.get(kind)
-        return out_dir / custom if custom else out_dir / f"{cfg.name}{default_suffix}"
-
     try:
         traj, report, curves = run_scenario(cfg)
     except DivergenceError as exc:
@@ -92,11 +88,11 @@ def execute(scenario, out_dir, svg=False, seed=None, step=None, quiet=False):
         return EXIT_DIVERGED, line
 
     try:
-        write_trajectory_csv(out_path("csv", ".csv"), traj, curves)
-        with open(out_path("metrics", "_metrics.json"), "w") as fh:
+        write_trajectory_csv(out_dir / cfg.outputs["csv"], traj, curves)
+        with open(out_dir / cfg.outputs["metrics"], "w") as fh:
             json.dump(_metrics_payload(cfg, traj, report), fh, indent=2)
         if svg:
-            render_svg(out_path("svg", ".svg"), traj, title=cfg.name)
+            render_svg(out_dir / cfg.outputs["svg"], traj, title=cfg.name)
     except OSError as exc:
         return EXIT_IO, f"{cfg.name}: failed to write outputs: {exc}"
 

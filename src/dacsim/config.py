@@ -8,7 +8,6 @@ and unknown keys are rejected with a closest-match suggestion so typos like
 
 from __future__ import annotations
 
-import difflib
 import json
 import math
 from dataclasses import dataclass, field
@@ -31,7 +30,8 @@ TOP_KEYS = {
 }
 PARAM_KEYS = {"alpha", "beta", "theta", "sat_limits", "psi", "delta", "kappa", "lambda_hat_sigma"}
 INIT_KEYS = {"x0", "v0", "z0"}
-OUTPUT_KEYS = {"csv", "metrics", "svg"}
+# file name of each output, after the scenario name, unless "outputs" names one
+OUTPUT_SUFFIXES = {"csv": ".csv", "metrics": "_metrics.json", "svg": ".svg"}
 DEFAULT_STEP = 1e-3
 # Largest stored state of a run, in float64 cells: the rows of its time grid
 # times its state columns per agent (x and v, and z where the protocol keeps
@@ -52,7 +52,8 @@ class ConfigError(ValueError):
 class ScenarioConfig:
     """A validated scenario.  ``raw`` is the exact JSON content; the build_*
     methods construct fresh simulator objects from it.  ``n`` is the agent
-    count, resolved once at validation."""
+    count, resolved once at validation.  ``outputs`` maps each output kind
+    to its file name, custom or default, no two of them the same file."""
 
     raw: dict
     name: str
@@ -127,6 +128,8 @@ def _build_theta(spec, n) -> ThetaGain:
 
 
 def _suggest(key, pool) -> str:
+    import difflib  # only an unknown key needs it: kept out of every run's set-up
+
     close = difflib.get_close_matches(key, pool, n=1)
     return f" (did you mean {close[0]!r}?)" if close else ""
 
@@ -303,7 +306,19 @@ def validate_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
     if not isinstance(outputs, dict):
         problems.append('"outputs" must be an object')
         outputs = {}
-    _check_keys(outputs, OUTPUT_KEYS, '"outputs"', problems)
+    _check_keys(outputs, OUTPUT_SUFFIXES, '"outputs"', problems)
+    scenario_name = str(data.get("name", name))
+    files = {}
+    for kind, suffix in OUTPUT_SUFFIXES.items():
+        file = outputs.get(kind, scenario_name + suffix)
+        if not (isinstance(file, str) and file):
+            problems.append(f'"outputs.{kind}" must be a non-empty file name, got {file!r}')
+            continue
+        clash = [other for other, f in files.items() if Path(f) == Path(file)]
+        if clash:
+            problems.append(f'"outputs.{kind}" names {file!r}, the file of the '
+                            f'{clash[0]} output')
+        files[kind] = file
 
     if hasattr(topology, "boundaries") and not problems:
         # neither the schedule's domain nor grid alignment is a graph
@@ -325,7 +340,7 @@ def validate_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
 
     return ScenarioConfig(
         raw=data,
-        name=str(data.get("name", name)),
+        name=scenario_name,
         protocol=protocol,
         horizon=float(horizon),
         step=float(step),
@@ -336,7 +351,7 @@ def validate_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         kappa=params.get("kappa"),
         lambda_hat_sigma=params.get("lambda_hat_sigma"),
         x0=x0, v0=v0, z0=z0,
-        outputs=dict(outputs),
+        outputs=files,
     )
 
 

@@ -25,10 +25,11 @@ __all__ = ["format_g12"]
 # slot per cell, the four 3-digit groups of the mantissa (three digit bytes
 # each), the exponent "e+dd" or "e-ddd" over two planes (unused bytes 0),
 # the bytes '-', '.', '0' and the cell's separator, and a plane of 0 pads.
-# A template lists the (plane, byte) source of each output byte of a cell.
+# A template lists the source of each output byte of a cell as the code
+# 4 * plane + byte; mantissa digit j has code 4 * (j // 3) + j % 3.
 _WIDTH = 20  # bytes of the widest cell and its separator, "-1.23456789012e-300,"
-_MINUS, _POINT, _ZERO, _SEP, _PAD = (6, 0), (6, 1), (6, 2), (6, 3), (7, 0)
-_EXPONENT = [(4, 0), (4, 1), (4, 2), (4, 3), (5, 0)]
+_MINUS, _POINT, _ZERO, _SEP, _PAD = 24, 25, 26, 27, 28
+_EXPONENT = [16, 17, 18, 19, 20]
 _POW_MIN, _EXP_MIN = -300, -330  # the smallest entries of the scale and exponent tables
 _PYTHON = 2 * 18 * 12  # key of the final template, for cells formatted by Python
 
@@ -49,8 +50,10 @@ def _tables():
     final template holds only the separator: the bytes of a cell formatted
     by Python go in front of it."""
     triples = np.frombuffer(b"".join(b"%03d\0" % g for g in range(1000)), dtype="<u4")
-    ends = np.array([[3 * place + len((b"%03d" % g).rstrip(b"0")) - 1 if g else 0
-                      for g in range(1000)] for place in range(4)], dtype=np.intp)
+    # each group's last nonzero digit, placed; a zero group (g = 0) has none
+    last = np.array([len((b"%03d" % g).rstrip(b"0")) - 1 for g in range(1000)], dtype=np.intp)
+    ends = 3 * np.arange(4, dtype=np.intp)[:, None] + last
+    ends[:, 0] = 0
     exps = np.frombuffer(b"".join((b"e%+03d" % e).ljust(8, b"\0")
                                   for e in range(_EXP_MIN, -_EXP_MIN + 1)), dtype="<u4")
     powers = np.array([float(f"1e{k}") for k in range(_POW_MIN, 306)])
@@ -58,9 +61,9 @@ def _tables():
                         for e in range(_EXP_MIN, -_EXP_MIN + 1)], dtype=np.intp)
 
     def digits(first, end):
-        return [(j // 3, j % 3) for j in range(first, end + 1)]
+        return [4 * (j // 3) + j % 3 for j in range(first, end + 1)]
 
-    templates = []
+    codes = []
     for sign in (0, 1):
         for layout in range(18):
             e = layout - 4
@@ -75,14 +78,10 @@ def _tables():
                     cell += digits(0, e) + ([_POINT] + digits(e + 1, end) if end > e else [])
                 else:
                     cell += [_ZERO, _POINT] + [_ZERO] * (-e - 1) + digits(0, end)
-                templates.append(cell)
-    templates.append([])
-    table = np.empty((2, len(templates), _WIDTH), dtype=np.intp)
-    table[:] = np.array(_PAD)[:, None, None]
-    table[:, :, -1] = np.array(_SEP)[:, None]
-    for key, cell in enumerate(templates):
-        if cell:
-            table[:, key, :len(cell)] = np.array(cell).T
+                codes += cell + [_PAD] * (_WIDTH - 1 - len(cell)) + [_SEP]
+    codes += [_PAD] * (_WIDTH - 1) + [_SEP]
+    planes = np.array([[c // 4 for c in range(_PAD + 1)], [c % 4 for c in range(_PAD + 1)]], dtype=np.intp)
+    table = np.take(planes, np.array(codes, dtype=np.intp).reshape(-1, _WIDTH), axis=1)
     return triples, ends, exps.reshape(-1, 2).T.copy(), powers, layouts, table
 
 

@@ -11,6 +11,7 @@ the package.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -73,6 +74,7 @@ class InputSignal:
     h_d: float = 1e-6
     _vfn: object = field(default=None, repr=False, compare=False)
     _dfn: object = field(default=None, repr=False, compare=False)
+    _terms: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in SIGNAL_KINDS:
@@ -81,7 +83,9 @@ class InputSignal:
             raise ValueError(f"unknown derivative mode {self.derivative_mode!r}")
         if self.h_d <= 0:
             raise ValueError("central-difference step h_d must be positive")
-        self._vfn, self._dfn = _compile(self.kind, self.params)
+        if self.kind == "sum-of-terms":
+            self._terms = tuple(_as_signal(term) for term in self.params.get("terms", []))
+        self._vfn, self._dfn = _compile(self.kind, self.params, self._terms)
         if self.derivative_mode == "central_difference":
             self._dfn = _central_difference(self._vfn, self.h_d)
 
@@ -107,13 +111,38 @@ def _central_difference(vfn, h):
     return dfn
 
 
+def _part(sig: InputSignal, derivative: bool):
+    """What ``sig`` adds to a sum, or gives as a column: the number of a
+    term that is constant in t (a constant's value, 0.0 for its analytic
+    derivative), else the closure that evaluates it."""
+    if sig.kind == "constant" and not (derivative and sig.derivative_mode != "analytic"):
+        return 0.0 if derivative else float(sig.params["value"])
+    return sig._dfn if derivative else sig._vfn
+
+
+def _add(parts, t, shared=()):
+    """The parts of a sum added in order from 0, as ``sum()`` does, so a
+    -0.0 term gives +0.0.  A part is a number, a closure, or the index of
+    an array in ``shared``; the total is a number when every part is."""
+    total = 0.0
+    for part in parts:
+        if isinstance(part, int):
+            part = shared[part]
+        elif callable(part):
+            part = part(t)
+        total += part  # in place from the second array on: the first add made a new one
+    return total
+
+
 def make_signal(kind: str, derivative_mode: str = "analytic", h_d: float = 1e-6, **params) -> InputSignal:
     return InputSignal(kind=kind, params=params, derivative_mode=derivative_mode, h_d=h_d)
 
 
-def _compile(kind, params):
-    """Build (value, derivative) closures for a signal record.  Both take a
-    float ndarray of times (0-d included) and return values of its shape."""
+def _compile(kind, params, terms=()):
+    """Build (value, derivative) closures for a signal record; ``terms`` are
+    a sum-of-terms' term signals.  Both take a float ndarray of times (0-d
+    included) and return values of its shape.  A sum adds its terms in
+    order from 0 (``_add``), a constant term as a number."""
     p = dict(params)
 
     def need(*names):
@@ -185,15 +214,17 @@ def _compile(kind, params):
         )
 
     if kind == "sum-of-terms":
-        terms = [_as_signal(term) for term in p.get("terms", [])]
         if not terms:
             raise ValueError("sum-of-terms needs at least one term")
-        vfns = [s._vfn for s in terms]
-        dfns = [s._dfn for s in terms]  # each term's own derivative mode
-        return (
-            lambda t: sum(f(t) for f in vfns),
-            lambda t: sum(f(t) for f in dfns),
-        )
+
+        def summed(parts):
+            def fn(t):
+                total = _add(parts, t)
+                return np.full(np.shape(t), total) if isinstance(total, float) else total
+            return fn
+
+        # each term's derivative in its own derivative mode
+        return summed([_part(s, False) for s in terms]), summed([_part(s, True) for s in terms])
 
     if kind == "step-modulated-composite":
         carrier = _as_signal(p["carrier"]) if "carrier" in p else None
@@ -280,15 +311,25 @@ class InputSet:
 
     ``values`` and ``derivatives`` take a time, giving shape (n,), or an
     array of times, giving shape (len(t), n) with one row per time.
+
+    One call evaluates each distinct term once: a sum-of-terms term that
+    two or more terms of the set share, by equal ``signal_to_json`` forms
+    (one object or equal dicts), is evaluated into one array that every
+    sum holding it adds.  A term that appears once is evaluated where it is
+    added, and a constant term is added as a number.  Each column is still
+    its signal's sum, term by term from 0, so the values equal the
+    signals' own ``value`` and ``derivative`` bit for bit.
     """
 
     signals: tuple
     meta: dict = field(default_factory=dict, compare=False)
+    _plans: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.signals = tuple(self.signals)
         if not self.signals:
             raise ValueError("input set must contain at least one signal")
+        self._plans = _plan(self.signals, False), _plan(self.signals, True)
 
     def __len__(self):
         return len(self.signals)
@@ -296,24 +337,66 @@ class InputSet:
     def values(self, t, out=None) -> np.ndarray:
         """u at t; ``out``, of shape t.shape + (n,), may be a view into a
         larger buffer that receives the columns."""
-        return self._columns([s._vfn for s in self.signals], t, out)
+        return self._columns(self._plans[0], t, out)
 
     def derivatives(self, t) -> np.ndarray:
-        return self._columns([s._dfn for s in self.signals], t)
+        return self._columns(self._plans[1], t)
 
     def eval_all(self, t) -> tuple[np.ndarray, np.ndarray]:
         return self.values(t), self.derivatives(t)
 
     @staticmethod
-    def _columns(fns, t, out=None) -> np.ndarray:
+    def _columns(plan, t, out=None) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         if np.any(t < 0):
             raise ValueError("input signals are defined for t >= 0 only")
+        shared, columns = plan
         if out is None:
-            out = np.empty(t.shape + (len(fns),))
-        for i, f in enumerate(fns):  # one column at a time: no second full-size copy
-            out[..., i] = f(t)
+            out = np.empty(t.shape + (len(columns),))
+        arrays = [f(t) for f in shared]
+        for i, (summed, part) in enumerate(columns):  # one column at a time: no second full-size copy
+            if summed:
+                out[..., i] = _add(part, t, arrays)
+            else:
+                out[..., i] = part(t) if callable(part) else part
         return out
+
+
+def _plan(signals, derivative):
+    """(shared, columns): how ``InputSet`` evaluates the values, or the
+    derivatives, of ``signals``.  A column is (True, parts) for a
+    sum-of-terms, whose parts ``_add`` adds, or (False, part) for any other
+    signal and for a sum's central-difference derivative.  A term whose
+    ``signal_to_json`` form two or more terms share has its closure in
+    ``shared`` once, and each of its parts is that closure's index."""
+    columns, uses = [], {}
+    for sig in signals:
+        if not sig._terms or (derivative and sig.derivative_mode != "analytic"):
+            columns.append((False, _part(sig, derivative)))
+            continue
+        parts = [_part(term, derivative) for term in sig._terms]
+        for k, (part, term) in enumerate(zip(parts, sig._terms)):
+            key = _term_key(term) if callable(part) else None
+            if key is not None:
+                uses.setdefault(key, []).append((parts, k))
+        columns.append((True, parts))
+    shared = []
+    for places in uses.values():
+        if len(places) > 1:
+            parts, k = places[0]
+            shared.append(parts[k])
+            for parts, k in places:
+                parts[k] = len(shared) - 1
+    return shared, columns
+
+
+def _term_key(sig):
+    """A term's ``signal_to_json`` form as text; None, never shared, when a
+    parameter is not JSON (an ndarray of samples, say)."""
+    try:
+        return json.dumps(signal_to_json(sig), sort_keys=True)
+    except TypeError:
+        return None
 
 
 @dataclass(frozen=True, eq=False)

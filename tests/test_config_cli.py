@@ -161,13 +161,36 @@ class TestCli:
         assert titles == [name]
 
     def test_cli_import_leaves_out_what_a_run_does_not_use(self):
-        # argument parsing, the batch pool, and urllib.request (which
-        # xml.sax.saxutils would load for the SVG title)
-        code = ("import sys, dacsim.cli; print(sorted("
-                "{'argparse', 'concurrent.futures', 'urllib.request'} & set(sys.modules)))")
+        # argument parsing, the batch pool, urllib.request (which
+        # xml.sax.saxutils would load for the SVG title), and difflib (for
+        # suggestions on unknown config keys)
+        code = ("import sys, dacsim.cli; print(sorted({'argparse', 'concurrent.futures', "
+                "'urllib.request', 'difflib'} & set(sys.modules)))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("outputs,problem", [
+        ({"csv": 5}, '"outputs.csv" must be a non-empty file name, got 5'),
+        ({"metrics": ""}, '"outputs.metrics" must be a non-empty file name'),
+        ({"csv": "a.txt", "metrics": "a.txt"}, '"outputs.metrics" names \'a.txt\', the file of the csv'),
+        ({"csv": "tiny_metrics.json"}, '"outputs.metrics" names \'tiny_metrics.json\''),
+        ({"svg": "./tiny.csv"}, '"outputs.svg" names \'./tiny.csv\', the file of the csv'),
+    ], ids=["not-a-string", "empty", "same-custom-name", "another-default", "same-path"])
+    def test_bad_output_names_are_config_errors(self, outputs, problem, tmp_path, capsys):
+        path = self.write(tmp_path, tiny_scenario(outputs=outputs))
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        assert problem in capsys.readouterr().out
+        assert main(["run", str(path), "--out", str(tmp_path / "out"), "--svg"]) == EXIT_CONFIG
+        assert problem in capsys.readouterr().out
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+    def test_custom_output_names(self, tmp_path):
+        outputs = {"csv": "a.csv", "metrics": "m.json", "svg": "tiny.csv.svg"}
+        path = self.write(tmp_path, tiny_scenario(outputs=outputs))
+        assert main(["run", str(path), "--out", str(tmp_path / "out"), "--svg"]) == EXIT_OK
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(outputs.values())
+        assert json.loads((tmp_path / "out" / "m.json").read_text())["scenario"] == "tiny"
 
     def test_validate_dry_run(self, capsys):
         code = main(["validate", str(SCENARIOS / "case2.json")])

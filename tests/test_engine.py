@@ -825,3 +825,56 @@ class TestGridAlignment:
         assert "switching boundary" in capsys.readouterr().out
         with pytest.raises(ValueError, match="switching boundary"):
             _grid(0.001, 12.0, [boundary])
+
+
+def loop_tables():
+    """csvformat's lookup tables built one entry and one template at a time,
+    with each byte source as a (plane, byte) pair: the reference for the
+    array construction."""
+    from dacsim.csvformat import _EXP_MIN, _POW_MIN, _WIDTH
+    minus, point, zero, sep, pad = (6, 0), (6, 1), (6, 2), (6, 3), (7, 0)
+    exponent = [(4, 0), (4, 1), (4, 2), (4, 3), (5, 0)]
+    triples = np.frombuffer(b"".join(b"%03d\0" % g for g in range(1000)), dtype="<u4")
+    ends = np.array([[3 * place + len((b"%03d" % g).rstrip(b"0")) - 1 if g else 0
+                      for g in range(1000)] for place in range(4)], dtype=np.intp)
+    exps = np.frombuffer(b"".join((b"e%+03d" % e).ljust(8, b"\0")
+                                  for e in range(_EXP_MIN, -_EXP_MIN + 1)), dtype="<u4")
+    powers = np.array([float(f"1e{k}") for k in range(_POW_MIN, 306)])
+    layouts = np.array([12 * (e + 4 if -4 <= e < 12 else 16)
+                        for e in range(_EXP_MIN, -_EXP_MIN + 1)], dtype=np.intp)
+
+    def digits(first, end):
+        return [(j // 3, j % 3) for j in range(first, end + 1)]
+
+    templates = []
+    for sign in (0, 1):
+        for layout in range(18):
+            e = layout - 4
+            for end in range(12):
+                cell = [minus] if sign else []
+                if layout == 17:
+                    cell.append(zero)
+                elif layout == 16:
+                    cell += digits(0, 0) + ([point] + digits(1, end) if end else [])
+                    cell += exponent
+                elif e >= 0:
+                    cell += digits(0, e) + ([point] + digits(e + 1, end) if end > e else [])
+                else:
+                    cell += [zero, point] + [zero] * (-e - 1) + digits(0, end)
+                templates.append(cell)
+    templates.append([])
+    table = np.empty((2, len(templates), _WIDTH), dtype=np.intp)
+    table[:] = np.array(pad)[:, None, None]
+    table[:, :, -1] = np.array(sep)[:, None]
+    for key, cell in enumerate(templates):
+        if cell:
+            table[:, key, :len(cell)] = np.array(cell).T
+    return triples, ends, exps.reshape(-1, 2).T.copy(), powers, layouts, table
+
+
+def test_tables_match_the_loop_construction():
+    from dacsim.csvformat import _tables
+    names = ("triples", "ends", "exps", "powers", "layouts", "table")
+    for name, got, want in zip(names, _tables(), loop_tables()):
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name

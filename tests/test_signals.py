@@ -1,8 +1,13 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dacsim.config import load_scenario
 from dacsim.signals import (
     InputSet,
     disagreement_gamma,
@@ -14,6 +19,8 @@ from dacsim.signals import (
     signal_from_json,
     signal_to_json,
 )
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "dacsim" / "scenarios"
 
 
 def constants(values):
@@ -295,3 +302,119 @@ class TestInputTable:
         table = InputTable.sample(preset_scenario("case2"), np.arange(41) * 0.05, 0.05)
         with pytest.raises(ValueError, match="sample time"):
             table.eval_all(t)
+
+
+# ---------------------------------------------------------------------------
+# one InputSet evaluation per distinct term
+# ---------------------------------------------------------------------------
+
+def same_bits(got, want):
+    """Equal values with equal signs of zero."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+SIGNED = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 3.0])
+
+
+@st.composite
+def term_dicts(draw, depth=0):
+    kind = draw(st.sampled_from(
+        ["constant", "linear", "sine", "cosine", "atan", "tanh", "reciprocal-power",
+         "exponential-decay", "sampled-piecewise-constant", "step-modulated-composite"]
+        if depth == 0 else ["constant", "sine", "linear"]))
+    params = {
+        "constant": lambda: {"value": draw(SIGNED)},
+        "linear": lambda: {"slope": draw(SIGNED), "intercept": draw(SIGNED)},
+        "sine": lambda: {"amplitude": draw(SIGNED), "frequency": draw(st.sampled_from([0.5, 1.0])),
+                         "phase": draw(st.sampled_from([0.0, -0.0, 0.4]))},
+        "cosine": lambda: {"amplitude": draw(SIGNED), "frequency": 2.0},
+        "atan": lambda: {"amplitude": draw(SIGNED), "rate": 0.5, "shift": draw(SIGNED)},
+        "tanh": lambda: {"amplitude": draw(SIGNED), "shift": draw(SIGNED)},
+        "reciprocal-power": lambda: {"coefficient": draw(SIGNED), "shift": 2.0,
+                                     "power": draw(st.sampled_from([1.0, 2.0]))},
+        "exponential-decay": lambda: {"coefficient": draw(SIGNED), "rate": 0.8},
+        "sampled-piecewise-constant": lambda: {"values": draw(st.lists(SIGNED, min_size=1, max_size=4)),
+                                               "hold": 0.5},
+        "step-modulated-composite": lambda: {"carrier": draw(term_dicts(depth + 1)),
+                                             "half_period": 1.0},
+    }[kind]()
+    spec = {"kind": kind, "params": params}
+    if draw(st.integers(0, 3)) == 0:
+        spec.update(derivative_mode="central_difference", h_d=draw(st.sampled_from([1e-3, 1e-5])))
+    return spec
+
+
+@st.composite
+def input_sets(draw):
+    """Signals drawn from a small pool of term dicts, so that terms repeat:
+    as one shared object, as equal dicts, or inside a nested sum."""
+    pool = draw(st.lists(term_dicts(), min_size=1, max_size=4))
+    objects = [signal_from_json(spec) for spec in pool]
+
+    def term():
+        i = draw(st.integers(0, len(pool) - 1))
+        return objects[i] if draw(st.booleans()) else json.loads(json.dumps(pool[i]))
+
+    signals = []
+    for _ in range(draw(st.integers(1, 6))):
+        shape = draw(st.sampled_from(["term", "sum", "sum", "nested"]))
+        if shape == "term":
+            signals.append(signal_from_json(pool[draw(st.integers(0, len(pool) - 1))]))
+            continue
+        terms = [term() for _ in range(draw(st.integers(1, 4)))]
+        if shape == "nested":
+            terms.append(make_signal("sum-of-terms", terms=[term(), term()]))
+        mode = draw(st.sampled_from(["analytic", "analytic", "central_difference"]))
+        signals.append(make_signal("sum-of-terms", terms=terms, derivative_mode=mode, h_d=1e-4))
+    return InputSet(signals=tuple(signals))
+
+
+TIMES = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.floats(0.0, 30.0),
+    st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 30.0)),
+             min_size=1, max_size=12).map(np.array),
+)
+
+
+class TestSharedTerms:
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=input_sets(), t=TIMES)
+    def test_set_matches_each_signal_alone(self, inputs, t):
+        """Column by column, the set's values and derivatives are the
+        signals' own, bit for bit, and each sum is its terms' sum()."""
+        for derivative in (False, True):
+            got = inputs.derivatives(t) if derivative else inputs.values(t)
+            want = [sig.derivative(t) if derivative else sig.value(t) for sig in inputs.signals]
+            assert same_bits(got, np.stack(want, axis=-1)), derivative
+        for sig in inputs.signals:
+            if sig.kind != "sum-of-terms":
+                continue
+            terms = [signal_from_json(x) if isinstance(x, dict) else x for x in sig.params["terms"]]
+            assert same_bits(sig.value(t), sum(term.value(t) for term in terms))
+            if sig.derivative_mode == "analytic":
+                assert same_bits(sig.derivative(t), sum(term.derivative(t) for term in terms))
+
+    @pytest.mark.parametrize("scenario", ["case1", "offset_sines"])
+    def test_common_sine_is_evaluated_once(self, scenario, monkeypatch):
+        # case1's preset shares one sine object; offset_sines.json writes six equal dicts
+        inputs = load_scenario(SCENARIOS / f"{scenario}.json").build_inputs()
+        calls = []
+        sin, cos = np.sin, np.cos
+        monkeypatch.setattr(np, "sin", lambda x: calls.append("sin") or sin(x))
+        monkeypatch.setattr(np, "cos", lambda x: calls.append("cos") or cos(x))
+        for t in (1.5, np.linspace(0.0, 4.0, 9)):
+            inputs.values(t)
+            assert calls == ["sin"]
+            inputs.derivatives(t)
+            assert calls == ["sin", "cos"]
+            calls.clear()
+
+    def test_terms_with_array_parameters_are_evaluated_unshared(self):
+        held = make_signal("sampled-piecewise-constant", values=np.array([1.0, -2.0]), hold=0.5)
+        signals = tuple(make_signal("sum-of-terms", terms=[held, make_signal("constant", value=c)])
+                        for c in (1.0, 2.0))
+        t = np.array([0.0, 0.75])
+        assert same_bits(InputSet(signals=signals).values(t), [[2.0, 3.0], [-1.0, 0.0]])
