@@ -45,7 +45,9 @@ DIVERGENCE_LIMIT = 1e12
 GRID_ALIGN_TOL = 1e-6  # steps a grid time may lie from the nearest whole step
 AFFINE_BLOCK = 2048  # steps per forcing block and scan of the affine recurrence
 DISCRETE_BLOCK = 1024  # dcdisc iterations between divergence checks
-CSV_CELLS = 2 ** 13  # cells per format_g12 block; 2 ** 15 raised discrete_wide's peak memory by 5 MB
+# cells per format_g12 block; 2 ** 14 and 2 ** 15 wrote no faster and raised
+# discrete_wide's peak memory by 1.5 and 4.6 MB
+CSV_CELLS = 2 ** 13
 
 
 class DivergenceError(RuntimeError):

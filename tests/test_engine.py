@@ -1,6 +1,11 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dacsim
+from dacsim import csvformat
 from dacsim.bounds import BoundCurve
 from dacsim.config import load_scenario, validate_scenario
 from dacsim.csvformat import format_g12
@@ -715,6 +722,45 @@ class TestBlockwiseCsv:
         write_trajectory_csv(path, traj, curves)
         assert path.read_text() == per_cell_csv(traj, curves)  # 4999 rows: eleven blocks
 
+    def test_fresh_process_writes_without_heap_churn(self, tmp_path):
+        # A run is one fresh interpreter.  Where the writer's blocks leave
+        # glibc's malloc trimming the heap between blocks, every block
+        # faults its pages in again: ~400 minor faults a block against ~5.
+        code = """if True:
+            import json, resource, sys
+            import numpy as np
+            from dacsim.bounds import BoundCurve
+            from dacsim.engine import CSV_CELLS, Trajectory, write_trajectory_csv
+            rows = 150 * (CSV_CELLS // 17)  # 17 columns: 150 blocks
+            rng = np.random.default_rng(3)
+            special = np.array([-0.0, 1e-300, 1e300, np.inf, np.nan, -np.inf, 0.1, 123456789012.0])
+            x = rng.normal(0.0, 1e3, (rows, 3))
+            x[:special.size, 0] = special
+            # arrays made in place: freeing a large temporary before the
+            # write would raise malloc's trim threshold and hide the churn
+            times = np.arange(rows, dtype=float)
+            times *= 0.01
+            bound = rng.normal(size=rows)
+            np.abs(bound, out=bound)
+            traj = Trajectory(times=times, x=x, v=rng.normal(size=(rows, 3)),
+                              z=rng.normal(size=(rows, 3)), avg_u=rng.normal(size=rows),
+                              protocol="dcdisc", k_index=np.arange(rows))
+            curves = {"bound_ultimate": BoundCurve(grid=times, values=np.full(rows, 1e-300)),
+                      "bound_s": BoundCurve(grid=times, values=bound)}
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            write_trajectory_csv(sys.argv[1], traj, curves)
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            print(json.dumps({"blocks": -(-rows // (CSV_CELLS // 17)), "faults": after - before}))
+        """
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+               "PYTHONPATH": str(Path(dacsim.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "w.csv")], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["blocks"] >= 150
+        assert result["faults"] <= 20 * result["blocks"], result
+
 
 # ---------------------------------------------------------------------------
 # the %.12g block kernel vs Python's formatting
@@ -739,6 +785,23 @@ G12_EDGES = [
     99999999999.95, 9.999999999995e-5, 999999999999.5, 999999999999.4, 0.5, 0.1, 1 / 3,
     math.pi * 1e-7, math.e * 1e13, 123456789012.0, 1e-300, 1e-310,
 ]
+
+
+def g12_template(text):
+    """(sign, layout, last nonzero mantissa digit) of a %.12g text; the
+    layout is the decade E of fixed notation, "e" or "0" (zero)."""
+    body = text.lstrip("-")
+    mantissa, e, _ = body.partition("e")
+    significant = mantissa.replace(".", "").lstrip("0").rstrip("0")
+    if body == "0":
+        layout = "0"
+    elif e:
+        layout = "e"
+    elif mantissa.startswith("0."):
+        layout = -(len(mantissa[2:]) - len(mantissa[2:].lstrip("0")) + 1)
+    else:
+        layout = len(mantissa.partition(".")[0]) - 1
+    return text.startswith("-"), layout, max(len(significant) - 1, 0)
 
 
 class TestFormatG12:
@@ -767,15 +830,58 @@ class TestFormatG12:
                         dtype=np.uint64)
         assert_kernel_exact(bits.view(np.float64))
 
-    @pytest.mark.parametrize("skew", [-0.5, 0.5])
-    def test_decade_misjudged_by_log10(self, skew, monkeypatch):
-        # floor(log10 |x|) off by one decade for half the values: the scaled
-        # mantissa has to move the exponent back
+    def test_decade_guess_brackets_every_binade(self):
+        # E0 <= floor(log10 |x|) <= E0 + 1 at both ends of every normal
+        # binade, the exact decade taken from the decimal expansion
+        decade = csvformat._tables()[0] + csvformat._EXP_MIN
+        for b in range(1, 2047):
+            low = math.ldexp(1.0, b - 1023)
+            high = math.nextafter(2 * low, 0.0) if b < 2046 else sys.float_info.max
+            for v in (low, high):
+                assert decade[b] <= Decimal(v).adjusted() <= decade[b] + 1, (b, v)
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_decade_guessed_one_low(self, parity, monkeypatch):
+        # the guess one decade low for every other binary exponent: each
+        # value there has to move its decade up from the scaled mantissa.
+        # A binade that holds a power of ten keeps its guess, since one
+        # decade low there would leave its upper values two decades above
+        # the guess, which one correction cannot reach.
+        tables = list(csvformat._tables())
+        decade = tables[0].copy()
+        inside = np.flatnonzero(decade[:-1] == decade[1:])
+        decade[inside[inside % 2 == parity]] -= 1
+        tables[0] = decade
+        monkeypatch.setattr(csvformat, "_tables", lambda: tables)
         rng = np.random.default_rng(7)
         values = np.concatenate((G12_EDGES, rng.normal(0.0, 1.0, 4000) * 10.0 ** rng.integers(-12, 14, 4000)))
-        log10 = np.log10
-        monkeypatch.setattr(np, "log10", lambda a: log10(a) + skew)
         assert_kernel_exact(values)
+
+    def test_every_layout_and_last_digit(self):
+        # m 10^(E - 11) with the last nonzero digit of m at each position,
+        # for each fixed-notation decade and some d.ddde+XX ones, both signs:
+        # every reachable template, so each point slot and kept-digit count
+        digits = "123456789123"
+        decades = list(range(-4, 12)) + [-290, -100, -10, -5, 12, 13, 99, 100, 299]
+        values = [float(f"{sign}{digits[:end + 1]}e{e - end}")
+                  for sign in ("", "-") for e in decades for end in range(12)]
+        values += [0.0, -0.0]
+        texts = ["%.12g" % v for v in values]
+        # 2 signs x (17 nonzero layouts x 12 last digits + zero): all of them
+        assert len({g12_template(text) for text in texts}) == 2 * (17 * 12 + 1)
+        assert_kernel_exact(values)
+
+    def test_traced_peak_per_cell(self):
+        rng = np.random.default_rng(5)
+        block = rng.normal(0.0, 1.0, (409, 20)) * 10.0 ** rng.integers(-12, 14, (409, 20))
+        format_g12(block)  # the tables are built on the first call
+        tracemalloc.start()
+        try:
+            format_g12(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 260 * block.size
 
     def test_wide_random_blocks(self):
         rng = np.random.default_rng(11)
@@ -828,53 +934,55 @@ class TestGridAlignment:
 
 
 def loop_tables():
-    """csvformat's lookup tables built one entry and one template at a time,
-    with each byte source as a (plane, byte) pair: the reference for the
-    array construction."""
-    from dacsim.csvformat import _EXP_MIN, _POW_MIN, _WIDTH
-    minus, point, zero, sep, pad = (6, 0), (6, 1), (6, 2), (6, 3), (7, 0)
-    exponent = [(4, 0), (4, 1), (4, 2), (4, 3), (5, 0)]
-    triples = np.frombuffer(b"".join(b"%03d\0" % g for g in range(1000)), dtype="<u4")
+    """csvformat's lookup tables built one entry at a time from decimal
+    and byte strings: the reference for the array construction.  The head,
+    group codes and exponent mask of each template come from the %.12g text
+    of a value with that template."""
+    es = range(csvformat._EXP_MIN, 1 - csvformat._EXP_MIN)
+    decade = np.array([(Decimal(2) ** (b - 1023)).adjusted() - csvformat._EXP_MIN
+                       for b in range(2048)], dtype=np.intp)
+    scale = np.array([float(Decimal(10) ** (11 - e)) for e in es])
+    layouts = np.array([12 * (e + 4 if -4 <= e < 12 else 16) for e in es], dtype=np.intp)
+    exps = np.frombuffer(b"".join((b"e%+03d" % e).ljust(8, b"\0") for e in es), dtype="<u8")
     ends = np.array([[3 * place + len((b"%03d" % g).rstrip(b"0")) - 1 if g else 0
                       for g in range(1000)] for place in range(4)], dtype=np.intp)
-    exps = np.frombuffer(b"".join((b"e%+03d" % e).ljust(8, b"\0")
-                                  for e in range(_EXP_MIN, -_EXP_MIN + 1)), dtype="<u4")
-    powers = np.array([float(f"1e{k}") for k in range(_POW_MIN, 306)])
-    layouts = np.array([12 * (e + 4 if -4 <= e < 12 else 16)
-                        for e in range(_EXP_MIN, -_EXP_MIN + 1)], dtype=np.intp)
 
-    def digits(first, end):
-        return [(j // 3, j % 3) for j in range(first, end + 1)]
+    def slot(point, kept, g):
+        text = (b"%03d" % g)[:kept].ljust(3, b"\0")
+        return text[:point] + b"." + text[point:] if point else text + b"\0"
 
-    templates = []
-    for sign in (0, 1):
+    slots = np.frombuffer(b"".join(slot(*divmod(code, 4), g) for code in range(16) for g in range(1000)),
+                          dtype="<u4")
+
+    digits = "123456789123"
+    heads, codes, masks = [], [[], [], [], []], []
+    for sign in ("", "-"):
         for layout in range(18):
-            e = layout - 4
             for end in range(12):
-                cell = [minus] if sign else []
-                if layout == 17:
-                    cell.append(zero)
-                elif layout == 16:
-                    cell += digits(0, 0) + ([point] + digits(1, end) if end else [])
-                    cell += exponent
-                elif e >= 0:
-                    cell += digits(0, e) + ([point] + digits(e + 1, end) if end > e else [])
-                else:
-                    cell += [zero, point] + [zero] * (-e - 1) + digits(0, end)
-                templates.append(cell)
-    templates.append([])
-    table = np.empty((2, len(templates), _WIDTH), dtype=np.intp)
-    table[:] = np.array(pad)[:, None, None]
-    table[:, :, -1] = np.array(sep)[:, None]
-    for key, cell in enumerate(templates):
-        if cell:
-            table[:, key, :len(cell)] = np.array(cell).T
-    return triples, ends, exps.reshape(-1, 2).T.copy(), powers, layouts, table
+                e = layout - 4 if layout < 16 else 20
+                text = sign + "0" if layout == 17 else "%.12g" % float(f"{sign}{digits[:end + 1]}e{e - end}")
+                mantissa, exponent, _ = text.partition("e")
+                head = re.match(r"-?(0\.0*|0$)?", mantissa).group()
+                groups = [b"", b"", b"", b""]
+                count = 0
+                for char in mantissa[len(head):].encode():
+                    if char == ord("."):
+                        groups[(count - 1) // 3] += b"."
+                    else:
+                        groups[count // 3] += bytes([char])
+                        count += 1
+                heads.append(head.encode().ljust(8, b"\0"))
+                masks.append(-1 if exponent else 0)
+                for place, group in enumerate(groups):
+                    point = group.index(b".") if b"." in group else 0
+                    codes[place].append(1000 * (4 * point + len(group.replace(b".", b""))))
+    heads = np.frombuffer(b"".join(heads), dtype="<u8")
+    masks = np.array(masks, dtype=np.int64).view("<u8")
+    return decade, scale, layouts, exps, ends, heads, np.array(codes, dtype=np.intp), masks, slots
 
 
 def test_tables_match_the_loop_construction():
-    from dacsim.csvformat import _tables
-    names = ("triples", "ends", "exps", "powers", "layouts", "table")
-    for name, got, want in zip(names, _tables(), loop_tables()):
+    names = ("decade", "scale", "layouts", "exps", "ends", "heads", "codes", "masks", "slots")
+    for name, got, want in zip(names, csvformat._tables(), loop_tables(), strict=True):
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
