@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 CONFLUENT_REL_TOL = 1e-9
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def project_disagreement(vec: np.ndarray) -> np.ndarray:
@@ -124,12 +125,13 @@ def zero_system_equilibrium(v0_or_w0, alpha: float) -> tuple[float, float]:
     return -total / (alpha * w0.size), total / w0.size
 
 
-def _branch_factor(t, alpha: float, blam: float, kappa: float):
+def _branch_factor(t, alpha: float, blam: float, kappa: float, ea, eb):
     """The confluent-aware transient factor multiplying (alpha ||y0|| + ||w0||)
-    in s(t) and ||du(0)|| in the tracking bound; t is a float or an array."""
+    in s(t) and ||du(0)|| in the tracking bound; t is a float or an array,
+    and ea, eb are e^{-alpha t} and e^{-blam t}."""
     if abs(alpha - blam) < CONFLUENT_REL_TOL * alpha:
-        return kappa * t * np.exp(-blam * t)
-    return kappa * (np.exp(-alpha * t) - np.exp(-blam * t)) / (blam - alpha)
+        return kappa * t * eb
+    return kappa * (ea - eb) / (blam - alpha)
 
 
 def transient_bound_s(t, b: BoundInputs):
@@ -153,21 +155,68 @@ def transient_bound_s(t, b: BoundInputs):
     ea = np.exp(-alpha * t)
     eb = np.exp(-blam * t)
     s = (ea + kappa * eb) * b.y0_norm + ea * b.w0_norm / alpha
-    s = s + _branch_factor(t, alpha, blam, kappa) * (alpha * b.y0_norm + b.w0_norm)
+    s = s + _branch_factor(t, alpha, blam, kappa, ea, eb) * (alpha * b.y0_norm + b.w0_norm)
     return float(s) if t.ndim == 0 else s
 
 
-def tracking_bound_curve(grid, b: BoundInputs, pi_udot_samples) -> BoundCurve:
-    """Tracking-error envelope at every grid point, in one O(len(grid)) sweep:
+def _scan_affine_maps(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Overwrite c with x_k = a_k x_{k-1} + c_k, x_{-1} = 0, and return it.
+
+    This is the scalar case of ``engine._affine_scan``: Hillis-Steele
+    doubling over the affine maps x -> a_k x + c_k, whose composition is
+    associative (Blelloch, "Prefix sums and their applications", 1990).
+    After the pass of stride s, entry k holds the composition of maps
+    k - 2s + 1 .. k, so log2(len(c)) passes of
+    ``c[s:] += a[s:] * c[:-s]; a[s:] *= a[:-s]`` finish the scan; a is
+    overwritten too.  The products go through one temporary, and the
+    flush below through one mask, both allocated before the first pass,
+    so no pass allocates.  A product of the a_k that falls below the
+    normal range is flushed to 0: its terms are below the roundoff of the
+    sum they join, and subnormal arithmetic runs about twenty times
+    slower.  Once every product is 0 the later passes would add nothing,
+    so the scan stops."""
+    n = c.size
+    tmp, small = np.empty(n), np.empty(n, dtype=bool)
+    lo = a.min() if n else 1.0  # a product of 2s of the a_k in [0, 1] is >= lo ** (2s)
+    s = 1
+    while s < n:
+        t = tmp[:n - s]
+        c[s:] += np.multiply(a[s:], c[:-s], out=t)
+        if 2 * s >= n:
+            break  # the last pass: the products are not needed again
+        np.multiply(a[s:], a[:-s], out=t)
+        lo *= lo
+        if lo < _TINY and t.min() < _TINY:
+            np.copyto(t, 0.0, where=np.less(t, _TINY, out=small[:n - s]))
+            if not t.any():
+                break
+        a[s:] = t
+        s *= 2
+    return c
+
+
+def tracking_bound_curve(grid, b: BoundInputs, pi_udot_samples, transient=None) -> BoundCurve:
+    """Tracking-error envelope at every grid point:
 
     s(t) + kappa int_0^t e^{-beta lam (t - tau)} ||Pi_N du(tau)|| dtau
          + branch(t) ||du(0)||,
 
     with ``pi_udot_samples`` the integrand's ||Pi_N du|| on the grid and the
     integral by composite trapezoid on it (the integrand is smooth between
-    input breakpoints).  The fading-memory integral obeys
-    I(t_{k+1}) = e^{-beta lam h} I(t_k) + trapezoid over [t_k, t_{k+1}],
-    which reproduces the composite trapezoid rule on the full grid exactly.
+    input breakpoints).  ``transient`` is s(t) on the grid, as
+    ``transient_bound_s(grid, b)`` gives it, when the caller already has
+    it.  The grid need not be uniform.  The fading-memory integral obeys
+    I(t_k) = d_k I(t_{k-1}) + tau_k, with d_k = e^{-beta lam h_k} and tau_k
+    the trapezoid over [t_{k-1}, t_k], which reproduces the composite
+    trapezoid rule on the full grid.  The recurrence is scanned in
+    log2(len(grid)) vectorised passes (``_scan_affine_maps``), not stepped
+    one point at a time.  Every term is nonnegative, so the sums lose a
+    few ulps per pass.  The decay over m steps is a product formed by
+    repeated squaring, which doubles its relative error at each pass, to
+    about m ulps; so where the integral only decays over m steps its
+    relative error is about m ulps (the step-by-step recurrence's is about
+    sqrt(m)), and relative to the curve's largest value the error stays
+    of order min(len(grid), 1 / (beta lam h)) ulps.
     """
     grid = np.asarray(grid, dtype=float)
     f = np.asarray(pi_udot_samples, dtype=float)
@@ -179,30 +228,37 @@ def tracking_bound_curve(grid, b: BoundInputs, pi_udot_samples) -> BoundCurve:
     kappa = b.effective_kappa
     h = np.diff(grid)
     decay = np.exp(-blam * h)
-    trapezoids = 0.5 * h * (decay * f[:-1] + f[1:])
     integral = np.zeros_like(grid)
-    acc = 0.0
-    for k, (dec, inc) in enumerate(zip(decay.tolist(), trapezoids.tolist()), start=1):
-        acc = dec * acc + inc
-        integral[k] = acc
-    values = (transient_bound_s(grid, b) + kappa * integral
-              + _branch_factor(grid, b.alpha, blam, kappa) * b.udot0_norm)
+    integral[1:] = 0.5 * h * (decay * f[:-1] + f[1:])  # the trapezoids
+    _scan_affine_maps(decay, integral[1:])
+    if transient is None:
+        transient = transient_bound_s(grid, b)
+    branch = _branch_factor(grid, b.alpha, blam, kappa,
+                            np.exp(-b.alpha * grid), np.exp(-blam * grid))
+    values = transient + kappa * integral + branch * b.udot0_norm
     return BoundCurve(grid=grid, values=values)
 
 
 def ultimate_bound(beta: float, lambda_hat_2: float, gamma: float,
-                   delta: Optional[float] = None) -> float:
-    """Steady-state tracking-error cap gamma / (beta lambda_hat_2); the
-    discrete algorithm divides by delta as well."""
+                   delta: Optional[float] = None, kappa: float = 1.0) -> float:
+    """Steady-state tracking-error cap kappa gamma / (beta lambda_hat_2);
+    the discrete algorithm divides by delta as well.  kappa is 1 on a fixed
+    digraph.  In switching mode it is the overshoot constant of the
+    consensus-subspace transition, ||Phi(t, tau)|| <= kappa
+    e^{-beta lambda_hat_sigma (t - tau)}, with lambda_hat_sigma in place of
+    lambda_hat_2: the limit of ``tracking_bound_curve``'s fading integral
+    kappa int e^{-beta lam (t - tau)} gamma dtau."""
     if beta <= 0 or lambda_hat_2 <= 0:
         raise ValueError("beta and lambda_hat_2 must be positive")
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
+    if kappa <= 0:
+        raise ValueError("kappa must be positive")
     if delta is None:
-        return gamma / (beta * lambda_hat_2)
+        return kappa * gamma / (beta * lambda_hat_2)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    return gamma / (delta * beta * lambda_hat_2)
+    return kappa * gamma / (delta * beta * lambda_hat_2)
 
 
 def convergence_rate(alpha: float, beta: float, re_lambda_2: float,

@@ -23,7 +23,6 @@ from .config import ConfigError, ScenarioConfig, load_scenario, validate_scenari
 from .discrete import max_stepsize, pdelta_spectrum_check
 from .engine import DivergenceError, run_scenario, write_trajectory_csv
 from .graphs import WeightedDigraph, is_strongly_connected, is_weight_balanced, spectral_summary
-from .svgplot import render_svg
 from .switching import validate_admissible
 
 EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO = 0, 1, 2, 3
@@ -92,6 +91,9 @@ def execute(scenario, out_dir, svg=False, seed=None, step=None, quiet=False):
         with open(out_dir / cfg.outputs["metrics"], "w") as fh:
             json.dump(_metrics_payload(cfg, traj, report), fh, indent=2)
         if svg:
+            # imported here: only --svg runs compile it and build its tables
+            from .svgplot import render_svg
+
             render_svg(out_dir / cfg.outputs["svg"], traj, title=cfg.name)
     except OSError as exc:
         return EXIT_IO, f"{cfg.name}: failed to write outputs: {exc}"

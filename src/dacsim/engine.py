@@ -48,6 +48,7 @@ DISCRETE_BLOCK = 1024  # dcdisc iterations between divergence checks
 # cells per format_g12 block; 2 ** 14 and 2 ** 15 wrote no faster and raised
 # discrete_wide's peak memory by 1.5 and 4.6 MB
 CSV_CELLS = 2 ** 13
+CSV_HEAP_PRIME = 2 ** 22  # bytes the writer allocates and frees before its blocks
 
 
 class DivergenceError(RuntimeError):
@@ -412,7 +413,8 @@ def _package(protocol, times, ys, n, has_z, p, avg_u, pi_udot, commands=None) ->
         commands=commands,
     )
     if protocol == "dc3":
-        psi = np.array([p.psi(float(t)) if p.psi is not None else 0.0 for t in times])
+        # one call on every stored time; a constant mask may return one number
+        psi = np.broadcast_to(p.psi(times) if p.psi is not None else 0.0, times.shape)
         traj.messages_sample = traj.z + psi[:, None]
     return traj
 
@@ -591,7 +593,8 @@ def run_scenario(cfg):
         if lam_hat is not None and lam_hat <= 0:
             lam_hat = None  # disconnected graph: no envelope applies
         kappa = None if fixed else cfg.kappa
-        ult = bnd.ultimate_bound(params.beta, lam_hat, gamma) if lam_hat else None
+        ult = (bnd.ultimate_bound(params.beta, lam_hat, gamma, kappa=1.0 if fixed else kappa)
+               if lam_hat else None)
         attach = cfg.protocol in ("dc1", "dc1_sat") and lam_hat is not None
         if attach:
             u0, du0 = inputs.eval_all(0.0)
@@ -601,9 +604,10 @@ def run_scenario(cfg):
                 gamma=gamma,
                 kappa=kappa,
                 lambda_hat_sigma=None if fixed else lam_hat)
-            curves["bound_s"] = bnd.BoundCurve(
-                grid=traj.times, values=bnd.transient_bound_s(traj.times, b))
-            curves["bound_tracking"] = bnd.tracking_bound_curve(traj.times, b, series)
+            s_values = bnd.transient_bound_s(traj.times, b)
+            curves["bound_s"] = bnd.BoundCurve(grid=traj.times, values=s_values)
+            curves["bound_tracking"] = bnd.tracking_bound_curve(
+                traj.times, b, series, transient=s_values)
 
     if ult is not None:
         curves["bound_ultimate"] = bnd.BoundCurve(
@@ -657,6 +661,15 @@ def write_trajectory_csv(path, traj: Trajectory, curves=None):
 
     rows = len(traj.times)
     block = max(1, CSV_CELLS // len(header))
+    # glibc's malloc gives the free top of the heap back to the system once
+    # it exceeds the trim threshold, and raises that threshold (to twice the
+    # chunk) only when it frees a chunk it had mmapped.  Left at its initial
+    # 128 KB, it trims each block's temporaries (about 1.5 MB) away, and
+    # they fault in again on the next block: 4 900 minor faults in
+    # static's writer against 100.  Whether some earlier free raised it
+    # depends on the whole run, so the writer frees one mmapped chunk
+    # first.  np.empty touches none of its pages.
+    np.empty(CSV_HEAP_PRIME // 8)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for a in range(0, rows, block):

@@ -129,13 +129,15 @@ class _ConstantGain:
 class AlgorithmParams:
     """Design parameters shared by the protocol family: proportional gain
     alpha, Laplacian gain beta, optional per-agent motion gains, saturation
-    limits, and the common transmission mask psi(t)."""
+    limits, and the common transmission mask psi(t).  psi takes a time or
+    an array of times, as ``InputSignal.value`` and numpy's ufuncs do; a
+    run evaluates it on all its stored times in one call."""
 
     alpha: float
     beta: float
     theta: Optional[ThetaGain] = None
     sat_limits: Optional[np.ndarray] = None
-    psi: Optional[Callable[[float], float]] = None
+    psi: Optional[Callable] = None
 
     def __post_init__(self):
         if self.alpha <= 0 or self.beta <= 0:

@@ -341,7 +341,7 @@ def test_criterion_09_mask_invariance(ring):
                              st, h=1e-3, T=20.0)
     worst_state = 0.0
     worst_payload = 0.0
-    for psi in (lambda t: 0.0, math.sin, lambda t: 10.0 + 5.0 * t):
+    for psi in (lambda t: 0.0, np.sin, lambda t: 10.0 + 5.0 * t):
         p = AlgorithmParams(1.0, 1.0, theta=theta, psi=psi)
         traj = simulate_protocol("dc3", ring, inputs, p, st, h=1e-3, T=20.0)
         for a, b in ((traj.x, base.x), (traj.v, base.v), (traj.z, base.z)):

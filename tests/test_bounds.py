@@ -1,10 +1,14 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from dacsim.bounds import (
     BoundInputs,
+    _scan_affine_maps,
     tracking_bound_curve,
     transient_bound_s,
     ultimate_bound,
@@ -120,6 +124,104 @@ class TestTrackingBound:
             t = float(grid[idx])
             assert curve.values[idx] == pytest.approx(
                 tracking_bound_at(t, b, f, quad_step=5e-3), rel=1e-5, abs=1e-12)
+
+
+def fading_integral(grid, f, blam):
+    """The envelope's fading integral alone: with zero initial data s(t) and
+    the ||du(0)|| term are exactly 0 and kappa is 1, so the curve is I."""
+    b = BoundInputs(alpha=1.0, beta=blam, lambda_hat_2=1.0, y0_norm=0.0, w0_norm=0.0)
+    return tracking_bound_curve(grid, b, f).values
+
+
+# decay exponents beta lam h up to 800, past e^-745, where one decay
+# underflows, and from 354 on, where a product of two is subnormal
+steps = st.floats(min_value=1e-4, max_value=2.0)
+rates = st.floats(min_value=1e-3, max_value=400.0)
+samples = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e3))
+
+
+class TestFadingScan:
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=10.0), st.lists(steps, max_size=300),
+           rates, st.data())
+    @example(t0=0.0, hs=[], blam=1.0, data=None)  # one point
+    @example(t0=0.5, hs=[0.1], blam=1.0, data=None)  # two points
+    @example(t0=0.0, hs=[0.5] * 64, blam=720.0, data=None)  # subnormal products
+    @example(t0=0.0, hs=[1.0] * 64, blam=750.0, data=None)  # the decays underflow
+    def test_matches_the_sequential_recurrence(self, t0, hs, blam, data):
+        # non-uniform grids, f drawn or identically 0.  Up to 300 steps: a
+        # decay over m steps, formed by repeated squaring, is about m ulps
+        # off, so elementwise the scan stays within 300 ulps < 1e-13 of the
+        # loop; longer grids are held to the column's largest value below
+        grid = t0 + np.concatenate(([0.0], np.cumsum(hs)))
+        if data is None or data.draw(st.booleans(), label="f = 0"):
+            f = np.zeros(grid.size)
+        else:
+            f = np.array(data.draw(st.lists(samples, min_size=grid.size, max_size=grid.size)))
+        ref = oracles.fading_integral(grid, f, blam)
+        # below the normal range the scan flushes products to 0
+        np.testing.assert_allclose(fading_integral(grid, f, blam), ref, rtol=1e-13, atol=1e-300)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_long_grids_match_on_the_column_scale(self, seed):
+        # run-sized grids, with bursts of f and long decaying stretches, held
+        # to 1e-12 of the column's largest value, as the bundled outputs are
+        # (in 40 such draws the gap was at most 2.1e-14 of it)
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1000, 40001))
+        h = 10 ** rng.uniform(-4, -1)
+        grid = np.concatenate(([0.0], np.cumsum(rng.uniform(0.5 * h, 1.5 * h, n - 1))))
+        f = np.abs(rng.normal(size=n)) * (rng.random(n) < rng.uniform(0.05, 1.0))
+        f[int(rng.integers(n)):] = 0.0
+        blam = 10 ** rng.uniform(-3, 2)
+        ref = oracles.fading_integral(grid, f, blam)
+        gap = np.abs(fading_integral(grid, f, blam) - ref).max()
+        assert gap <= 1e-12 * ref.max(), gap / ref.max()
+
+    def test_an_impulse_decays_through_the_normal_range(self):
+        # I_k = d^(k-1) I_1 falls by e^-40 a step, to 2e-296 at the end: the
+        # scan may flush no product whose term is still in the normal range
+        grid = np.arange(18.0)
+        f = np.zeros(grid.size)
+        f[0] = 1.0
+        ref = oracles.fading_integral(grid, f, 40.0)
+        assert 1e-300 < ref[-1] < 1e-290
+        np.testing.assert_allclose(fading_integral(grid, f, 40.0), ref, rtol=1e-13, atol=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=3000), st.floats(min_value=1e-3, max_value=0.5),
+           st.floats(min_value=1e-3, max_value=50.0), st.floats(min_value=1e-3, max_value=1e3))
+    def test_constant_samples_give_the_geometric_sum(self, n, h, blam, value):
+        # I_k = tau (1 - d^k) / (1 - d), d the float decay the curve uses;
+        # 1 - d^k = -expm1(k ln d) and 1 - d = -expm1(ln d) keep both to a
+        # few ulps where d is near 1
+        grid = h * np.arange(n + 1)
+        d = math.exp(-blam * h)
+        tau = 0.5 * h * (d * value + value)
+        k = np.arange(n + 1)
+        closed = tau * -np.expm1(k * math.log(d)) / -math.expm1(math.log(d))
+        got = fading_integral(grid, np.full(n + 1, value), blam)
+        np.testing.assert_allclose(got, closed, rtol=1e-12, atol=0.0)
+
+    def test_underflowing_products_cost_no_more_than_normal_ones(self):
+        # a product of two decays e^-360 is subnormal, about twenty times
+        # slower to multiply than a normal one; the scan flushes it to 0 and
+        # stops, so the whole scan takes less than one with decays near 1
+        n = 2 ** 15
+        c = np.random.default_rng(3).uniform(0.0, 1.0, n)
+
+        def best(decay):
+            times = []
+            for _ in range(7):
+                a, cc = np.full(n, decay), c.copy()
+                t0 = time.perf_counter()
+                _scan_affine_maps(a, cc)
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        normal, underflowing = best(math.exp(-1e-3)), best(math.exp(-360.0))
+        assert underflowing <= 1.2 * normal, (underflowing, normal)
 
 
 class TestUltimateBound:

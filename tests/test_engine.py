@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dacsim
+import dacsim.cli
+import dacsim.svgplot
 from dacsim import csvformat
 from dacsim.bounds import BoundCurve
 from dacsim.config import load_scenario, validate_scenario
@@ -163,6 +165,63 @@ class TestErrorMetrics:
         assert fit_decay_rate(times, err) == pytest.approx(0.3, abs=0.01)
 
 
+class TestNoRowLoops:
+    """The Python-level work of the envelope, the SVG writer and the
+    trajectory packaging does not grow with the number of rows: their
+    loops over the stored samples are numpy passes.  The events are counted
+    with ``sys.settrace``, which sees every call and every executed line;
+    ``sys.setprofile`` sees only calls, so it would miss a loop whose body
+    calls nothing, as the envelope's step-by-step loop did."""
+
+    TARGETS = ((dacsim.bounds, "tracking_bound_curve"), (dacsim.svgplot, "render_svg"),
+               (dacsim.engine, "_package"))
+
+    def events(self, monkeypatch, tmp_path, name, horizon):
+        counts = dict.fromkeys(attr for _, attr in self.TARGETS)
+
+        def counted(fn, attr):
+            def run(*args, **kwargs):
+                n = 0
+
+                def tracer(frame, event, arg):
+                    nonlocal n
+                    n += 1
+                    return tracer
+
+                previous = sys.gettrace()
+                sys.settrace(tracer)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    sys.settrace(previous)
+                    counts[attr] = (counts[attr] or 0) + n
+            return run
+
+        with monkeypatch.context() as patch:
+            for module, attr in self.TARGETS:
+                patch.setattr(module, attr, counted(getattr(module, attr), attr))
+            raw = json.loads((SCENARIOS / f"{name}.json").read_text())
+            raw.update(horizon=horizon, tail_start=0.75 * horizon)
+            code, _ = dacsim.cli.execute(validate_scenario(raw, name=name),
+                                         tmp_path / str(horizon), svg=True, quiet=True)
+        assert code == 0
+        return counts
+
+    # 601 and 1201 rows: fewer than render_svg's 1500 points, so the SVG
+    # plots every row and its points double too
+    @pytest.mark.parametrize("name,horizon", [("static", 1.2), ("masked", 0.6)])
+    def test_events_do_not_grow_with_the_rows(self, monkeypatch, tmp_path, name, horizon):
+        dacsim.svgplot._tables()  # built once, on the first render
+        short = self.events(monkeypatch, tmp_path, name, horizon)
+        long = self.events(monkeypatch, tmp_path, name, 2 * horizon)
+        assert short["_package"] and short["render_svg"]
+        assert (short["tracking_bound_curve"] is None) == (name == "masked")
+        # 600 more rows may add one scan pass and a few axis ticks, not a
+        # loop over the rows
+        for attr, count in short.items():
+            assert (long[attr] or 0) - (count or 0) <= 40, (attr, short, long)
+
+
 class TestRunScenario:
     def test_deterministic_csv(self, tmp_path):
         cfg = load_scenario(SCENARIOS / "sampled_bias.json")
@@ -203,6 +262,23 @@ class TestRunScenario:
             _, report, _ = run_scenario(cfg)
             sups.append(report.per_agent_sup_error_tail)
         assert np.abs(sups[0] - sups[1]).max() <= 0.01 * np.abs(sups[1]).max()
+
+    def test_switching_ultimate_bound_is_the_envelope_limit(self):
+        # ramp inputs: ||Pi_N du|| is a constant gamma, so the envelope tends
+        # to kappa gamma / (beta lambda_hat_sigma), up to the trapezoid rule's
+        # factor x coth(x), x = beta lambda_hat_sigma h / 2 (1 + 3e-7 here)
+        raw = json.loads((SCENARIOS / "case1.json").read_text())
+        raw["inputs"] = {"signals": [
+            {"kind": "linear", "params": {"slope": slope, "intercept": 1.0}}
+            for slope in (0.5, -1.0, 2.0, 0.0, 1.5, -0.25)]}
+        raw["params"].update(kappa=2.5, lambda_hat_sigma=0.2)
+        raw.update(horizon=200.0, step=0.01, tail_start=150.0)
+        traj, _, curves = run_scenario(validate_scenario(raw, name="case1_ramps"))
+        gamma = float(traj.pi_udot.max())
+        assert traj.pi_udot.min() == pytest.approx(gamma, rel=1e-12)
+        assert traj.meta["ultimate_bound"] == pytest.approx(2.5 * gamma / 0.2, rel=1e-15)
+        assert curves["bound_tracking"].values[-1] == pytest.approx(
+            traj.meta["ultimate_bound"], rel=1e-6)
 
     def test_switching_run_has_no_envelope_without_kappa(self):
         cfg = load_scenario(SCENARIOS / "case1.json")
@@ -519,7 +595,7 @@ class TestRunStatistics:
         p = AlgorithmParams(1.0, 2.0,
                             theta=ThetaGain.constant(2.0) if protocol in Z_STATE_PROTOCOLS else None,
                             sat_limits=4.0 if protocol == "dc1_sat" else None,
-                            psi=math.sin if protocol == "dc3" else None)
+                            psi=np.sin if protocol == "dc3" else None)
         state = AgentState(x=x0, v=np.zeros(6),
                            z=x0.copy() if protocol in Z_STATE_PROTOCOLS else None)
         topology = case2_schedule() if switching else ring6
@@ -531,7 +607,7 @@ class TestRunStatistics:
     def test_partial_trajectory_keeps_them(self, protocol, ring6):
         # affine (dc1) and closure (dc3) divergences, inside the first block
         inputs = preset_scenario("case2")
-        p = AlgorithmParams(3.0, 10.0, theta=ThetaGain.constant(1.0), psi=math.cos)
+        p = AlgorithmParams(3.0, 10.0, theta=ThetaGain.constant(1.0), psi=np.cos)
         state = AgentState(x=np.zeros(6), v=np.zeros(6), z=np.zeros(6))
         with pytest.raises(DivergenceError) as err:
             simulate_protocol(protocol, ring6, inputs, p, state, h=0.25, T=100.0)
@@ -759,6 +835,38 @@ class TestBlockwiseCsv:
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)
         assert result["blocks"] >= 150
+        assert result["faults"] <= 20 * result["blocks"], result
+
+    def test_fresh_run_writes_without_heap_churn(self, tmp_path):
+        # The same bound in a whole `dacsim run` of static.json, whose
+        # allocations left malloc's trim threshold at its initial 128 KB:
+        # before the writer freed a mmapped chunk of its own, its 79 blocks
+        # faulted about 4 900 times (62 a block).
+        code = """if True:
+            import json, resource, sys
+            from dacsim import cli, engine
+            from dacsim.config import load_scenario
+            result = {}
+
+            def write(path, traj, curves):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                engine.write_trajectory_csv(path, traj, curves)
+                result["faults"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+                rows = engine.CSV_CELLS // (3 * traj.n + 2 + len(curves))  # a block's rows
+                result["blocks"] = -(-traj.times.size // rows)
+
+            cli.write_trajectory_csv = write
+            cli.execute(load_scenario(sys.argv[1]), sys.argv[2], svg=True, quiet=True)
+            print(json.dumps(result))
+        """
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+               "PYTHONPATH": str(Path(dacsim.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code, str(SCENARIOS / "static.json"),
+                               str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["blocks"] >= 70
         assert result["faults"] <= 20 * result["blocks"], result
 
 

@@ -181,7 +181,7 @@ class TestTrajectoryProperties:
             v0 = rng.uniform(-2, 2, 6)
             for protocol in ("dc1", "dc2", "dc3"):
                 p = AlgorithmParams(alpha=1.0, beta=1.0, theta=theta,
-                                    psi=math.sin if protocol == "dc3" else None)
+                                    psi=np.sin if protocol == "dc3" else None)
                 has_z = protocol != "dc1"
                 st = AgentState(x=x0, v=v0, z=x0.copy() if has_z else None)
                 traj = simulate_protocol(protocol, g, inputs, p, st, h=1e-3, T=8.0)
@@ -196,7 +196,7 @@ class TestTrajectoryProperties:
         st = AgentState(x=x0, v=np.zeros(6), z=x0.copy())
         base = simulate_protocol("dc2", g, inputs, AlgorithmParams(1.0, 1.0, theta=theta),
                                  st, h=1e-3, T=6.0)
-        for psi in (lambda t: 0.0, math.sin, lambda t: 10.0 + 5.0 * t):
+        for psi in (lambda t: 0.0, np.sin, lambda t: 10.0 + 5.0 * t):
             p = AlgorithmParams(1.0, 1.0, theta=theta, psi=psi)
             traj = simulate_protocol("dc3", g, inputs, p, st, h=1e-3, T=6.0)
             for a, b in ((traj.x, base.x), (traj.v, base.v), (traj.z, base.z)):
