@@ -1,0 +1,8 @@
+"""``python -m dacsim``: the ``dacsim`` command line (``dacsim.cli``)."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

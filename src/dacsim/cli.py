@@ -30,6 +30,9 @@ EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO = 0, 1, 2, 3
 
 def _load_with_overrides(path, seed=None, step=None):
     cfg = load_scenario(path)
+    if step is not None and cfg.protocol == "dcdisc":
+        raise ConfigError([f"--step {step:g} does not apply to dcdisc, which steps by "
+                           '"params.delta"; set "params.delta" in the config instead'])
     if seed is None and step is None:
         return cfg
     data = dict(cfg.raw)
@@ -221,7 +224,8 @@ def _common_flags(p):
     p.add_argument("--out", default="out", help="output directory (default: ./out)")
     p.add_argument("--svg", action="store_true", help="also write an SVG plot")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--step", type=float, default=None, help="override the integration step")
+    p.add_argument("--step", type=float, default=None,
+                   help="override the integration step of a continuous protocol")
 
 
 def main(argv=None) -> int:

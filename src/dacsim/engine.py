@@ -64,10 +64,14 @@ class DivergenceError(RuntimeError):
 
 @dataclass(eq=False)
 class Trajectory:
-    """Uniformly sampled run: states per stored time, the applied (possibly
-    clamped) velocity commands, and for masked runs the transmitted payloads.
-    ``avg_u`` and ``pi_udot`` (||Pi_N u_dot||, None for dcdisc) are the input
-    statistics at the stored times, taken from the samples the run stepped on."""
+    """Uniformly sampled run: states per stored time, and for masked runs the
+    transmitted payloads.  ``commands`` is the closure path's applied
+    (clamped, for the saturated protocols) x-velocity command, the stage-1
+    rows of dc1_sat, dc2_sat, dc3 and a dc2 with a time-varying gain; it is
+    None on the affine path (dc1, dc2 with a constant gain) and for dcdisc,
+    whose outputs do not read it.  ``avg_u`` and ``pi_udot`` (||Pi_N u_dot||,
+    None for dcdisc) are the input statistics at the stored times, taken
+    from the samples the run stepped on."""
 
     times: np.ndarray
     x: np.ndarray
@@ -221,7 +225,7 @@ def _protocol_rhs(protocol: str, topology, inputs, p: AlgorithmParams, h: float,
         step_graph = np.empty(int(round(T / h)) + 1, dtype=np.intp)
         for k0, k1, idx in _step_pieces(topology, h, T):
             step_graph[k0:k1] = idx
-        # the last stored point takes the digraph active there, as in _affine_run
+        # the last stored point's stage-1 command takes the digraph active there
         step_graph[-1] = graph_at(topology, T)
 
         def rhs(t, y, ts):
@@ -300,15 +304,16 @@ def _affine_scan(incr: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _affine_run(protocol, topology, inputs: InputSet, p: AlgorithmParams,
-                y0: np.ndarray, n: int, h: float, T: float):
+                y0: np.ndarray, h: float, T: float):
     """Step the linear protocols as y_{k+1} = y_k + N_sigma y_k + c_k, one
     switching segment at a time, forming c_k in blocks of AFFINE_BLOCK steps
     from one input evaluation on the block's stage times.  Within a block
     from y = y_{k0}, y_{k0+1+j} = y + w_j where w is the scan of
-    g_j = c_j + N y (``_affine_scan``).  Returns (times, states, commands,
-    avg_u, pi_udot) with commands[k] = the x rows of A_sigma y_k + b(t_k)
-    and the input statistics read off the stage samples at the stored times;
-    a divergence's partial trajectory carries them as far as it reaches."""
+    g_j = c_j + N y (``_affine_scan``).  Returns (times, states, avg_u,
+    pi_udot) with the input statistics read off the stage samples at the
+    stored times; a divergence's partial trajectory carries them as far as
+    it reaches.  A block's divergence check reads its largest and smallest
+    entries, and locates the first bad row only when one of them fails."""
     switching = isinstance(topology, SwitchingSchedule)
     if not switching and not isinstance(topology, WeightedDigraph):
         raise TypeError("topology must be a WeightedDigraph or a SwitchingSchedule")
@@ -319,17 +324,15 @@ def _affine_run(protocol, topology, inputs: InputSet, p: AlgorithmParams,
 
     def system(idx):
         if idx not in systems:
-            a, e = _affine_system(protocol, laplacian(graphs[idx]), p)
-            systems[idx] = (a[:n],) + _rk4_affine(a, e, h)
+            systems[idx] = _rk4_affine(*_affine_system(protocol, laplacian(graphs[idx]), p), h)
         return systems[idx]
 
     out = np.empty((times.size, y0.size))
-    commands = np.empty((times.size, n))
     avg_u, pi_udot = np.empty(times.size), np.empty(times.size)
     out[0] = y0
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
         for k_start, k_end, idx in pieces:
-            a_x, incr, q0, qh, q1 = system(idx)
+            incr, q0, qh, q1 = system(idx)
             for k0 in range(k_start, k_end, AFFINE_BLOCK):
                 k1 = min(k0 + AFFINE_BLOCK, k_end)
                 u, du = inputs.eval_all(_half_steps(times[k0:k1 + 1], h))
@@ -340,16 +343,13 @@ def _affine_run(protocol, topology, inputs: InputSet, p: AlgorithmParams,
                 c = f[0:-1:2] @ q0.T + f[1::2] @ qh.T + f[2::2] @ q1.T
                 y = out[k0]
                 c += incr @ y  # g_j, scanned in place
-                np.add(y, _affine_scan(incr, c), out=out[k0 + 1:k1 + 1])
-                commands[k0:k1] = out[k0:k1] @ a_x.T + f[0:-1:2]  # E's x rows are I
-                peak = np.abs(out[k0 + 1:k1 + 1]).max(axis=1)
-                bad = np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))
-                if bad.size:
-                    raise _divergence(peak[bad[0]], times, out, k0 + 1 + bad[0],
-                                      avg_u, pi_udot)
-    # the last stored point takes the digraph active there, as integrate's does
-    commands[-1] = out[-1] @ system(graph_at(topology, times[-1]) if switching else 0)[0].T + f[-1]
-    return times, out, commands, avg_u, pi_udot
+                block = np.add(y, _affine_scan(incr, c), out=out[k0 + 1:k1 + 1])
+                # NaN fails both comparisons
+                if not (block.max() <= DIVERGENCE_LIMIT and -block.min() <= DIVERGENCE_LIMIT):
+                    peak = np.abs(block).max(axis=1)
+                    bad = np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))[0]
+                    raise _divergence(peak[bad], times, out, k0 + 1 + bad, avg_u, pi_udot)
+    return times, out, avg_u, pi_udot
 
 
 def _table_stats(table: InputTable, rows: int):
@@ -385,8 +385,8 @@ def simulate_protocol(protocol: str, topology, inputs: InputSet, p: AlgorithmPar
     y0 = state0.pack() if has_z else np.concatenate((state0.x, state0.v))
     try:
         if affine:
-            times, ys, commands, avg_u, pi_udot = _affine_run(
-                protocol, topology, inputs, p, y0, n, h, T)
+            times, ys, avg_u, pi_udot = _affine_run(protocol, topology, inputs, p, y0, h, T)
+            commands = None
         else:
             times, ys, stage1 = integrate(rhs, y0, h, T, events=events)
             commands = stage1[:, :n]
@@ -610,8 +610,9 @@ def run_scenario(cfg):
                 traj.times, b, series, transient=s_values)
 
     if ult is not None:
+        # one number seen at every stored time: a read-only view, no array
         curves["bound_ultimate"] = bnd.BoundCurve(
-            grid=traj.times, values=np.full(traj.times.shape, ult))
+            grid=traj.times, values=np.broadcast_to(ult, traj.times.shape))
 
     report = error_metrics(
         traj, inputs, cfg.tail_start,
@@ -633,7 +634,11 @@ def write_trajectory_csv(path, traj: Trajectory, curves=None):
     prepends its iteration index k.  Twelve significant digits throughout
     (%.12g, which prints the integer k as an integer).  Rows are formatted
     about CSV_CELLS cells at a time so the table is never built whole, each
-    block by ``csvformat.format_g12``, byte for byte as ``"%.12g" %``."""
+    block by ``csvformat.format_g12``, byte for byte as ``"%.12g" %``.  One
+    (block rows x columns) buffer serves every block: each column range is
+    copied into it from a view of the trajectory or curve, and the err
+    columns are subtracted into it, so a block makes no temporaries of its
+    own."""
     # imported here, not with the package: without cached bytecode its
     # compile would lengthen the set-up of every run, not only of those
     # that write a CSV
@@ -641,36 +646,43 @@ def write_trajectory_csv(path, traj: Trajectory, curves=None):
 
     curves = curves or {}
     n = traj.n
-    header = (["k"] if traj.k_index is not None else []) + ["t"]
-    for prefix, part in (("x", traj.x), ("v", traj.v), ("z", traj.z)):
-        if part is not None:
-            header += [f"{prefix}{i + 1}" for i in range(n)]
-    header += ["avg"] + [f"err{i + 1}" for i in range(n)]
-    bounds = [name for name in ("bound_s", "bound_tracking", "bound_ultimate") if name in curves]
-    header += bounds
+    header, fills = [], []  # column names; (column range, rows x width view) pairs
 
-    def columns(a, b):
-        cols = [traj.k_index[a:b, None]] if traj.k_index is not None else []
-        cols += [traj.times[a:b, None], traj.x[a:b], traj.v[a:b]]
-        if traj.z is not None:
-            cols.append(traj.z[a:b])
-        avg = traj.avg_u[a:b, None]
-        cols += [avg, traj.x[a:b] - avg]
-        cols += [curves[name].values[a:b, None] for name in bounds]
-        return np.hstack(cols, dtype=float)
+    def add(names, part):
+        fills.append((slice(len(header), len(header) + len(names)), part))
+        header.extend(names)
+
+    for prefix, part in (("k", traj.k_index), ("t", traj.times), ("x", traj.x),
+                         ("v", traj.v), ("z", traj.z), ("avg", traj.avg_u)):
+        if part is not None:
+            if part.ndim == 1:
+                add([prefix], part[:, None])
+            else:
+                add([f"{prefix}{i + 1}" for i in range(n)], part)
+    err = slice(len(header), len(header) + n)
+    header += [f"err{i + 1}" for i in range(n)]
+    for name in ("bound_s", "bound_tracking", "bound_ultimate"):
+        if name in curves:
+            add([name], curves[name].values[:, None])
 
     rows = len(traj.times)
     block = max(1, CSV_CELLS // len(header))
+    cells = np.empty((min(block, rows), len(header)))
     # glibc's malloc gives the free top of the heap back to the system once
     # it exceeds the trim threshold, and raises that threshold (to twice the
     # chunk) only when it frees a chunk it had mmapped.  Left at its initial
-    # 128 KB, it trims each block's temporaries (about 1.5 MB) away, and
-    # they fault in again on the next block: 4 900 minor faults in
-    # static's writer against 100.  Whether some earlier free raised it
+    # 128 KB, it trims format_g12's per-block temporaries (about 1.4 MB)
+    # away, and they fault in again on the next block: 2 400 minor faults in
+    # static's writer against 35.  Whether some earlier free raised it
     # depends on the whole run, so the writer frees one mmapped chunk
     # first.  np.empty touches none of its pages.
     np.empty(CSV_HEAP_PRIME // 8)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for a in range(0, rows, block):
-            fh.write(format_g12(columns(a, a + block)))
+            b = min(a + block, rows)
+            out = cells[:b - a]
+            for cols, part in fills:
+                out[:, cols] = part[a:b]
+            np.subtract(traj.x[a:b], traj.avg_u[a:b, None], out=out[:, err])
+            fh.write(format_g12(out))

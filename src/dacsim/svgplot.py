@@ -103,8 +103,9 @@ def _points(xs, ys) -> str:
 
 def render_svg(path, traj, title: str = "", width: int = 880, height: int = 500,
                max_points: int = 1500):
-    """Write an SVG of every agent's x trace plus the network input average."""
-    stride = max(1, len(traj.times) // max_points)
+    """Write an SVG of every agent's x trace plus the network input average,
+    each polyline through at most ``max_points`` evenly strided rows."""
+    stride = -(-len(traj.times) // max_points)  # ceil: rows / stride <= max_points
     t = traj.times[::stride]
     xs = traj.x[::stride]
     avg = traj.avg_u[::stride]

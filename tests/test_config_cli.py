@@ -252,6 +252,39 @@ class TestCli:
         main(["run", str(path), "--out", str(out), "--seed", "99"])
         assert (out / "sampled_bias.csv").read_bytes() != first
 
+    def test_step_override_is_a_config_error_for_dcdisc(self, tmp_path, capsys):
+        # dcdisc steps by params.delta, which --step used to leave as it was
+        data = json.loads((SCENARIOS / "sampled_bias.json").read_text())
+        data.update(horizon=10.0, tail_start=8.0)
+        path = self.write(tmp_path, data, "sampled_bias.json")
+        out = tmp_path / "out"
+        for argv in (["run", str(path)], ["batch", str(tmp_path)]):
+            assert main(argv + ["--out", str(out), "--step", "0.37"]) == EXIT_CONFIG
+            assert '"params.delta"' in capsys.readouterr().out
+            assert not out.exists() or not any(out.iterdir())
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_OK
+
+    def test_step_override_sets_the_continuous_step(self, tmp_path):
+        self.write(tmp_path, tiny_scenario(), "tiny.json")
+        for argv, out in ((["run", str(tmp_path / "tiny.json")], tmp_path / "run"),
+                          (["batch", str(tmp_path)], tmp_path / "batch")):
+            assert main(argv + ["--out", str(out), "--step", "0.05"]) == EXIT_OK
+            times = np.loadtxt(out / "tiny.csv", delimiter=",", skiprows=1, usecols=0)
+            np.testing.assert_allclose(times, np.arange(41) * 0.05, rtol=0, atol=1e-12)
+
+    def test_module_entry_point(self):
+        # python -m dacsim runs the command line; importing the package
+        # does not import its __main__
+        proc = subprocess.run([sys.executable, "-m", "dacsim", "presets"],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "case1.json" in proc.stdout
+        proc = subprocess.run([sys.executable, "-c",
+                               "import sys, dacsim; print('dacsim.__main__' in sys.modules)"],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_console_script_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "dacsim.cli", "presets"],
                               capture_output=True, text=True)

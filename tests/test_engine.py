@@ -360,7 +360,20 @@ def assert_paths_agree(protocol, topology, inputs, p, x0, v0, h, T, z0=None):
     scale = max(1.0, float(np.abs(closure).max()))
     gap = float(np.abs(affine - closure).max())
     assert gap <= 1e-12 * scale, (gap, scale)
-    assert float(np.abs(traj.commands - stage1[:, :len(x0)]).max()) <= 1e-11 * scale
+    assert traj.commands is None  # no output reads it on the affine path
+    # the affine x-row command A_sigma y_k + f(t_k), f = du + alpha u (E's x
+    # rows are I), with the digraph the closure ran from t_k
+    n = len(x0)
+    u, du = inputs.eval_all(times)
+    commands = du + p.alpha * u
+    switching = isinstance(topology, SwitchingSchedule)
+    graphs = topology.graphs if switching else (topology,)
+    index = np.array([graph_at(topology, t) if switching else 0 for t in times])
+    for idx in np.unique(index):
+        rows = index == idx
+        a, _ = _affine_system(protocol, laplacian(graphs[idx]), p)
+        commands[rows] += affine[rows] @ a[:n].T
+    assert float(np.abs(commands - stage1[:, :n]).max()) <= 1e-11 * scale
 
 
 class TestAffinePath:
@@ -447,6 +460,26 @@ class TestAffinePath:
         assert len(partial.times) == len(times) < int(T / h)
         state = np.hstack((partial.x, partial.v))
         np.testing.assert_allclose(state, states, rtol=1e-9)
+        assert np.abs(state[-1]).max() > 1e12 >= np.abs(state[:-1]).max()
+
+    def test_divergence_of_one_sign(self, ring6):
+        # every agent at x = -1 with zero inputs: the consensus mode decays at
+        # rate alpha, and RK4 at h alpha = 3 multiplies it by 1.375 a step, so
+        # x grows negative only.  It passes -1e12 at t = 21.75; the horizon
+        # ends three steps later, while v's roundoff is still far below the
+        # limit, so a check of the block's largest entry alone would miss it
+        p = AlgorithmParams(12.0, 1.0)
+        h, T = 0.25, 22.5
+        with pytest.raises(DivergenceError) as affine:
+            simulate_protocol("dc1", ring6, constants([0.0] * 6), p,
+                              AgentState(x=-np.ones(6), v=np.zeros(6)), h=h, T=T)
+        with pytest.raises(DivergenceError) as closure:
+            closure_run("dc1", ring6, constants([0.0] * 6), p,
+                        np.concatenate((-np.ones(6), np.zeros(6))), h, T)
+        partial = affine.value.partial
+        assert affine.value.t == closure.value.t
+        assert partial.x.max() < 0.0
+        state = np.hstack((partial.x, partial.v))
         assert np.abs(state[-1]).max() > 1e12 >= np.abs(state[:-1]).max()
 
     def test_divergence_cli_exit_and_partial(self, tmp_path, capsys):
@@ -570,15 +603,22 @@ def assert_stats_are_the_inputs(traj, inputs):
     assert np.array_equal(traj.pi_udot, pi_udot_series(inputs, traj.times)[0])
 
 
-def transient_arrays(run):
-    """Peak minus retained traced memory of run(), whose result starts with
-    its Trajectory, in (rows x n) float64 arrays."""
+def traced(run):
+    """(result, retained, peak): run()'s result and the traced memory it
+    leaves allocated while the result is held, and at its peak."""
     tracemalloc.start()
     try:
         result = run()
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, current, peak
+
+
+def transient_arrays(run):
+    """Peak minus retained traced memory of run(), whose result starts with
+    its Trajectory, in (rows x n) float64 arrays."""
+    result, current, peak = traced(run)
     return (peak - current) / result[0].x.nbytes
 
 
@@ -642,6 +682,23 @@ class TestRunStatistics:
         raw.update(horizon=horizon, tail_start=0.75 * horizon)
         cfg = validate_scenario(raw, name=fname)
         assert transient_arrays(lambda: run_scenario(cfg)) <= limit
+
+    @pytest.mark.parametrize("fname", ["case1.json", "static.json"])
+    def test_affine_run_keeps_only_what_it_prints(self, fname):
+        # the state matrix, the times and input statistics, and the curves
+        # that own their values: the stage-1 commands (rows x n) are not
+        # kept, and the constant ultimate bound is a broadcast number
+        raw = json.loads((SCENARIOS / fname).read_text())
+        raw.update(horizon=20.0, tail_start=15.0)
+        cfg = validate_scenario(raw, name=fname)
+        (traj, _, curves), kept, _ = traced(lambda: run_scenario(cfg))
+        assert traj.commands is None
+        arrays = [traj.x.base, traj.times, traj.avg_u, traj.pi_udot]
+        arrays += [c.values for c in curves.values() if c.values.strides != (0,)]
+        assert len(arrays) == (6 if fname == "static.json" else 4)
+        # 64 KB for the report and the small arrays: measured 4.2-12 KB,
+        # where the commands took 469 KB (static) and 938 KB (case1)
+        assert kept <= sum(a.nbytes for a in arrays) + 2 ** 16, kept
 
     def test_discrete_run_keeps_one_buffer(self):
         # the (z, v, u) rows are the trajectory's storage: the inputs are

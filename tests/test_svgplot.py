@@ -1,10 +1,13 @@
 import math
+from xml.etree import ElementTree
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from dacsim.svgplot import INT_DIGITS, _points, _tables
+from dacsim.engine import Trajectory
+from dacsim.svgplot import INT_DIGITS, _points, _tables, render_svg
 
 EDGE = 10.0 ** INT_DIGITS  # the tables cover 0 <= x < EDGE
 
@@ -44,3 +47,20 @@ def test_tables():
         (b"%d" % q).rjust(INT_DIGITS, b"\0").ljust(8, b"\0") for q in range(int(EDGE))]
     assert [w.tobytes() for w in fracs] == [
         (b"\0" * INT_DIGITS + b".%02d" % r).ljust(8, b"\0") for r in range(100)]
+
+
+@pytest.mark.parametrize("rows", [1500, 1501, 2999, 3000, 28001])
+def test_max_points_caps_every_polyline(rows, tmp_path):
+    times = np.arange(rows) * 0.01
+    x = np.column_stack((np.sin(times), np.cos(times)))
+    traj = Trajectory(times=times, x=x, v=np.zeros_like(x), avg_u=x.mean(axis=1),
+                      protocol="dc1")
+    render_svg(tmp_path / "p.svg", traj, max_points=1500)
+    lines = [el.get("points").split(" ")
+             for el in ElementTree.parse(tmp_path / "p.svg").getroot().iter()
+             if el.tag.endswith("polyline")]
+    assert len(lines) == traj.n + 1
+    # the densest even stride of the rows that the cap admits
+    fit = next(len(range(0, rows, s)) for s in range(1, rows + 1)
+               if len(range(0, rows, s)) <= 1500)
+    assert all(len(points) == fit for points in lines)
