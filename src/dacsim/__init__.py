@@ -17,29 +17,11 @@ from .graphs import (
     strongly_connected_components,
     topology_preset,
 )
-from .signals import (
-    InputSet,
-    InputSignal,
-    InputTable,
-    SignalStats,
-    disagreement_gamma,
-    discrete_disagreement_gamma,
-    eval_input,
-    make_signal,
-    network_average,
-    preset_scenario,
-)
-from .protocols import (
-    AgentState,
-    AlgorithmParams,
-    ThetaGain,
-    init_state,
-)
+from .signals import InputSet, InputSignal, make_signal, preset_scenario
+from .protocols import AgentState, AlgorithmParams, ThetaGain
 from .discrete import (
-    DiscreteState,
     SemiConvergenceReport,
     StepSize,
-    dcdisc_step,
     make_stepsize,
     max_stepsize,
     pdelta_spectrum_check,
@@ -51,16 +33,7 @@ from .switching import (
     union_digraph,
     validate_admissible,
 )
-from .bounds import (
-    BoundCurve,
-    BoundInputs,
-    convergence_rate,
-    tracking_bound_curve,
-    transient_bound_s,
-    ultimate_bound,
-    zero_error_class_check,
-    zero_system_equilibrium,
-)
+from .bounds import BoundCurve, BoundInputs, tracking_bound_curve, transient_bound_s, ultimate_bound
 from .engine import (
     DivergenceError,
     ErrorReport,
@@ -70,7 +43,6 @@ from .engine import (
     run_scenario,
     simulate_discrete,
     simulate_protocol,
-    simulate_zero_system,
     write_trajectory_csv,
 )
 from .config import ConfigError, ScenarioConfig, load_scenario

@@ -1,10 +1,9 @@
 """Closed-form performance guarantees of the tracker family, evaluated
 numerically for comparison against simulated trajectories.
 
-Everything here is a scalar envelope: the zero-system equilibrium offset, the
-transient envelope s(t), the full tracking-error bound (s(t) plus a fading
-convolution of the input-derivative disagreement), the ultimate bounds, decay
-rates, and the zero-steady-state-error input-class tests.  In switching mode
+Everything here is a scalar envelope: the transient envelope s(t), the full
+tracking-error bound (s(t) plus a fading convolution of the input-derivative
+disagreement) and the ultimate bounds.  In switching mode
 the connectivity constant lambda_hat_2 is replaced by a user-supplied
 lambda_hat_sigma and the terms that come from the consensus-subspace
 transition matrix pick up the user's overshoot constant kappa; no constructive
@@ -14,7 +13,6 @@ recipe exists for those two numbers, so callers must treat the defaults
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,13 +21,9 @@ import numpy as np
 __all__ = [
     "BoundInputs",
     "BoundCurve",
-    "ZeroErrorCheck",
-    "zero_system_equilibrium",
     "transient_bound_s",
     "tracking_bound_curve",
     "ultimate_bound",
-    "convergence_rate",
-    "zero_error_class_check",
     "project_disagreement",
 ]
 
@@ -60,7 +54,6 @@ class BoundInputs:
     w0_norm: float
     udot0_norm: float = 0.0
     gamma: float = 0.0
-    re_lambda_2: Optional[float] = None
     kappa: Optional[float] = None
     lambda_hat_sigma: Optional[float] = None
 
@@ -87,7 +80,7 @@ class BoundInputs:
 
     @classmethod
     def from_initial(cls, x0, v0, u0, du0, alpha, beta, lambda_hat_2, gamma=0.0,
-                     re_lambda_2=None, kappa=None, lambda_hat_sigma=None) -> "BoundInputs":
+                     kappa=None, lambda_hat_sigma=None) -> "BoundInputs":
         """Build the norms from raw initial data."""
         x0 = np.asarray(x0, dtype=float)
         u0 = np.asarray(u0, dtype=float)
@@ -98,7 +91,7 @@ class BoundInputs:
         return cls(alpha=alpha, beta=beta, lambda_hat_2=lambda_hat_2,
                    y0_norm=float(np.linalg.norm(y0)), w0_norm=float(np.linalg.norm(w0)),
                    udot0_norm=float(np.linalg.norm(du0)), gamma=gamma,
-                   re_lambda_2=re_lambda_2, kappa=kappa, lambda_hat_sigma=lambda_hat_sigma)
+                   kappa=kappa, lambda_hat_sigma=lambda_hat_sigma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,18 +104,6 @@ class BoundCurve:
     def __post_init__(self):
         if np.any(self.values < 0) or not np.all(np.isfinite(self.values)):
             raise ValueError("bound curves must be finite and nonnegative")
-
-
-def zero_system_equilibrium(v0_or_w0, alpha: float) -> tuple[float, float]:
-    """Limits of the homogeneous dynamics: every shifted agreement state goes
-    to -(1/(alpha N)) Sum w^j(0) and every integral state to the mean of w(0)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    w0 = np.asarray(v0_or_w0, dtype=float)
-    if w0.size == 0:
-        raise ValueError("need at least one agent")
-    total = float(w0.sum())
-    return -total / (alpha * w0.size), total / w0.size
 
 
 def _branch_factor(t, alpha: float, blam: float, kappa: float, ea, eb):
@@ -259,90 +240,3 @@ def ultimate_bound(beta: float, lambda_hat_2: float, gamma: float,
     if delta <= 0:
         raise ValueError("delta must be positive")
     return kappa * gamma / (delta * beta * lambda_hat_2)
-
-
-def convergence_rate(alpha: float, beta: float, re_lambda_2: float,
-                     lambda_hat_2: float,
-                     theta_min: Optional[float] = None) -> tuple[float, float]:
-    """(ode_rate, bound_rate): the eigenvalue decay rate min(alpha,
-    beta Re(lambda_2)) and the envelope decay rate min(alpha,
-    beta lambda_hat_2); a motion-filter floor theta_min caps both."""
-    if min(alpha, beta, re_lambda_2, lambda_hat_2) <= 0:
-        raise ValueError("all rate arguments must be positive")
-    ode_rate = min(alpha, beta * re_lambda_2)
-    bound_rate = min(alpha, beta * lambda_hat_2)
-    if theta_min is not None:
-        if theta_min <= 0:
-            raise ValueError("theta_min must be positive")
-        ode_rate = min(ode_rate, theta_min)
-        bound_rate = min(bound_rate, theta_min)
-    return ode_rate, bound_rate
-
-
-@dataclass(frozen=True)
-class ZeroErrorCheck:
-    """Numeric verdicts for the zero-steady-state-error input classes.
-
-    Condition (a): du^i + alpha u^i approaches a common function.
-    Condition (b): ddu^i + alpha du^i approaches a common function.
-    A condition "holds" when the max pairwise spread either ends below the
-    tolerance or at least halves across the inspected grid.  These are grid
-    observations, not proofs.
-    """
-
-    holds_a: bool
-    holds_b: bool
-    spread_a: tuple
-    spread_b: tuple
-    tol: float
-    evidence: str = "numeric evidence"
-
-
-def _spread_verdict(spreads: np.ndarray, tol: float) -> tuple[bool, tuple]:
-    head = float(np.mean(spreads[: max(1, spreads.size // 10)]))
-    tail = float(np.mean(spreads[-max(1, spreads.size // 10):]))
-    holds = tail <= tol or tail <= 0.5 * max(head, tol)
-    return holds, (head, tail)
-
-
-def zero_error_class_check(inputs, alpha: float, grid, delta: Optional[float] = None,
-                           tol: float = 1e-3, h_dd: float = 1e-4) -> ZeroErrorCheck:
-    """Test both zero-error input classes on a (tail) grid.
-
-    Continuous mode differences the modeled derivative to get ddu.  With
-    ``delta`` the discrete analogues are tested instead, on samples
-    u(k delta) covering the same span: Delta u + delta alpha u  and
-    Delta u(k+1) - Delta u(k) + delta alpha Delta u(k).
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 10:
-        raise ValueError("grid too short for a trend verdict (need >= 10 points)")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-
-    if delta is None:
-        u, du = inputs.eval_all(grid)
-        lo = np.maximum(grid - h_dd, 0.0)
-        ddu = (inputs.derivatives(grid + h_dd) - inputs.derivatives(lo)) / (grid + h_dd - lo)[:, None]
-        ea = du + alpha * u
-        eb = ddu + alpha * du
-    else:
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        k_lo = int(math.floor(grid[0] / delta))
-        k_hi = int(math.floor(grid[-1] / delta))
-        if k_hi - k_lo < 10:
-            raise ValueError("grid span too short for the discrete check")
-        u = inputs.values(np.arange(k_lo, k_hi + 3) * delta)
-        dif = np.diff(u, axis=0)
-        ea = dif[:-1] + delta * alpha * u[:-2]
-        eb = dif[1:] - dif[:-1] + delta * alpha * dif[:-1]
-    spread_a = ea.max(axis=1) - ea.min(axis=1)
-    spread_b = eb.max(axis=1) - eb.min(axis=1)
-
-    holds_a, span_a = _spread_verdict(spread_a, tol)
-    holds_b, span_b = _spread_verdict(spread_b, tol)
-    return ZeroErrorCheck(holds_a=holds_a, holds_b=holds_b,
-                          spread_a=span_a, spread_b=span_b, tol=tol)

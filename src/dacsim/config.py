@@ -1,5 +1,6 @@
-"""Scenario configuration: strict JSON schema, full-diagnostic validation,
-and builders that turn a config into the simulator's objects.
+"""Scenario configuration: strict JSON schema and full-diagnostic
+validation, which builds the simulator's objects once and keeps them on the
+config.
 
 Validation is collect-everything: a bad file reports every violation at once,
 and unknown keys are rejected with a closest-match suggestion so typos like
@@ -16,12 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .engine import check_on_grid
-from .graphs import graph_from_json, is_strongly_connected, is_weight_balanced, topology_preset
+from .graphs import graph_from_json, is_strongly_connected, is_weight_balanced
 from .protocols import PROTOCOL_IDS, Z_STATE_PROTOCOLS, AlgorithmParams, ThetaGain
 from .signals import SCENARIO_PRESETS, InputSet, preset_scenario, signal_from_json
 from .switching import schedule_from_json, validate_admissible
 
-__all__ = ["ScenarioConfig", "ConfigError", "load_scenario", "validate_scenario", "scenario_to_json"]
+__all__ = ["ScenarioConfig", "ConfigError", "load_scenario", "validate_scenario"]
 
 TOP_KEYS = {
     "name", "description", "graph", "schedule", "protocol", "params", "inputs",
@@ -50,10 +51,11 @@ class ConfigError(ValueError):
 
 @dataclass(eq=False)
 class ScenarioConfig:
-    """A validated scenario.  ``raw`` is the exact JSON content; the build_*
-    methods construct fresh simulator objects from it.  ``n`` is the agent
-    count, resolved once at validation.  ``outputs`` maps each output kind
-    to its file name, custom or default, no two of them the same file."""
+    """A validated scenario.  ``raw`` is the exact JSON content.  ``n``, the
+    topology, the inputs and the parameters are built once, at validation,
+    and the build_* methods return those objects, so every run of the
+    config shares them.  ``outputs`` maps each output kind to its file
+    name, custom or default, no two of them the same file."""
 
     raw: dict
     name: str
@@ -70,35 +72,21 @@ class ScenarioConfig:
     v0: np.ndarray = field(default=None)
     z0: np.ndarray = field(default=None)
     outputs: dict = field(default_factory=dict)
+    topology: object = field(default=None, repr=False)
+    inputs: InputSet = field(default=None, repr=False)
+    params: AlgorithmParams = field(default=None, repr=False)
 
     def __eq__(self, other):
         return isinstance(other, ScenarioConfig) and self.raw == other.raw
 
     def build_topology(self):
-        if "graph" in self.raw:
-            return _build_graph(self.raw["graph"])
-        return schedule_from_json(self.raw["schedule"])
+        return self.topology
 
     def build_inputs(self) -> InputSet:
-        spec = self.raw["inputs"]
-        if "preset" in spec:
-            return preset_scenario(spec["preset"], seed=self.seed)
-        return InputSet(signals=tuple(signal_from_json(s) for s in spec["signals"]))
+        return self.inputs
 
     def build_params(self) -> AlgorithmParams:
-        p = self.raw["params"]
-        n = self.n
-        theta = _build_theta(p["theta"], n) if "theta" in p else None
-        sat = _per_agent(p["sat_limits"], n) if "sat_limits" in p else None
-        psi = signal_from_json(p["psi"]).value if "psi" in p else None
-        return AlgorithmParams(alpha=float(p["alpha"]), beta=float(p["beta"]),
-                               theta=theta, sat_limits=sat, psi=psi)
-
-
-def _build_graph(spec):
-    if isinstance(spec, dict) and "preset" in spec:
-        return topology_preset(spec["preset"])
-    return graph_from_json(spec)
+        return self.params
 
 
 def _per_agent(value, n) -> np.ndarray:
@@ -186,7 +174,7 @@ def validate_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
     topology = None
     if has_graph != has_schedule:
         try:
-            topology = _build_graph(data["graph"]) if has_graph \
+            topology = graph_from_json(data["graph"]) if has_graph \
                 else schedule_from_json(data["schedule"])
         except (ValueError, TypeError) as exc:
             problems.append(f'bad "graph"/"schedule": {exc}')
@@ -197,10 +185,12 @@ def validate_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         problems.append('"params" object is required')
         params = {}
     _check_keys(params, PARAM_KEYS, '"params"', problems)
+    before = len(problems)
     for gain in ("alpha", "beta"):
         value = params.get(gain)
         if not isinstance(value, (int, float)) or value <= 0:
             problems.append(f'"params.{gain}" must be a positive number, got {value!r}')
+    gains_ok = len(problems) == before
     if protocol in Z_STATE_PROTOCOLS and "theta" not in params:
         problems.append(f'protocol {protocol} requires "params.theta"')
     if protocol in ("dc1_sat", "dc2_sat") and "sat_limits" not in params:
@@ -218,16 +208,25 @@ def validate_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
             problems.append(f'"params.{opt}" must be a positive number')
     if ("kappa" in params) != ("lambda_hat_sigma" in params):
         problems.append('"params.kappa" and "params.lambda_hat_sigma" must be given together')
+    algo = None
     if n is not None:
-        # dry-build the structured parameters so shape problems surface here
+        # the run's parameters, built here so that shape problems surface
+        # with the others
+        built, before = {}, len(problems)
         for key, builder in (("theta", lambda v: _build_theta(v, n)),
                              ("sat_limits", lambda v: _per_agent(v, n)),
-                             ("psi", signal_from_json)):
+                             ("psi", lambda v: signal_from_json(v).value)):
             if key in params:
                 try:
-                    builder(params[key])
+                    built[key] = builder(params[key])
                 except (ValueError, TypeError) as exc:
                     problems.append(f'bad "params.{key}": {exc}')
+        if gains_ok and len(problems) == before:
+            try:
+                algo = AlgorithmParams(alpha=float(params["alpha"]),
+                                       beta=float(params["beta"]), **built)
+            except ValueError as exc:
+                problems.append(f'bad "params": {exc}')
 
     inputs_spec = data.get("inputs")
     inputs = None
@@ -258,18 +257,15 @@ def validate_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         step = DEFAULT_STEP
     unit = None
     if protocol == "dcdisc" and isinstance(delta, (int, float)) and delta > 0:
-        unit, what = delta, "delta steps for dcdisc"
+        unit, what, unit_name = delta, "delta steps for dcdisc", '"params.delta"'
     elif protocol != "dcdisc":
-        unit, what = step, "integration steps"
+        unit, what, unit_name = step, "integration steps", "h"
     if unit is not None:
         count = horizon / unit
         if not math.isfinite(count):
             problems.append(f'"horizon" spans more {what} than can be counted')
         else:
-            if protocol != "dcdisc":
-                _off_grid(horizon, step, '"horizon"', problems)
-            elif abs(count - round(count)) > 1e-9:
-                problems.append(f'"horizon" must be a whole number of {what}')
+            _off_grid(horizon, unit, '"horizon"', problems, unit_name)
             if n is not None and protocol in STATE_WIDTH:
                 rows, width = round(count) + 1, STATE_WIDTH[protocol] * n
                 if rows * width > STATE_BUDGET:
@@ -352,6 +348,7 @@ def validate_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         lambda_hat_sigma=params.get("lambda_hat_sigma"),
         x0=x0, v0=v0, z0=z0,
         outputs=files,
+        topology=topology, inputs=inputs, params=algo,
     )
 
 
@@ -372,11 +369,11 @@ def _init_vector(spec, n, x0, u0, label):
     return arr
 
 
-def _off_grid(value, step, what, problems) -> bool:
+def _off_grid(value, step, what, problems, name="h") -> bool:
     """Report value unless it is a whole number of steps (``check_on_grid``,
-    the rule the run applies)."""
+    the rule the run applies); ``name`` names the step in the message."""
     try:
-        check_on_grid(value, step, what)
+        check_on_grid(value, step, what, name)
     except ValueError as exc:
         problems.append(str(exc))
         return True
@@ -414,7 +411,3 @@ def load_scenario(path) -> ScenarioConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError([f"{path} is not valid JSON: {exc}"]) from exc
     return validate_scenario(data, name=path.stem)
-
-
-def scenario_to_json(cfg: ScenarioConfig) -> str:
-    return json.dumps(cfg.raw, indent=2, sort_keys=True)

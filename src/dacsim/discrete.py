@@ -83,12 +83,11 @@ def max_stepsize(alpha: float, beta: float, d_max_out: float) -> float:
     return min(1.0 / alpha, 1.0 / (beta * d_max_out))
 
 
-def make_stepsize(delta: float, alpha: float, beta: float, d_max_out: float,
-                  warn: bool = True) -> StepSize:
+def make_stepsize(delta: float, alpha: float, beta: float, d_max_out: float) -> StepSize:
     """Package delta with its bound; inadmissibility warns instead of raising
     because the bound is sufficient, not necessary."""
     ss = StepSize(delta=delta, bound=max_stepsize(alpha, beta, d_max_out))
-    if warn and not ss.admissible:
+    if not ss.admissible:
         warnings.warn(
             f"stepsize {delta} is not below the admissibility bound {ss.bound:.6g}; "
             "convergence is no longer guaranteed",

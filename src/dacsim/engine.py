@@ -31,7 +31,6 @@ __all__ = [
     "integrate",
     "simulate_protocol",
     "simulate_discrete",
-    "simulate_zero_system",
     "error_metrics",
     "fit_decay_rate",
     "pi_udot_series",
@@ -106,19 +105,21 @@ class ErrorReport:
     tail_start: float = 0.0
 
 
-def check_on_grid(value: float, h: float, what: str):
+def check_on_grid(value: float, h: float, what: str, step: str = "h"):
     """Raise ValueError unless value is a whole number of steps h, to within
-    GRID_ALIGN_TOL steps.  This is the one alignment rule, for the horizon
-    and the switching boundaries, of both config validation and the run.
-    The tolerance is absolute in steps: one relative to the step count
-    would let a boundary sit whole steps off the grid on a long run, while
-    the rounding of value / h stays far below it within the state budget."""
+    GRID_ALIGN_TOL steps; ``step`` names h in the message.  This is the one
+    alignment rule, for the horizon (of dcdisc too, in steps of
+    "params.delta") and the switching boundaries, of both config validation
+    and the run.  The tolerance is absolute in steps: one relative to the
+    step count would let a boundary sit whole steps off the grid on a long
+    run, while the rounding of value / h stays far below it within the
+    state budget."""
     steps = value / h
     if abs(steps - round(steps)) > GRID_ALIGN_TOL:
         suggestion = value / max(1, math.ceil(steps))
         raise ValueError(
-            f"{what} {value} is not a multiple of the step {h}; "
-            f"try h = {suggestion:.9g}")
+            f"{what} {value} is not a multiple of the step {step} = {h}; "
+            f"try {step} = {suggestion:.9g}")
 
 
 def _grid(h: float, T: float, events=()) -> np.ndarray:
@@ -420,8 +421,7 @@ def _package(protocol, times, ys, n, has_z, p, avg_u, pi_udot, commands=None) ->
 
 
 def simulate_discrete(g: WeightedDigraph, inputs: InputSet, p: AlgorithmParams,
-                      z0, v0, delta: float, num_steps: int,
-                      warn_inadmissible: bool = True) -> Trajectory:
+                      z0, v0, delta: float, num_steps: int) -> Trajectory:
     """Iterate the discrete tracker for num_steps samples of stepsize delta.
     One (num_steps + 1, 3n) buffer holds the rows (z_k, v_k, u(k delta)):
     the u columns are filled by one input evaluation, and each iteration is
@@ -429,9 +429,9 @@ def simulate_discrete(g: WeightedDigraph, inputs: InputSet, p: AlgorithmParams,
     ``dcdisc_system`` matrix added into the next row.  The u samples also
     give avg_u and meta["gamma"], sup_k ||Pi_N (u(k+1) - u(k))||; the
     published outputs x = z + u then overwrite them.  A divergence's
-    partial trajectory is cut after the first row past the limit."""
-    step = make_stepsize(delta, p.alpha, p.beta, float(g.out_degrees.max()),
-                         warn=warn_inadmissible)
+    partial trajectory is cut after the first row past the limit.  An
+    inadmissible delta warns (``make_stepsize``)."""
+    step = make_stepsize(delta, p.alpha, p.beta, float(g.out_degrees.max()))
     n = g.n
     if len(inputs) != n:
         raise ValueError(f"state/inputs dimension does not match digraph size {n}")
@@ -472,17 +472,6 @@ def _published(rows, ks, times, n, meta) -> Trajectory:
         xs[:, i] += rows[:, i]
     return Trajectory(times=times, x=xs, v=rows[:, n:2 * n], avg_u=avg, protocol="dcdisc",
                       z=rows[:, :n], k_index=ks, meta=meta)
-
-
-def simulate_zero_system(g: WeightedDigraph, alpha: float, beta: float,
-                         y0, w0, h: float, T: float):
-    """Integrate the homogeneous (y, w) dynamics; y0/w0 may carry a trailing
-    batch axis.  Returns (times, y_traj, w_traj)."""
-    a_mat = zero_system_matrix(laplacian(g), alpha, beta)
-    state0 = np.concatenate((np.asarray(y0, float), np.asarray(w0, float)), axis=0)
-    times, ys, _ = integrate(lambda t, y, ts: a_mat @ y, state0, h, T)
-    n = g.n
-    return times, ys[:, :n], ys[:, n:]
 
 
 def fit_decay_rate(times: np.ndarray, err: np.ndarray,

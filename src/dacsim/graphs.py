@@ -20,7 +20,6 @@ __all__ = [
     "SpectralData",
     "build_digraph",
     "graph_from_json",
-    "graph_to_json",
     "laplacian",
     "is_weight_balanced",
     "strongly_connected_components",
@@ -116,17 +115,16 @@ def build_digraph(n: int, edges) -> WeightedDigraph:
 
 
 def graph_from_json(fragment: dict) -> WeightedDigraph:
-    """Build a digraph from {"n": int, "edges": [[from, to, weight], ...]}."""
+    """Build a digraph from {"n": int, "edges": [[from, to, weight], ...]},
+    or a named one from {"preset": name} (``topology_preset``)."""
+    if isinstance(fragment, dict) and "preset" in fragment:
+        return topology_preset(fragment["preset"])
     try:
         n = fragment["n"]
         edges = fragment["edges"]
     except (KeyError, TypeError):
         raise ValueError('digraph JSON needs keys "n" and "edges"') from None
     return build_digraph(int(n), [tuple(e) for e in edges])
-
-
-def graph_to_json(g: WeightedDigraph) -> dict:
-    return {"n": g.n, "edges": [[i, j, w] for i, j, w in g.edge_list()]}
 
 
 def laplacian(g: WeightedDigraph) -> np.ndarray:

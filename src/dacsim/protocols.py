@@ -35,7 +35,6 @@ __all__ = [
     "dc1_rhs",
     "dc2_rhs",
     "dc3_rhs",
-    "init_state",
     "PROTOCOL_IDS",
     "Z_STATE_PROTOCOLS",
 ]
@@ -216,29 +215,3 @@ def dc2_rhs(lap: np.ndarray, inputs: InputSet, p: AlgorithmParams,
 def dc3_rhs(lap: np.ndarray, inputs: InputSet, p: AlgorithmParams):
     """dc2 dynamics computed from the masked transmissions z + psi(t)."""
     return dc2_rhs(lap, inputs, p, saturate=False, psi=p.psi if p.psi is not None else (lambda t: 0.0))
-
-
-def init_state(policy: str, x0, v0=None, alpha: float = 1.0,
-               with_z: bool = False) -> tuple[AgentState, float]:
-    """Initialize the network state and predict the steady-state offset.
-
-    "zero_v" starts every integral state at zero (Sum v(0) = 0, offset 0);
-    "explicit" accepts any v0 and returns the offset -(1/(alpha N)) Sum v^j(0)
-    that a mis-initialized run converges to.  For dc2/dc3 (``with_z``) the
-    information state starts at x0.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.shape[0]
-    if policy == "zero_v":
-        v = np.zeros(n)
-    elif policy == "explicit":
-        if v0 is None:
-            raise ValueError("explicit initialization needs v0")
-        v = np.asarray(v0, dtype=float)
-        if v.shape[0] != n:
-            raise ValueError("v0 length does not match x0")
-    else:
-        raise ValueError(f"unknown initialization policy {policy!r}")
-    offset = -float(v.sum()) / (alpha * n)
-    state = AgentState(x=x0.copy(), v=v, z=x0.copy() if with_z else None)
-    return state, offset

@@ -21,13 +21,9 @@ __all__ = [
     "InputSignal",
     "InputSet",
     "InputTable",
-    "SignalStats",
     "make_signal",
     "signal_from_json",
     "signal_to_json",
-    "eval_input",
-    "network_average",
-    "disagreement_gamma",
     "discrete_disagreement_gamma",
     "pi_udot_series",
     "pi_norms",
@@ -298,13 +294,6 @@ def signal_to_json(sig: InputSignal) -> dict:
     return out
 
 
-def eval_input(sig: InputSignal, t: float) -> tuple[float, float]:
-    """Value and derivative of one input at time t >= 0."""
-    if t < 0:
-        raise ValueError("input signals are defined for t >= 0 only")
-    return sig.value(t), sig.derivative(t)
-
-
 @dataclass
 class InputSet:
     """Ordered inputs of the whole network, one signal per agent.
@@ -423,23 +412,6 @@ class InputTable:
         return self.u[j], self.du[j]
 
 
-@dataclass(frozen=True, eq=False)
-class SignalStats:
-    """Grid estimates of the input-derivative statistics: gamma is the sup of
-    the disagreement norm ||u_dot - mean(u_dot) 1||, mu the per-agent sup of
-    |u_dot^i|."""
-
-    gamma: float
-    mu: np.ndarray
-    grid: np.ndarray
-
-
-def network_average(inputs: InputSet, t: float) -> tuple[float, float]:
-    """Mean input value and mean input derivative across the network."""
-    u, du = inputs.eval_all(t)
-    return float(u.mean()), float(du.mean())
-
-
 def pi_norms(d: np.ndarray) -> np.ndarray:
     """||Pi_N d|| of every row of d: the norm of the row minus its mean, the
     disagreement part of a network-wide vector."""
@@ -460,21 +432,6 @@ def pi_udot_series(inputs: InputSet, grid) -> tuple[np.ndarray, np.ndarray]:
     serves the tracking-bound quadrature and the gamma/mu statistics."""
     du = inputs.derivatives(np.asarray(grid, dtype=float))
     return pi_norms(du), np.abs(du).max(axis=0)
-
-
-def disagreement_gamma(inputs: InputSet, grid) -> SignalStats:
-    """Sup over the grid of the projected derivative norm, plus per-agent sups.
-
-    This is a grid estimate of an essential supremum; resolution is the
-    caller's responsibility (the simulation grid is the intended choice).
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("grid must be nonempty")
-    if grid.size > 1 and np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing")
-    series, mu = pi_udot_series(inputs, grid)
-    return SignalStats(gamma=float(series.max()), mu=mu, grid=grid)
 
 
 def discrete_disagreement_gamma(inputs: InputSet, delta: float, num_steps: int) -> float:

@@ -21,14 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import (
-    WeightedDigraph,
-    graph_from_json,
-    graph_to_json,
-    is_strongly_connected,
-    is_weight_balanced,
-    topology_preset,
-)
+from .graphs import WeightedDigraph, graph_from_json, is_strongly_connected, is_weight_balanced
 
 __all__ = [
     "SwitchingSchedule",
@@ -37,7 +30,6 @@ __all__ = [
     "union_digraph",
     "validate_admissible",
     "schedule_from_json",
-    "schedule_to_json",
 ]
 
 
@@ -226,12 +218,7 @@ def schedule_from_json(fragment: dict) -> SwitchingSchedule:
         segments = fragment["segments"]
     except (KeyError, TypeError):
         raise ValueError('schedule JSON needs "graphs" and "segments"') from None
-    graphs = []
-    for spec in graph_specs:
-        if isinstance(spec, dict) and "preset" in spec:
-            graphs.append(topology_preset(spec["preset"]))
-        else:
-            graphs.append(graph_from_json(spec))
+    graphs = [graph_from_json(spec) for spec in graph_specs]
     repeat = fragment.get("repeat", "none")
     if repeat == "none":
         period = None
@@ -240,20 +227,9 @@ def schedule_from_json(fragment: dict) -> SwitchingSchedule:
     else:
         raise ValueError('schedule "repeat" must be "none" or {"cyclic": period}')
     return SwitchingSchedule(
-        graphs=tuple(graphs),
+        graphs=graphs,
         segments=tuple((float(t), int(i)) for t, i in segments),
         period=period,
         dwell_min=fragment.get("dwell_min"),
         end_time=fragment.get("end_time"),
     )
-
-
-def schedule_to_json(sched: SwitchingSchedule) -> dict:
-    out = {
-        "graphs": [graph_to_json(g) for g in sched.graphs],
-        "segments": [[t, i] for t, i in sched.segments],
-        "repeat": "none" if sched.period is None else {"cyclic": sched.period},
-    }
-    if sched.end_time is not None:
-        out["end_time"] = sched.end_time
-    return out

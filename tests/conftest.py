@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from dacsim.config import validate_scenario
+from dacsim.engine import run_scenario
 from dacsim.graphs import WeightedDigraph, build_digraph, topology_preset
 from dacsim.switching import SwitchingSchedule
 
@@ -34,6 +36,16 @@ def random_digraph(rng, n: int, p: float = 0.35) -> WeightedDigraph:
 
 def two_node_pair(weight: float = 1.0) -> WeightedDigraph:
     return build_digraph(2, [(1, 2, weight), (2, 1, weight)])
+
+
+def ring_run(n, params, init, horizon=0.01, step=0.01, protocol="dc1"):
+    """``run_scenario`` of ``protocol`` on the directed n-ring with zero
+    inputs, from a config's "params" and "init"; one step by default."""
+    data = {"protocol": protocol, "params": params, "init": init,
+            "graph": {"n": n, "edges": [[i + 1, (i + 1) % n + 1, 1.0] for i in range(n)]},
+            "inputs": {"signals": [{"kind": "constant", "params": {"value": 0.0}}] * n},
+            "horizon": horizon, "step": step}
+    return run_scenario(validate_scenario(data))
 
 
 def case1_schedule() -> SwitchingSchedule:

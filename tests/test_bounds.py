@@ -12,14 +12,12 @@ from dacsim.bounds import (
     tracking_bound_curve,
     transient_bound_s,
     ultimate_bound,
-    convergence_rate,
-    zero_error_class_check,
-    zero_system_equilibrium,
 )
-from dacsim.engine import pi_udot_series, simulate_protocol, simulate_zero_system
+from dacsim.engine import pi_udot_series, simulate_protocol
 from dacsim.graphs import topology_preset
 from dacsim.protocols import AgentState, AlgorithmParams
 from dacsim.signals import InputSet, make_signal, preset_scenario
+from conftest import ring_run
 
 RING_LAMBDA2 = 0.5
 
@@ -30,20 +28,25 @@ def bound_inputs(alpha=1.0, beta=1.0, y0=1.0, w0=1.0, **kw):
 
 
 class TestZeroSystemEquilibrium:
+    """The equilibrium a run predicts: every error x - avg(u) goes to
+    -(1/(alpha N)) Sum v^j(0) and every integral state to the mean of v(0)."""
+
     def test_two_agents(self):
-        assert zero_system_equilibrium([1.0, 1.0], alpha=1.0) == pytest.approx((-1.0, 1.0))
+        traj, _, _ = ring_run(2, {"alpha": 1.0, "beta": 1.0}, {"v0": [1.0, 1.0]})
+        assert traj.meta["offset_prediction"] == pytest.approx(-1.0)
+        assert traj.v[-1].mean() == pytest.approx(1.0)
 
     def test_balanced_start(self):
-        y_lim, _ = zero_system_equilibrium([2.0, -2.0], alpha=5.0)
-        assert y_lim == 0.0
+        traj, _, _ = ring_run(2, {"alpha": 5.0, "beta": 1.0}, {"v0": [2.0, -2.0]})
+        assert traj.meta["offset_prediction"] == 0.0
 
     def test_six_agents(self):
-        y_lim, _ = zero_system_equilibrium(np.ones(6), alpha=2.0)
-        assert y_lim == pytest.approx(-0.5)
+        traj, _, _ = ring_run(6, {"alpha": 2.0, "beta": 1.0}, {"v0": [1.0] * 6})
+        assert traj.meta["offset_prediction"] == pytest.approx(-0.5)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            zero_system_equilibrium([], alpha=1.0)
+            ring_run(0, {"alpha": 1.0, "beta": 1.0}, {})
 
 
 class TestTransientBound:
@@ -253,28 +256,37 @@ class TestUltimateBound:
 
 
 class TestConvergenceRate:
+    """The run's fitted decay rates against min(alpha, beta Re(lambda_2)),
+    capped by a motion gain theta; Re(lambda_2) = 0.5 on the six-ring."""
+
+    X0 = [1.0, -2.0, 0.5, 3.0, -1.0, 0.25]
+
     def test_ring_rates(self):
-        assert convergence_rate(1.0, 1.0, 0.5, 0.5) == pytest.approx((0.5, 0.5))
+        _, rep, _ = ring_run(6, {"alpha": 1.0, "beta": 1.0}, {"x0": self.X0}, horizon=60.0)
+        assert rep.fitted_rate == pytest.approx(np.full(6, 0.5), abs=0.05)
 
     def test_motion_gain_floor(self):
-        ode, env = convergence_rate(1.0, 1.0, 0.5, 0.5, theta_min=0.1)
-        assert ode == env == pytest.approx(0.1)
+        # z starts apart from x, so x - z decays at theta alone
+        _, rep, _ = ring_run(6, {"alpha": 1.0, "beta": 1.0, "theta": 0.1},
+                             {"x0": self.X0, "z0": [0.5 * x for x in self.X0]},
+                             horizon=200.0, protocol="dc2")
+        assert rep.fitted_rate == pytest.approx(np.full(6, 0.1), abs=0.01)
 
     def test_alpha_limited(self):
-        ode, _ = convergence_rate(0.2, 1.0, 0.5, 0.5)
-        assert ode == pytest.approx(0.2)
+        _, rep, _ = ring_run(6, {"alpha": 0.2, "beta": 1.0}, {"x0": self.X0}, horizon=60.0)
+        assert rep.fitted_rate == pytest.approx(np.full(6, 0.2), abs=0.02)
 
 
 class TestZeroErrorClassCheck:
     def test_identical_constants_hold_a(self):
         inputs = InputSet(signals=(make_signal("constant", value=2.0),) * 4)
-        check = zero_error_class_check(inputs, alpha=3.0, grid=np.linspace(20, 40, 400))
+        check = oracles.zero_error_class_check(inputs, alpha=3.0, grid=np.linspace(20, 40, 400))
         assert check.holds_a and check.holds_b
         assert check.evidence == "numeric evidence"
 
     def test_case1_offsets_fail_a_hold_b(self):
         inputs = preset_scenario("case1")
-        check = zero_error_class_check(inputs, alpha=1.0, grid=np.linspace(20, 40, 800))
+        check = oracles.zero_error_class_check(inputs, alpha=1.0, grid=np.linspace(20, 40, 800))
         assert not check.holds_a    # the static offsets 3..1 persist
         assert check.holds_b        # differentiation kills them
 
@@ -283,21 +295,21 @@ class TestZeroErrorClassCheck:
         signals = tuple(
             make_signal("sum-of-terms", terms=[sine, make_signal("constant", value=c)])
             for c in (3.0, 4.0, 5.0, 4.0, -1.5, 1.0))
-        check = zero_error_class_check(InputSet(signals=signals), alpha=0.7,
-                                       grid=np.linspace(5, 25, 500))
+        check = oracles.zero_error_class_check(InputSet(signals=signals), alpha=0.7,
+                                               grid=np.linspace(5, 25, 500))
         assert check.holds_b and not check.holds_a
 
     def test_discrete_analogue_on_sampled_preset(self):
         inputs = preset_scenario("sampled_bias", seed=4)
-        check = zero_error_class_check(inputs, alpha=1.0,
-                                       grid=np.linspace(10, 60, 300), delta=0.5)
+        check = oracles.zero_error_class_check(inputs, alpha=1.0,
+                                               grid=np.linspace(10, 60, 300), delta=0.5)
         assert check.holds_b        # common jumps: second difference is common
         assert not check.holds_a    # biases persist in Delta u + delta alpha u
 
     def test_short_grid_rejected(self):
         inputs = InputSet(signals=(make_signal("constant", value=1.0),))
         with pytest.raises(ValueError, match="grid"):
-            zero_error_class_check(inputs, alpha=1.0, grid=np.linspace(0, 1, 5))
+            oracles.zero_error_class_check(inputs, alpha=1.0, grid=np.linspace(0, 1, 5))
 
 
 class TestBoundDomination:
@@ -307,7 +319,7 @@ class TestBoundDomination:
         for alpha in (1.0, 0.5):
             y0 = rng.uniform(-5, 5, (6, 20))
             w0 = rng.uniform(-5, 5, (6, 20))
-            times, ys, _ = simulate_zero_system(ring6, alpha, 1.0, y0, w0, h=5e-3, T=30.0)
+            times, ys, _ = oracles.simulate_zero_system(ring6, alpha, 1.0, y0, w0, h=5e-3, T=30.0)
             for b in range(20):
                 bi = BoundInputs(alpha=alpha, beta=1.0, lambda_hat_2=RING_LAMBDA2,
                                  y0_norm=float(np.linalg.norm(y0[:, b])),

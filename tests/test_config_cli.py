@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -9,12 +10,12 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
+from dacsim import cli, config
 from dacsim.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from dacsim.config import (
     STATE_WIDTH,
     ConfigError,
     load_scenario,
-    scenario_to_json,
     validate_scenario,
 )
 from dacsim.engine import run_scenario
@@ -120,9 +121,18 @@ class TestValidation:
     def test_round_trip(self, fname, tmp_path):
         cfg = load_scenario(SCENARIOS / fname)
         copy = tmp_path / fname
-        copy.write_text(scenario_to_json(cfg))
+        copy.write_text(json.dumps(cfg.raw, indent=2, sort_keys=True))
         again = load_scenario(copy)
         assert again == cfg
+
+    @pytest.mark.parametrize("fname", ["static.json", "sampled_bias.json"])
+    def test_name_defaults_to_the_file_stem(self, fname, tmp_path):
+        data = json.loads((SCENARIOS / fname).read_text())
+        del data["name"]
+        path = tmp_path / "unnamed.json"
+        path.write_text(json.dumps(data))
+        cfg = load_scenario(path)
+        assert cfg.name == "unnamed" and cfg.outputs["csv"] == "unnamed.csv"
 
     def test_bad_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -444,3 +454,85 @@ def test_agent_count_resolved_at_validation(monkeypatch):
     monkeypatch.setattr(ScenarioConfig, "build_topology", no_rebuild)
     params = cfg.build_params()
     assert params.theta.lower.shape == (6,) and params.sat_limits.shape == (6,)
+
+
+def shortened(fname, horizon):
+    """A bundled scenario, validated with a shorter horizon."""
+    data = json.loads((SCENARIOS / fname).read_text())
+    data.update(horizon=horizon, tail_start=0.75 * horizon)
+    return validate_scenario(data, name=Path(fname).stem)
+
+
+class TestBuiltOnce:
+    """validate_scenario builds the topology, the inputs and the parameters,
+    and a run reads them from the config."""
+
+    @pytest.mark.parametrize("fname", ["case1.json", "masked.json", "static.json",
+                                       "sampled_bias.json"])
+    def test_a_run_builds_nothing(self, fname, tmp_path, monkeypatch):
+        cfg = shortened(fname, 4.0)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a run rebuilt a scenario object")
+
+        for name in ("graph_from_json", "schedule_from_json", "preset_scenario",
+                     "signal_from_json"):
+            monkeypatch.setattr(config, name, boom)
+        assert cfg.build_inputs() is cfg.inputs and cfg.build_params() is cfg.params
+        assert cfg.build_topology() is cfg.topology
+        run_scenario(cfg)
+        code, line = cli.execute(cfg, tmp_path, quiet=True)
+        assert code == EXIT_OK, line
+
+    def test_nonpositive_limits_are_a_config_error(self, tmp_path, capsys):
+        data = tiny_scenario(protocol="dc1_sat", params={"alpha": 1.0, "beta": 1.0,
+                                                         "sat_limits": -1.0})
+        with pytest.raises(ConfigError, match="saturation limits must be positive"):
+            validate_scenario(data)
+        path = tmp_path / "sat.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("fname", ["static.json", "sampled_bias.json"])
+    def test_outputs_agree_across_run_batch_and_repeated_execute(self, fname, tmp_path):
+        # dacsim run, dacsim batch, and two cli.execute calls on one config,
+        # the second reusing the objects the first ran on
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        shutil.copy(SCENARIOS / fname, alone / fname)
+        assert main(["run", str(SCENARIOS / fname), "--out", str(tmp_path / "run")]) == EXIT_OK
+        assert main(["batch", str(alone), "--out", str(tmp_path / "batch")]) == EXIT_OK
+        cfg = load_scenario(SCENARIOS / fname)
+        for out in ("first", "second"):
+            assert cli.execute(cfg, tmp_path / out, quiet=True)[0] == EXIT_OK
+        for kind in ("csv", "metrics"):
+            files = {(tmp_path / out / cfg.outputs[kind]).read_bytes()
+                     for out in ("run", "batch", "first", "second")}
+            assert len(files) == 1, kind
+
+
+class TestDcdiscHorizonGrid:
+    """dcdisc's horizon is a whole number of "params.delta" steps to within
+    GRID_ALIGN_TOL steps, the rule of the continuous protocols' horizon."""
+
+    def write(self, tmp_path, horizon):
+        data = json.loads((SCENARIOS / "sampled_bias.json").read_text())
+        data.update(horizon=horizon, tail_start=8.0)
+        path = tmp_path / "sampled_bias.json"
+        path.write_text(json.dumps(data))
+        return path
+
+    def test_off_the_delta_grid_exits_1(self, tmp_path, capsys):
+        path = self.write(tmp_path, 10.05)  # 20.1 steps of 0.5
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        out = capsys.readouterr().out
+        assert '"horizon" 10.05 is not a multiple of the step "params.delta" = 0.5' in out
+        assert 'try "params.delta" = ' in out
+
+    def test_within_the_tolerance_runs(self, tmp_path):
+        # 5e-7 steps off the grid: inside GRID_ALIGN_TOL = 1e-6 steps
+        path = self.write(tmp_path, 10.0 + 2.5e-7)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+        k = np.loadtxt(tmp_path / "out" / "sampled_bias.csv", delimiter=",",
+                       skiprows=1, usecols=0)
+        assert k[-1] == 20

@@ -31,7 +31,6 @@ from dacsim.engine import (
     run_scenario,
     simulate_discrete,
     simulate_protocol,
-    simulate_zero_system,
     write_trajectory_csv,
     _affine_scan,
     _affine_system,
@@ -55,7 +54,7 @@ from dacsim.signals import (
     preset_scenario,
 )
 from dacsim.switching import SwitchingSchedule, graph_at
-from conftest import case2_schedule, random_balanced_strongly_connected
+from conftest import case2_schedule, random_balanced_strongly_connected, ring_run
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "dacsim" / "scenarios"
 
@@ -117,15 +116,16 @@ class TestIntegrate:
 
 
 class TestZeroSystem:
-    def test_equilibrium_reached(self, ring6):
+    def test_equilibrium_reached(self):
+        # dc1 with zero inputs is the zero system (y = x, w = v)
         rng = np.random.default_rng(0)
-        y0 = rng.uniform(-3, 3, (6, 4))
-        w0 = rng.uniform(-3, 3, (6, 4))
-        _, ys, ws = simulate_zero_system(ring6, 1.0, 1.0, y0, w0, h=5e-3, T=40.0)
-        y_lim = -w0.sum(axis=0) / 6.0
-        w_lim = w0.sum(axis=0) / 6.0
-        assert np.abs(ys[-1] - y_lim).max() <= 1e-7
-        assert np.abs(ws[-1] - w_lim).max() <= 1e-7
+        for _ in range(4):
+            x0 = rng.uniform(-3, 3, 6)
+            v0 = rng.uniform(-3, 3, 6)
+            traj, _, _ = ring_run(6, {"alpha": 1.0, "beta": 1.0},
+                                  {"x0": x0.tolist(), "v0": v0.tolist()}, horizon=40.0, step=5e-3)
+            assert np.abs(traj.x[-1] + v0.sum() / 6.0).max() <= 1e-7
+            assert np.abs(traj.v[-1] - v0.mean()).max() <= 1e-7
 
 
 class TestErrorMetrics:

@@ -12,10 +12,9 @@ from dacsim.protocols import (
     dc1_rhs,
     dc2_rhs,
     dc3_rhs,
-    init_state,
 )
 from dacsim.signals import InputSet, make_signal, preset_scenario
-from conftest import random_balanced_strongly_connected, two_node_pair
+from conftest import random_balanced_strongly_connected, ring_run, two_node_pair
 
 
 def constants(values):
@@ -147,28 +146,38 @@ class TestSaturation:
         assert np.max(np.abs(traj.commands)) <= 15.0
 
 
+def initial_run(n, init, alpha=1.0, protocol="dc1"):
+    """A one-step run from a config's "init" policies: the trajectory, whose
+    first row is the initial state, and the run's predicted offset."""
+    params = {"alpha": alpha, "beta": 1.0}
+    if protocol == "dc2":
+        params["theta"] = 1.0
+    traj, _, _ = ring_run(n, params, init, protocol=protocol)
+    return traj, traj.meta["offset_prediction"]
+
+
 class TestInitState:
     def test_zero_v_policy(self):
-        state, offset = init_state("zero_v", x0=[1.0, 2.0, 3.0], alpha=2.0)
-        assert np.all(state.v == 0.0)
+        traj, offset = initial_run(3, {"x0": [1.0, 2.0, 3.0]}, alpha=2.0)
+        assert np.all(traj.v[0] == 0.0)
         assert offset == 0.0
-        assert state.z is None
+        assert traj.z is None
 
     def test_explicit_offset(self):
-        _, offset = init_state("explicit", x0=[0.0, 0.0], v0=[1.0, 1.0], alpha=1.0)
+        _, offset = initial_run(2, {"v0": [1.0, 1.0]}, alpha=1.0)
         assert offset == pytest.approx(-1.0)
 
     def test_explicit_balanced_v0(self):
-        _, offset = init_state("explicit", x0=[0.0, 0.0], v0=[2.0, -2.0], alpha=3.0)
+        _, offset = initial_run(2, {"v0": [2.0, -2.0]}, alpha=3.0)
         assert offset == 0.0
 
     def test_with_z_copies_x(self):
-        state, _ = init_state("zero_v", x0=[1.0, 2.0], with_z=True)
-        assert np.array_equal(state.z, state.x)
+        traj, _ = initial_run(2, {"x0": [1.0, 2.0]}, protocol="dc2")
+        assert np.array_equal(traj.z[0], traj.x[0])
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
-            init_state("random", x0=[0.0])
+            initial_run(2, {"x0": "random"})
 
 
 class TestTrajectoryProperties:

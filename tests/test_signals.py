@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from dacsim.config import load_scenario
 from dacsim.signals import (
     InputSet,
-    disagreement_gamma,
     discrete_disagreement_gamma,
-    eval_input,
     make_signal,
-    network_average,
+    pi_udot_series,
     preset_scenario,
     signal_from_json,
     signal_to_json,
@@ -25,6 +23,19 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "dacsim" / "scenarios"
 
 def constants(values):
     return InputSet(signals=tuple(make_signal("constant", value=v) for v in values))
+
+
+def eval_input(sig, t):
+    """Value and derivative of one input at time t, from ``InputSet.eval_all``."""
+    u, du = InputSet(signals=(sig,)).eval_all(t)
+    return float(u[0]), float(du[0])
+
+
+def gamma_and_mu(inputs, grid):
+    """gamma, the sup over the grid of ||Pi_N u_dot||, and the per-agent
+    sups of |u_dot|, from ``pi_udot_series``."""
+    series, mu = pi_udot_series(inputs, np.asarray(grid, dtype=float))
+    return float(series.max()), mu
 
 
 class TestEvalInput:
@@ -66,31 +77,32 @@ class TestEvalInput:
 
 class TestNetworkAverage:
     def test_two_constants(self):
-        assert network_average(constants([1.0, 3.0]), 5.0) == (2.0, 0.0)
+        u, du = constants([1.0, 3.0]).eval_all(5.0)
+        assert (u.mean(), du.mean()) == (2.0, 0.0)
 
     def test_identical_signals(self):
         sig = make_signal("sine", amplitude=2.0, frequency=0.7)
         inputs = InputSet(signals=(sig,) * 5)
         t = 1.234
-        avg, davg = network_average(inputs, t)
-        assert avg == pytest.approx(sig.value(t), rel=1e-15)
-        assert davg == pytest.approx(sig.derivative(t), rel=1e-15)
+        u, du = inputs.eval_all(t)
+        assert u.mean() == pytest.approx(sig.value(t), rel=1e-15)
+        assert du.mean() == pytest.approx(sig.derivative(t), rel=1e-15)
 
     def test_case1_constant_offsets(self):
         # offsets 3+4+5+4-1.5+1 enter the average as 15.5/6
         inputs = constants([3.0, 4.0, 5.0, 4.0, -1.5, 1.0])
-        avg, _ = network_average(inputs, 0.0)
-        assert avg == pytest.approx(15.5 / 6.0, rel=1e-15)
+        u, _ = inputs.eval_all(0.0)
+        assert u.mean() == pytest.approx(15.5 / 6.0, rel=1e-15)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(11)
         base = preset_scenario("case2")
         t = 3.21
-        avg = network_average(base, t)
+        avg = [d.mean() for d in base.eval_all(t)]
         for _ in range(5):
             perm = rng.permutation(6)
             shuffled = InputSet(signals=tuple(base.signals[i] for i in perm))
-            assert network_average(shuffled, t) == pytest.approx(avg, rel=1e-12)
+            assert [d.mean() for d in shuffled.eval_all(t)] == pytest.approx(avg, rel=1e-12)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
@@ -100,20 +112,20 @@ class TestNetworkAverage:
 class TestDisagreementGamma:
     def test_identical_inputs_zero(self):
         sig = make_signal("sine", amplitude=3.0)
-        stats = disagreement_gamma(InputSet(signals=(sig,) * 4), np.linspace(0, 10, 101))
-        assert stats.gamma == 0.0
+        gamma, _ = gamma_and_mu(InputSet(signals=(sig,) * 4), np.linspace(0, 10, 101))
+        assert gamma == 0.0
 
     def test_opposite_ramps(self):
         inputs = InputSet(signals=(make_signal("linear", slope=1.0),
                                    make_signal("linear", slope=-1.0)))
-        stats = disagreement_gamma(inputs, np.linspace(0, 5, 11))
-        assert stats.gamma == pytest.approx(math.sqrt(2.0), rel=1e-12)
-        assert np.allclose(stats.mu, [1.0, 1.0])
+        gamma, mu = gamma_and_mu(inputs, np.linspace(0, 5, 11))
+        assert gamma == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        assert np.allclose(mu, [1.0, 1.0])
 
     def test_static_inputs(self):
-        stats = disagreement_gamma(constants([1.0, 2.0, 3.0]), np.linspace(0, 4, 20))
-        assert stats.gamma == 0.0
-        assert np.all(stats.mu == 0.0)
+        gamma, mu = gamma_and_mu(constants([1.0, 2.0, 3.0]), np.linspace(0, 4, 20))
+        assert gamma == 0.0
+        assert np.all(mu == 0.0)
 
     def test_common_shift_invariance(self):
         grid = np.linspace(0, 12, 200)
@@ -123,8 +135,8 @@ class TestDisagreementGamma:
             make_signal("linear", slope=0.4)])
         shifted = InputSet(signals=tuple(
             make_signal("sum-of-terms", terms=[sig, shift]) for sig in base.signals))
-        g0 = disagreement_gamma(base, grid).gamma
-        g1 = disagreement_gamma(shifted, grid).gamma
+        g0, _ = gamma_and_mu(base, grid)
+        g1, _ = gamma_and_mu(shifted, grid)
         assert g1 == pytest.approx(g0, rel=1e-9, abs=1e-12)
 
     def test_discrete_variant_common_jumps_vanish(self):
