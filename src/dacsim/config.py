@@ -178,6 +178,10 @@ def validate_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
                 else schedule_from_json(data["schedule"])
         except (ValueError, TypeError) as exc:
             problems.append(f'bad "graph"/"schedule": {exc}')
+    if topology is not None and topology.n < 2:
+        problems.append(f'the {"graph" if has_graph else "schedule"} has {topology.n} agent; '
+                        "average consensus needs at least two")
+        topology = None
     n = topology.n if topology is not None else None
 
     params = data.get("params")
@@ -304,11 +308,23 @@ def validate_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         outputs = {}
     _check_keys(outputs, OUTPUT_SUFFIXES, '"outputs"', problems)
     scenario_name = str(data.get("name", name))
+    # every output, the partial CSV of a diverged run too, is written in the
+    # output directory under its plain file name
+    name_ok = _plain_file_name(scenario_name)
+    if not name_ok:
+        problems.append(f'"name" must be a file name with no directory part, '
+                        f'got {scenario_name!r}')
     files = {}
     for kind, suffix in OUTPUT_SUFFIXES.items():
+        if kind not in outputs and not name_ok:
+            continue
         file = outputs.get(kind, scenario_name + suffix)
         if not (isinstance(file, str) and file):
             problems.append(f'"outputs.{kind}" must be a non-empty file name, got {file!r}')
+            continue
+        if not _plain_file_name(file):
+            problems.append(f'"outputs.{kind}" must be a file name with no directory part, '
+                            f'got {file!r}')
             continue
         clash = [other for other, f in files.items() if Path(f) == Path(file)]
         if clash:
@@ -350,6 +366,14 @@ def validate_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         outputs=files,
         topology=topology, inputs=inputs, params=algo,
     )
+
+
+def _plain_file_name(file: str) -> bool:
+    """A name that opens a file inside the directory it is joined to:
+    "./a.csv" is "a.csv", while "/tmp/a.csv", "../a", "sub/a", "." and
+    ".." are not."""
+    path = Path(file)
+    return path.parent == Path(".") and path.name not in ("", ".", "..")
 
 
 def _init_vector(spec, n, x0, u0, label):

@@ -108,22 +108,24 @@ def dcdisc_system(lap: np.ndarray, alpha: float, beta: float, d: float) -> np.nd
 def dcdisc_advance(m: np.ndarray, row: np.ndarray, out: np.ndarray) -> np.ndarray:
     """One iteration in increment form, y_{k+1} = y_k + M (z_k, v_k, u_k):
     ``row`` is (z_k, v_k, u(k delta)), M is ``dcdisc_system``'s, and
-    y_{k+1} = (z_{k+1}, v_{k+1}) is written to ``out`` and returned.  One
-    matrix-vector product and one add give, up to roundoff, the update
+    y_{k+1} = (z_{k+1}, v_{k+1}) is written to ``out`` and returned.  A
+    (rows x 3n) stack of such rows steps each of them, in one product.  One
+    product and one add give, up to roundoff, the update
 
     z+ = z - delta alpha z - delta beta L (z + u(k)) - delta v
     v+ = v + delta alpha beta L (z + u(k))
 
     The v increment sums to 0 over the agents up to roundoff, so sum(v) is
     conserved, and delta = 0 adds exactly 0."""
-    return np.add(row[:m.shape[0]], m @ row, out=out)
+    return np.add(row[..., :m.shape[0]], row @ m.T, out=out)
 
 
 def dcdisc_step(s: DiscreteState, g: WeightedDigraph, inputs: InputSet,
                 p: AlgorithmParams, delta: StepSize | float) -> DiscreteState:
     """One iteration with u sampled at t = k delta, and the published output
     x_out+ = z+ + u(k+1).  It runs ``dcdisc_advance`` on the matrix
-    ``simulate_discrete`` builds, so a run equals repeated steps bit for bit."""
+    ``simulate_discrete`` builds; a run, which steps its rows in sub-blocks
+    from anchors, agrees with repeated steps to roundoff."""
     d = delta.delta if isinstance(delta, StepSize) else float(delta)
     if d < 0:
         raise ValueError("stepsize must be nonnegative")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bounds as bnd
 from .discrete import dcdisc_advance, dcdisc_system, make_stepsize, zero_system_matrix
-from .graphs import WeightedDigraph, laplacian, spectral_summary
+from .graphs import WeightedDigraph, laplacian, symmetric_spectrum
 from .protocols import Z_STATE_PROTOCOLS, AgentState, AlgorithmParams, dc1_rhs, dc2_rhs, dc3_rhs
 from .signals import InputSet, InputTable, pi_norms, pi_udot_series, sampled_gamma
 from .switching import SwitchingSchedule, graph_at
@@ -43,7 +43,16 @@ __all__ = [
 DIVERGENCE_LIMIT = 1e12
 GRID_ALIGN_TOL = 1e-6  # steps a grid time may lie from the nearest whole step
 AFFINE_BLOCK = 2048  # steps per forcing block and scan of the affine recurrence
-DISCRETE_BLOCK = 1024  # dcdisc iterations between divergence checks
+# simulate_discrete steps each chunk of DISCRETE_BLOCK iterations, its span
+# between divergence checks, as DISCRETE_SUBBLOCKS sub-blocks of
+# DISCRETE_SUBSTEPS rows, a power of two so that N_s comes from doubling.  A
+# chunk of s nb rows makes about 5 s + 3 nb numpy calls, fewest among powers
+# of two at s = nb = 32, and its products, (nb x 3n) by (3n x 2n), stay below
+# OpenBLAS's threading size (m n k >= 2 ** 19, measured on 0.3.31) up to
+# n = 52 agents
+DISCRETE_SUBSTEPS = 32
+DISCRETE_SUBBLOCKS = 32
+DISCRETE_BLOCK = DISCRETE_SUBSTEPS * DISCRETE_SUBBLOCKS
 # cells per format_g12 block; 2 ** 14 and 2 ** 15 wrote no faster and raised
 # discrete_wide's peak memory by 1.5 and 4.6 MB
 CSV_CELLS = 2 ** 13
@@ -424,13 +433,15 @@ def simulate_discrete(g: WeightedDigraph, inputs: InputSet, p: AlgorithmParams,
                       z0, v0, delta: float, num_steps: int) -> Trajectory:
     """Iterate the discrete tracker for num_steps samples of stepsize delta.
     One (num_steps + 1, 3n) buffer holds the rows (z_k, v_k, u(k delta)):
-    the u columns are filled by one input evaluation, and each iteration is
-    ``dcdisc_advance``, one matrix-vector product with the run's
-    ``dcdisc_system`` matrix added into the next row.  The u samples also
+    the u columns are filled by one input evaluation, and the iterates are
+    stepped in place, DISCRETE_BLOCK rows at a time, by ``_dcdisc_chunk``'s
+    sub-block sweeps of the run's ``dcdisc_system`` matrix.  The rows agree
+    with repeated ``dcdisc_step`` calls to roundoff.  The u samples also
     give avg_u and meta["gamma"], sup_k ||Pi_N (u(k+1) - u(k))||; the
-    published outputs x = z + u then overwrite them.  A divergence's
-    partial trajectory is cut after the first row past the limit.  An
-    inadmissible delta warns (``make_stepsize``)."""
+    published outputs x = z + u then overwrite them.  Each chunk is checked
+    once stepped, and a divergence's partial trajectory is cut after the
+    first row past the limit.  An inadmissible delta warns
+    (``make_stepsize``)."""
     step = make_stepsize(delta, p.alpha, p.beta, float(g.out_degrees.max()))
     n = g.n
     if len(inputs) != n:
@@ -444,10 +455,10 @@ def simulate_discrete(g: WeightedDigraph, inputs: InputSet, p: AlgorithmParams,
     ys = rows[:, :2 * n]  # the iterates (z_k, v_k)
     rows[0, :n], rows[0, n:2 * n] = z0, v0
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
+        ns_t = _power_increment(m[:, :2 * n], DISCRETE_SUBSTEPS).T
         for k0 in range(0, num_steps, DISCRETE_BLOCK):
             k1 = min(k0 + DISCRETE_BLOCK, num_steps)
-            for k in range(k0, k1):
-                dcdisc_advance(m, rows[k], ys[k + 1])
+            _dcdisc_chunk(m, ns_t, rows, k0, k1)
             block = ys[k0 + 1:k1 + 1]
             peak = np.maximum(block.max(axis=1), -block.min(axis=1))  # max |.|, no copy
             bad = np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))
@@ -459,6 +470,58 @@ def simulate_discrete(g: WeightedDigraph, inputs: InputSet, p: AlgorithmParams,
                     t=k * delta,
                     partial=_published(rows[:k + 1], ks[:k + 1], times[:k + 1], n, meta))
     return _published(rows, ks, times, n, meta)
+
+
+def _power_increment(incr: np.ndarray, s: int) -> np.ndarray:
+    """N_s = P^s - I for P = I + N and s a power of two, by the doubling
+    N_2d = 2 N_d + N_d^2 of ``_affine_scan``, so I + N is never formed.
+    Each square is taken a few rows at a time, each product under 2 ** 18
+    multiply-adds, half the size at which OpenBLAS starts a second thread."""
+    dim = incr.shape[0]
+    rows = max(1, 2 ** 18 // dim ** 2)
+    nd, square = incr.copy(), np.empty_like(incr)
+    while s > 1:
+        for r in range(0, dim, rows):
+            np.matmul(nd[r:r + rows], nd, out=square[r:r + rows])
+        nd *= 2.0
+        nd += square
+        s //= 2
+    return nd
+
+
+def _dcdisc_chunk(m: np.ndarray, ns_t: np.ndarray, rows: np.ndarray, k0: int, k1: int):
+    """Step the iterates y = (z, v) of buffer rows k0 + 1..k1 from row k0,
+    in place.  With M = [N | M_u] (``dcdisc_system``) a step is
+    y + y N^T + u M_u^T, and ns_t is N_s^T, N_s = (I + N)^s - I for
+    s = DISCRETE_SUBSTEPS.  The rows split into sub-blocks of s rows, the
+    last one possibly shorter, each starting from an anchor row:
+
+    1. the forced response f, the part the inputs drive, of every
+       sub-block but the last is stepped from zero, all at once;
+    2. each next anchor follows from the one before as a + a N_s^T + f;
+    3. every sub-block is stepped from its anchor, which writes the rows.
+
+    Sweeps 1 and 3 step ``dcdisc_advance`` on a stack of one row per
+    sub-block, so every step keeps the increment form and sum(v) is
+    conserved to roundoff of the increments.  Once N_s overflows, an
+    exactly zero anchor still moves by its f alone, as in stepping one row
+    at a time."""
+    s = DISCRETE_SUBSTEPS
+    dim = m.shape[0]
+    ys = rows[:, :dim]
+    last = k0 + (k1 - k0 - 1) // s * s  # the last sub-block's anchor
+    forced = np.zeros(((last - k0) // s, rows.shape[1]))  # rows (f, u)
+    f = forced[:, :dim]
+    for i in range(s):
+        forced[:, dim:] = rows[k0 + i:last:s, dim:]
+        dcdisc_advance(m, forced, f)
+    finite = np.isfinite(ns_t).all()
+    for b, a in enumerate(range(k0 + s, last + 1, s)):
+        prev = ys[a - s]
+        c = f[b] + prev @ ns_t if finite or prev.any() else f[b]
+        np.add(prev, c, out=ys[a])
+    for i in range(min(s, k1 - k0)):
+        dcdisc_advance(m, rows[k0 + i:k1:s], ys[k0 + i + 1:k1 + 1:s])
 
 
 def _published(rows, ks, times, n, meta) -> Trajectory:
@@ -568,17 +631,17 @@ def run_scenario(cfg):
 
     curves = {}
     gamma = 0.0
-    spectral = spectral_summary(topology) if fixed else None
+    lambda_hat_2 = float(symmetric_spectrum(topology)[1]) if fixed else None
     offset = -float(np.sum(cfg.v0)) / (params.alpha * len(inputs))
 
     if cfg.protocol == "dcdisc":
         gamma = traj.meta["gamma"]
-        ult = (bnd.ultimate_bound(params.beta, spectral.lambda_hat_2, gamma, delta=cfg.delta)
-               if spectral.lambda_hat_2 > 0 else None)
+        ult = (bnd.ultimate_bound(params.beta, lambda_hat_2, gamma, delta=cfg.delta)
+               if lambda_hat_2 > 0 else None)
     else:
         series = traj.pi_udot
         gamma = float(series.max())
-        lam_hat = spectral.lambda_hat_2 if fixed else cfg.lambda_hat_sigma
+        lam_hat = lambda_hat_2 if fixed else cfg.lambda_hat_sigma
         if lam_hat is not None and lam_hat <= 0:
             lam_hat = None  # disconnected graph: no envelope applies
         kappa = None if fixed else cfg.kappa
@@ -589,7 +652,7 @@ def run_scenario(cfg):
             u0, du0 = inputs.eval_all(0.0)
             b = bnd.BoundInputs.from_initial(
                 cfg.x0, cfg.v0, u0, du0, params.alpha, params.beta,
-                lambda_hat_2=spectral.lambda_hat_2 if fixed else lam_hat,
+                lambda_hat_2=lambda_hat_2 if fixed else lam_hat,
                 gamma=gamma,
                 kappa=kappa,
                 lambda_hat_sigma=None if fixed else lam_hat)
@@ -611,7 +674,7 @@ def run_scenario(cfg):
         "scenario": cfg.name,
         "seed": cfg.seed,
         "ultimate_bound": ult,
-        "lambda_hat_2": spectral.lambda_hat_2 if fixed else None,
+        "lambda_hat_2": lambda_hat_2,
         "offset_prediction": offset,
     })
     return traj, report, curves

@@ -180,20 +180,43 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    @pytest.mark.parametrize("outputs,problem", [
-        ({"csv": 5}, '"outputs.csv" must be a non-empty file name, got 5'),
-        ({"metrics": ""}, '"outputs.metrics" must be a non-empty file name'),
-        ({"csv": "a.txt", "metrics": "a.txt"}, '"outputs.metrics" names \'a.txt\', the file of the csv'),
-        ({"csv": "tiny_metrics.json"}, '"outputs.metrics" names \'tiny_metrics.json\''),
-        ({"svg": "./tiny.csv"}, '"outputs.svg" names \'./tiny.csv\', the file of the csv'),
-    ], ids=["not-a-string", "empty", "same-custom-name", "another-default", "same-path"])
-    def test_bad_output_names_are_config_errors(self, outputs, problem, tmp_path, capsys):
-        path = self.write(tmp_path, tiny_scenario(outputs=outputs))
+    @pytest.mark.parametrize("overrides,problem", [
+        ({"outputs": {"csv": 5}}, '"outputs.csv" must be a non-empty file name, got 5'),
+        ({"outputs": {"metrics": ""}}, '"outputs.metrics" must be a non-empty file name'),
+        ({"outputs": {"csv": "a.txt", "metrics": "a.txt"}},
+         '"outputs.metrics" names \'a.txt\', the file of the csv'),
+        ({"outputs": {"csv": "tiny_metrics.json"}}, '"outputs.metrics" names \'tiny_metrics.json\''),
+        ({"outputs": {"svg": "./tiny.csv"}}, '"outputs.svg" names \'./tiny.csv\', the file of the csv'),
+        # "{elsewhere}" is a directory beside --out
+        ({"name": "{elsewhere}/x"}, '"name" must be a file name with no directory part'),
+        ({"name": "../x"}, '"name" must be a file name with no directory part, got \'../x\''),
+        ({"name": "sub/x"}, '"name" must be a file name with no directory part, got \'sub/x\''),
+        ({"name": ".."}, '"name" must be a file name with no directory part, got \'..\''),
+        ({"outputs": {"csv": "{elsewhere}/x.csv"}},
+         '"outputs.csv" must be a file name with no directory part'),
+        ({"outputs": {"metrics": "../m.json"}},
+         '"outputs.metrics" must be a file name with no directory part, got \'../m.json\''),
+        ({"outputs": {"svg": "sub/p.svg"}},
+         '"outputs.svg" must be a file name with no directory part, got \'sub/p.svg\''),
+        ({"outputs": {"csv": "."}}, '"outputs.csv" must be a file name with no directory part'),
+        ({"outputs": {"csv": ".."}}, '"outputs.csv" must be a file name with no directory part'),
+    ], ids=["not-a-string", "empty", "same-custom-name", "another-default", "same-path",
+            "absolute-name", "parent-name", "sub-name", "dotdot-name", "absolute-output",
+            "parent-output", "sub-output", "dot-output", "dotdot-output"])
+    def test_bad_output_names_are_config_errors(self, overrides, problem, tmp_path, capsys):
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        overrides = json.loads(json.dumps(overrides).replace("{elsewhere}", str(elsewhere)))
+        path = self.write(tmp_path, tiny_scenario(**overrides))
         assert main(["validate", str(path)]) == EXIT_CONFIG
         assert problem in capsys.readouterr().out
         assert main(["run", str(path), "--out", str(tmp_path / "out"), "--svg"]) == EXIT_CONFIG
         assert problem in capsys.readouterr().out
         assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+        # nothing was written beside --out or elsewhere either
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["elsewhere", path.name] + (["out"] if (tmp_path / "out").exists() else []))
+        assert not any(elsewhere.iterdir())
 
     def test_custom_output_names(self, tmp_path):
         outputs = {"csv": "a.csv", "metrics": "m.json", "svg": "tiny.csv.svg"}
@@ -536,3 +559,33 @@ class TestDcdiscHorizonGrid:
         k = np.loadtxt(tmp_path / "out" / "sampled_bias.csv", delimiter=",",
                        skiprows=1, usecols=0)
         assert k[-1] == 20
+
+
+class TestOneAgent:
+    """Consensus needs two agents: a one-agent graph or schedule is a
+    config error, not a traceback from the spectral summary or from dcdisc's
+    stepsize bound."""
+
+    ONE = {"signals": [{"kind": "constant", "params": {"value": 1.0}}]}
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("protocol,topology,where", [
+        ("dc1", {"graph": {"n": 1, "edges": []}}, "graph"),
+        ("dc1", {"schedule": {"graphs": [{"n": 1, "edges": []}], "segments": [[0.0, 0]]}},
+         "schedule"),
+        ("dcdisc", {"graph": {"n": 1, "edges": []}}, "graph"),
+    ], ids=["dc1-graph", "dc1-schedule", "dcdisc-graph"])
+    def test_is_a_config_error(self, command, protocol, topology, where, tmp_path, capsys):
+        data = tiny_scenario(protocol=protocol, inputs=self.ONE, **topology)
+        if protocol == "dcdisc":
+            data["params"] = {"alpha": 1.0, "beta": 1.0, "delta": 0.5}
+            del data["step"]
+        if where == "schedule":
+            del data["graph"]
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(data))
+        args = [command, str(path)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+        assert main(args) == EXIT_CONFIG
+        assert f"the {where} has 1 agent; average consensus needs at least two" \
+            in capsys.readouterr().out
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
