@@ -14,15 +14,12 @@ from .graphs import (
     is_weight_balanced,
     laplacian,
     spectral_summary,
-    strongly_connected_components,
     topology_preset,
 )
 from .signals import InputSet, InputSignal, make_signal, preset_scenario
 from .protocols import AgentState, AlgorithmParams, ThetaGain
 from .discrete import (
     SemiConvergenceReport,
-    StepSize,
-    make_stepsize,
     max_stepsize,
     pdelta_spectrum_check,
 )
@@ -30,7 +27,6 @@ from .switching import (
     AdmissibilityReport,
     SwitchingSchedule,
     graph_at,
-    union_digraph,
     validate_admissible,
 )
 from .bounds import BoundCurve, BoundInputs, tracking_bound_curve, transient_bound_s, ultimate_bound

@@ -3,12 +3,10 @@ numerically for comparison against simulated trajectories.
 
 Everything here is a scalar envelope: the transient envelope s(t), the full
 tracking-error bound (s(t) plus a fading convolution of the input-derivative
-disagreement) and the ultimate bounds.  In switching mode
-the connectivity constant lambda_hat_2 is replaced by a user-supplied
-lambda_hat_sigma and the terms that come from the consensus-subspace
-transition matrix pick up the user's overshoot constant kappa; no constructive
-recipe exists for those two numbers, so callers must treat the defaults
-(kappa=1, smallest lambda_hat_2 among active digraphs) as a labeled heuristic.
+disagreement) and the ultimate bounds.  They read one pair (lambda_hat,
+kappa), the decay rate and overshoot of the consensus-subspace transition:
+(lambda_hat_2, 1) on a fixed digraph, and under a schedule the user-supplied
+lambda_hat_sigma and kappa, for which no constructive recipe exists here.
 """
 
 from __future__ import annotations
@@ -42,45 +40,34 @@ class BoundInputs:
     """Everything the scalar envelopes need.
 
     y0_norm and w0_norm are the norms of the shifted initial condition
-    (x(0) - avg u(0) 1  and  v(0) - Pi_N(du(0) + alpha u(0))); gamma is the
-    sup of the projected input-derivative norm.  kappa / lambda_hat_sigma
-    switch the envelopes into switching-topology mode.
+    (x(0) - avg u(0) 1  and  v(0) - Pi_N(du(0) + alpha u(0))).  lambda_hat
+    and kappa are the decay constant and overshoot of the consensus-subspace
+    transition: lambda_hat_2 and 1 on a fixed digraph, the user's
+    lambda_hat_sigma and kappa under a schedule.
     """
 
     alpha: float
     beta: float
-    lambda_hat_2: float
+    lambda_hat: float
     y0_norm: float
     w0_norm: float
     udot0_norm: float = 0.0
-    gamma: float = 0.0
-    kappa: Optional[float] = None
-    lambda_hat_sigma: Optional[float] = None
+    kappa: float = 1.0
 
     def __post_init__(self):
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("alpha and beta must be positive")
-        if self.lambda_hat_2 <= 0:
-            raise ValueError("lambda_hat_2 must be positive (strongly connected, weight-balanced)")
-        for name in ("y0_norm", "w0_norm", "udot0_norm", "gamma"):
+        if self.lambda_hat <= 0:
+            raise ValueError("lambda_hat must be positive (strongly connected, weight-balanced)")
+        if self.kappa <= 0:
+            raise ValueError("kappa must be positive")
+        for name in ("y0_norm", "w0_norm", "udot0_norm"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if (self.kappa is None) != (self.lambda_hat_sigma is None):
-            raise ValueError("switching mode needs both kappa and lambda_hat_sigma")
-        if self.kappa is not None and (self.kappa <= 0 or self.lambda_hat_sigma <= 0):
-            raise ValueError("kappa and lambda_hat_sigma must be positive")
-
-    @property
-    def effective_lambda_hat(self) -> float:
-        return self.lambda_hat_2 if self.lambda_hat_sigma is None else self.lambda_hat_sigma
-
-    @property
-    def effective_kappa(self) -> float:
-        return 1.0 if self.kappa is None else self.kappa
 
     @classmethod
-    def from_initial(cls, x0, v0, u0, du0, alpha, beta, lambda_hat_2, gamma=0.0,
-                     kappa=None, lambda_hat_sigma=None) -> "BoundInputs":
+    def from_initial(cls, x0, v0, u0, du0, alpha, beta, lambda_hat,
+                     kappa=1.0) -> "BoundInputs":
         """Build the norms from raw initial data."""
         x0 = np.asarray(x0, dtype=float)
         u0 = np.asarray(u0, dtype=float)
@@ -88,10 +75,9 @@ class BoundInputs:
         v0 = np.asarray(v0, dtype=float)
         y0 = x0 - u0.mean()
         w0 = v0 - project_disagreement(du0 + alpha * u0)
-        return cls(alpha=alpha, beta=beta, lambda_hat_2=lambda_hat_2,
+        return cls(alpha=alpha, beta=beta, lambda_hat=lambda_hat,
                    y0_norm=float(np.linalg.norm(y0)), w0_norm=float(np.linalg.norm(w0)),
-                   udot0_norm=float(np.linalg.norm(du0)), gamma=gamma,
-                   kappa=kappa, lambda_hat_sigma=lambda_hat_sigma)
+                   udot0_norm=float(np.linalg.norm(du0)), kappa=kappa)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,16 +109,16 @@ def transient_bound_s(t, b: BoundInputs):
            + branch(t) (alpha ||y0|| + ||w0||),
 
     where branch(t) is (beta lam - alpha)^{-1}(e^{-alpha t} - e^{-beta lam t})
-    away from the confluent point alpha = beta lam and t e^{-beta lam t} at it.
-    kappa and lam come from the switching fields when present.  A scalar t
+    away from the confluent point alpha = beta lam and t e^{-beta lam t} at it,
+    with lam = b.lambda_hat and kappa = b.kappa.  A scalar t
     gives a float, an array of times an array.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be nonnegative")
     alpha = b.alpha
-    blam = b.beta * b.effective_lambda_hat
-    kappa = b.effective_kappa
+    blam = b.beta * b.lambda_hat
+    kappa = b.kappa
     ea = np.exp(-alpha * t)
     eb = np.exp(-blam * t)
     s = (ea + kappa * eb) * b.y0_norm + ea * b.w0_norm / alpha
@@ -205,8 +191,8 @@ def tracking_bound_curve(grid, b: BoundInputs, pi_udot_samples, transient=None) 
         raise ValueError("grid and samples must be matching 1-D arrays")
     if grid.size and grid[0] < 0:
         raise ValueError("grid must start at t >= 0")
-    blam = b.beta * b.effective_lambda_hat
-    kappa = b.effective_kappa
+    blam = b.beta * b.lambda_hat
+    kappa = b.kappa
     h = np.diff(grid)
     decay = np.exp(-blam * h)
     integral = np.zeros_like(grid)

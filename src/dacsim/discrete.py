@@ -8,7 +8,6 @@ the one-step output delay that would come with it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,10 +19,8 @@ from .protocols import AlgorithmParams
 
 __all__ = [
     "DiscreteState",
-    "StepSize",
     "SemiConvergenceReport",
     "max_stepsize",
-    "make_stepsize",
     "dcdisc_system",
     "dcdisc_advance",
     "dcdisc_step",
@@ -59,41 +56,11 @@ class DiscreteState:
         return cls(z=z0, v=v0, k=0, x_out=z0 + inputs.values(0.0))
 
 
-@dataclass(frozen=True)
-class StepSize:
-    """A stepsize together with the sufficient admissibility bound
-    min(1/alpha, 1/(beta * d_max_out))."""
-
-    delta: float
-    bound: float
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("stepsize must be positive")
-
-    @property
-    def admissible(self) -> bool:
-        return 0 < self.delta < self.bound
-
-
 def max_stepsize(alpha: float, beta: float, d_max_out: float) -> float:
     """Largest guaranteed-convergent stepsize: min(1/alpha, 1/(beta d_max_out))."""
     if alpha <= 0 or beta <= 0 or d_max_out <= 0:
         raise ValueError("alpha, beta, d_max_out must all be positive")
     return min(1.0 / alpha, 1.0 / (beta * d_max_out))
-
-
-def make_stepsize(delta: float, alpha: float, beta: float, d_max_out: float) -> StepSize:
-    """Package delta with its bound; inadmissibility warns instead of raising
-    because the bound is sufficient, not necessary."""
-    ss = StepSize(delta=delta, bound=max_stepsize(alpha, beta, d_max_out))
-    if not ss.admissible:
-        warnings.warn(
-            f"stepsize {delta} is not below the admissibility bound {ss.bound:.6g}; "
-            "convergence is no longer guaranteed",
-            stacklevel=2,
-        )
-    return ss
 
 
 def dcdisc_system(lap: np.ndarray, alpha: float, beta: float, d: float) -> np.ndarray:
@@ -121,12 +88,12 @@ def dcdisc_advance(m: np.ndarray, row: np.ndarray, out: np.ndarray) -> np.ndarra
 
 
 def dcdisc_step(s: DiscreteState, g: WeightedDigraph, inputs: InputSet,
-                p: AlgorithmParams, delta: StepSize | float) -> DiscreteState:
+                p: AlgorithmParams, delta: float) -> DiscreteState:
     """One iteration with u sampled at t = k delta, and the published output
     x_out+ = z+ + u(k+1).  It runs ``dcdisc_advance`` on the matrix
     ``simulate_discrete`` builds; a run, which steps its rows in sub-blocks
     from anchors, agrees with repeated steps to roundoff."""
-    d = delta.delta if isinstance(delta, StepSize) else float(delta)
+    d = float(delta)
     if d < 0:
         raise ValueError("stepsize must be nonnegative")
     if s.z.shape[0] != g.n or len(inputs) != g.n:

@@ -12,13 +12,14 @@ inadmissible stepsizes early.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import bounds as bnd
-from .discrete import dcdisc_advance, dcdisc_system, make_stepsize, zero_system_matrix
+from .discrete import dcdisc_advance, dcdisc_system, max_stepsize, zero_system_matrix
 from .graphs import WeightedDigraph, laplacian, symmetric_spectrum
 from .protocols import Z_STATE_PROTOCOLS, AgentState, AlgorithmParams, dc1_rhs, dc2_rhs, dc3_rhs
 from .signals import InputSet, InputTable, pi_norms, pi_udot_series, sampled_gamma
@@ -43,13 +44,16 @@ __all__ = [
 DIVERGENCE_LIMIT = 1e12
 GRID_ALIGN_TOL = 1e-6  # steps a grid time may lie from the nearest whole step
 AFFINE_BLOCK = 2048  # steps per forcing block and scan of the affine recurrence
+# multiply-adds m n k of the smallest product OpenBLAS runs threaded (measured
+# on 0.3.31); a second thread can stall a run for most of a second, so the
+# run's larger products go a few rows at a time, each slice below this size
+BLAS_THREADED_SIZE = 2 ** 19
 # simulate_discrete steps each chunk of DISCRETE_BLOCK iterations, its span
 # between divergence checks, as DISCRETE_SUBBLOCKS sub-blocks of
 # DISCRETE_SUBSTEPS rows, a power of two so that N_s comes from doubling.  A
 # chunk of s nb rows makes about 5 s + 3 nb numpy calls, fewest among powers
 # of two at s = nb = 32, and its products, (nb x 3n) by (3n x 2n), stay below
-# OpenBLAS's threading size (m n k >= 2 ** 19, measured on 0.3.31) up to
-# n = 52 agents
+# BLAS_THREADED_SIZE up to n = 52 agents
 DISCRETE_SUBSTEPS = 32
 DISCRETE_SUBBLOCKS = 32
 DISCRETE_BLOCK = DISCRETE_SUBSTEPS * DISCRETE_SUBBLOCKS
@@ -296,19 +300,25 @@ def _affine_scan(incr: np.ndarray, g: np.ndarray) -> np.ndarray:
     (N_{d+1} = 2 N_d + N_d^2), so I + N is never formed.  Once P^s
     overflows, an exactly zero row still adds nothing to later rows, as in
     stepping the recurrence one row at a time.  Working in place keeps the
-    block's temporaries, and the run's peak memory, small."""
+    block's temporaries, and the run's peak memory, small.  A pass goes
+    ``rows`` rows at a time, each product below BLAS_THREADED_SIZE, from the
+    last slice to the first: a slice adds into rows s further on, which
+    only the slices after it read."""
     w = g
     nd, s = incr, 1
+    rows = max(1, (BLAS_THREADED_SIZE - 1) // incr.size)
     while s < len(w):
-        prev = w[:-s]
-        if np.isfinite(nd).all():
-            step = prev @ nd.T
-            step += prev
-            w[s:] += step
-        else:
-            live = np.flatnonzero(prev.any(axis=1))
-            w[s + live] += prev[live] + prev[live] @ nd.T
-        nd = 2.0 * nd + nd @ nd
+        finite = np.isfinite(nd).all()
+        for a in reversed(range(0, len(w) - s, rows)):
+            prev = w[a:min(a + rows, len(w) - s)]
+            if finite:
+                step = prev @ nd.T
+                step += prev
+                w[a + s:a + s + len(prev)] += step
+            else:
+                live = np.flatnonzero(prev.any(axis=1))
+                w[a + s + live] += prev[live] + prev[live] @ nd.T
+        nd = _power_increment(nd, 2)
         s *= 2
     return w
 
@@ -440,9 +450,15 @@ def simulate_discrete(g: WeightedDigraph, inputs: InputSet, p: AlgorithmParams,
     give avg_u and meta["gamma"], sup_k ||Pi_N (u(k+1) - u(k))||; the
     published outputs x = z + u then overwrite them.  Each chunk is checked
     once stepped, and a divergence's partial trajectory is cut after the
-    first row past the limit.  An inadmissible delta warns
-    (``make_stepsize``)."""
-    step = make_stepsize(delta, p.alpha, p.beta, float(g.out_degrees.max()))
+    first row past the limit.  A delta at or above ``max_stepsize`` warns,
+    since that bound is sufficient, not necessary; a nonpositive one
+    raises."""
+    if delta <= 0:
+        raise ValueError("stepsize must be positive")
+    bound = max_stepsize(p.alpha, p.beta, float(g.out_degrees.max()))
+    if not delta < bound:
+        warnings.warn(f"stepsize {delta} is not below the admissibility bound {bound:.6g}; "
+                      "convergence is no longer guaranteed", stacklevel=2)
     n = g.n
     if len(inputs) != n:
         raise ValueError(f"state/inputs dimension does not match digraph size {n}")
@@ -450,7 +466,7 @@ def simulate_discrete(g: WeightedDigraph, inputs: InputSet, p: AlgorithmParams,
     times = ks * delta
     rows = np.empty((num_steps + 1, 3 * n))
     inputs.values(times, out=rows[:, 2 * n:])
-    meta = {"delta": delta, "bound": step.bound, "gamma": sampled_gamma(rows[:, 2 * n:])}
+    meta = {"delta": delta, "bound": bound, "gamma": sampled_gamma(rows[:, 2 * n:])}
     m = dcdisc_system(laplacian(g), p.alpha, p.beta, delta)
     ys = rows[:, :2 * n]  # the iterates (z_k, v_k)
     rows[0, :n], rows[0, n:2 * n] = z0, v0
@@ -466,7 +482,7 @@ def simulate_discrete(g: WeightedDigraph, inputs: InputSet, p: AlgorithmParams,
                 k = k0 + 1 + int(bad[0])
                 raise DivergenceError(
                     f"discrete state magnitude {peak[bad[0]]:.3g} at k={k}; stepsize "
-                    f"{delta} (bound {step.bound:.6g}) is too aggressive",
+                    f"{delta} (bound {bound:.6g}) is too aggressive",
                     t=k * delta,
                     partial=_published(rows[:k + 1], ks[:k + 1], times[:k + 1], n, meta))
     return _published(rows, ks, times, n, meta)
@@ -474,11 +490,10 @@ def simulate_discrete(g: WeightedDigraph, inputs: InputSet, p: AlgorithmParams,
 
 def _power_increment(incr: np.ndarray, s: int) -> np.ndarray:
     """N_s = P^s - I for P = I + N and s a power of two, by the doubling
-    N_2d = 2 N_d + N_d^2 of ``_affine_scan``, so I + N is never formed.
-    Each square is taken a few rows at a time, each product under 2 ** 18
-    multiply-adds, half the size at which OpenBLAS starts a second thread."""
+    N_2d = 2 N_d + N_d^2, so I + N is never formed.  Each square is taken
+    a few rows at a time, each product at most half BLAS_THREADED_SIZE."""
     dim = incr.shape[0]
-    rows = max(1, 2 ** 18 // dim ** 2)
+    rows = max(1, BLAS_THREADED_SIZE // 2 // dim ** 2)
     nd, square = incr.copy(), np.empty_like(incr)
     while s > 1:
         for r in range(0, dim, rows):
@@ -568,9 +583,8 @@ def fit_decay_rate(times: np.ndarray, err: np.ndarray,
     return float(-(tc * y).sum() / (tc * tc).sum())
 
 
-def error_metrics(traj: Trajectory, inputs: InputSet, tail_start: float,
-                  bound_curve=None, offset: float = 0.0,
-                  gamma_used: float = 0.0) -> ErrorReport:
+def error_metrics(traj: Trajectory, tail_start: float, bound_curve=None,
+                  offset: float = 0.0, gamma_used: float = 0.0) -> ErrorReport:
     """Tail sup errors, per-agent decay-rate fits, conservation residual, and
     (when an envelope is supplied) the count of stored points where the
     offset-corrected error escapes it.  The errors are formed one agent
@@ -618,8 +632,9 @@ def run_scenario(cfg):
     params = cfg.build_params()
     topology = cfg.build_topology()
     fixed = isinstance(topology, WeightedDigraph)
+    discrete = cfg.protocol == "dcdisc"
 
-    if cfg.protocol == "dcdisc":
+    if discrete:
         num_steps = int(round(cfg.horizon / cfg.delta))
         traj = simulate_discrete(topology, inputs, params, cfg.z0, cfg.v0,
                                  cfg.delta, num_steps)
@@ -630,46 +645,32 @@ def run_scenario(cfg):
                                  state0, cfg.step, cfg.horizon)
 
     curves = {}
-    gamma = 0.0
     lambda_hat_2 = float(symmetric_spectrum(topology)[1]) if fixed else None
     offset = -float(np.sum(cfg.v0)) / (params.alpha * len(inputs))
-
-    if cfg.protocol == "dcdisc":
-        gamma = traj.meta["gamma"]
-        ult = (bnd.ultimate_bound(params.beta, lambda_hat_2, gamma, delta=cfg.delta)
-               if lambda_hat_2 > 0 else None)
-    else:
-        series = traj.pi_udot
-        gamma = float(series.max())
-        lam_hat = lambda_hat_2 if fixed else cfg.lambda_hat_sigma
-        if lam_hat is not None and lam_hat <= 0:
-            lam_hat = None  # disconnected graph: no envelope applies
-        kappa = None if fixed else cfg.kappa
-        ult = (bnd.ultimate_bound(params.beta, lam_hat, gamma, kappa=1.0 if fixed else kappa)
-               if lam_hat else None)
-        attach = cfg.protocol in ("dc1", "dc1_sat") and lam_hat is not None
-        if attach:
-            u0, du0 = inputs.eval_all(0.0)
-            b = bnd.BoundInputs.from_initial(
-                cfg.x0, cfg.v0, u0, du0, params.alpha, params.beta,
-                lambda_hat_2=lambda_hat_2 if fixed else lam_hat,
-                gamma=gamma,
-                kappa=kappa,
-                lambda_hat_sigma=None if fixed else lam_hat)
-            s_values = bnd.transient_bound_s(traj.times, b)
-            curves["bound_s"] = bnd.BoundCurve(grid=traj.times, values=s_values)
-            curves["bound_tracking"] = bnd.tracking_bound_curve(
-                traj.times, b, series, transient=s_values)
+    # the one (lambda_hat, kappa) pair of the ultimate bound and the envelopes
+    lam_hat, kappa = (lambda_hat_2, 1.0) if fixed else (cfg.lambda_hat_sigma, cfg.kappa)
+    if lam_hat is not None and lam_hat <= 0:
+        lam_hat = None  # disconnected graph: no bound applies
+    gamma = traj.meta["gamma"] if discrete else float(traj.pi_udot.max())
+    ult = (bnd.ultimate_bound(params.beta, lam_hat, gamma,
+                              delta=cfg.delta if discrete else None, kappa=kappa)
+           if lam_hat is not None else None)
+    if cfg.protocol in ("dc1", "dc1_sat") and lam_hat is not None:
+        u0, du0 = inputs.eval_all(0.0)
+        b = bnd.BoundInputs.from_initial(cfg.x0, cfg.v0, u0, du0, params.alpha, params.beta,
+                                         lam_hat, kappa)
+        s_values = bnd.transient_bound_s(traj.times, b)
+        curves["bound_s"] = bnd.BoundCurve(grid=traj.times, values=s_values)
+        curves["bound_tracking"] = bnd.tracking_bound_curve(
+            traj.times, b, traj.pi_udot, transient=s_values)
 
     if ult is not None:
         # one number seen at every stored time: a read-only view, no array
         curves["bound_ultimate"] = bnd.BoundCurve(
             grid=traj.times, values=np.broadcast_to(ult, traj.times.shape))
 
-    report = error_metrics(
-        traj, inputs, cfg.tail_start,
-        bound_curve=curves.get("bound_tracking"), offset=offset,
-        gamma_used=gamma)
+    report = error_metrics(traj, cfg.tail_start, bound_curve=curves.get("bound_tracking"),
+                           offset=offset, gamma_used=gamma)
     traj.meta.update({
         "scenario": cfg.name,
         "seed": cfg.seed,

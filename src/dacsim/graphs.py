@@ -22,7 +22,6 @@ __all__ = [
     "graph_from_json",
     "laplacian",
     "is_weight_balanced",
-    "strongly_connected_components",
     "is_strongly_connected",
     "spectral_summary",
     "symmetric_spectrum",
@@ -101,7 +100,8 @@ def build_digraph(n: int, edges) -> WeightedDigraph:
             i, j, weight = edge
         except (TypeError, ValueError):
             raise ValueError(f"edge {edge!r} is not a (from, to, weight) triple") from None
-        i, j = int(i), int(j)
+        where = f"a node index of edge {list(edge)!r}"
+        i, j = as_int(i, where), as_int(j, where)
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"edge ({i}, {j}) has a node index outside [1, {n}]")
         if i == j:
@@ -125,7 +125,17 @@ def graph_from_json(fragment: dict) -> WeightedDigraph:
         edges = fragment["edges"]
     except (KeyError, TypeError):
         raise ValueError('digraph JSON needs keys "n" and "edges"') from None
-    return build_digraph(int(n), [tuple(e) for e in edges])
+    return build_digraph(as_int(n, 'digraph "n"'), [tuple(e) for e in edges])
+
+
+def as_int(value, what: str) -> int:
+    """value as an int if it is an integer or an integral float, so that a
+    JSON field such as 6.7 or "6" is rejected instead of truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def laplacian(g: WeightedDigraph) -> np.ndarray:
@@ -151,59 +161,25 @@ def is_weight_balanced(g: WeightedDigraph, tol: float = BALANCE_TOL) -> bool:
     return bool(np.max(np.abs(g.in_degrees - g.out_degrees)) <= tol)
 
 
-def strongly_connected_components(g: WeightedDigraph) -> list[list[int]]:
-    """Tarjan's algorithm, iterative.  Returns components as 1-based node lists."""
-    n = g.n
-    adj = [np.nonzero(g.weights[i])[0].tolist() for i in range(n)]
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        # (node, iterator position into adj[node])
-        work = [(root, 0)]
-        while work:
-            v, pos = work[-1]
-            if pos == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pos, len(adj[v])):
-                u = adj[v][k]
-                if index[u] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((u, 0))
-                    advanced = True
-                    break
-                if on_stack[u]:
-                    lowlink[v] = min(lowlink[v], index[u])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    comp.append(u + 1)
-                    if u == v:
-                        break
-                sccs.append(sorted(comp))
-    return sccs
-
-
 def is_strongly_connected(g: WeightedDigraph) -> bool:
-    return len(strongly_connected_components(g)) == 1
+    """True iff node 1 reaches every node and every node reaches node 1
+    along edges of positive weight.  A single node is strongly connected."""
+    return pattern_is_strongly_connected(g.weights > 0)
+
+
+def pattern_is_strongly_connected(edges: np.ndarray) -> bool:
+    """``is_strongly_connected`` for a boolean edge pattern: frontier sweeps
+    from node 1 over the pattern and over its transpose."""
+    for adj in (edges, edges.T):
+        seen = np.zeros(edges.shape[0], dtype=bool)
+        seen[0] = True
+        frontier = seen
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        if not seen.all():
+            return False
+    return True
 
 
 def spectral_summary(g: WeightedDigraph) -> SpectralData:

@@ -21,13 +21,13 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import WeightedDigraph, graph_from_json, is_strongly_connected, is_weight_balanced
+from .graphs import (as_int, graph_from_json, is_strongly_connected, is_weight_balanced,
+                     pattern_is_strongly_connected)
 
 __all__ = [
     "SwitchingSchedule",
     "AdmissibilityReport",
     "graph_at",
-    "union_digraph",
     "validate_admissible",
     "schedule_from_json",
 ]
@@ -38,7 +38,8 @@ class SwitchingSchedule:
     """Ordered topology segments: ``segments[k] = (start_time, graph_index)``
     with the first start at 0.  ``period`` makes the schedule cyclic; without
     it the final segment holds indefinitely (or until ``end_time`` when the
-    caller declares a bounded domain).
+    caller declares a bounded domain).  ``dwell_min`` defaults to the
+    shortest segment, and is infinite for a schedule that never switches.
     """
 
     graphs: tuple
@@ -50,7 +51,8 @@ class SwitchingSchedule:
 
     def __post_init__(self):
         self.graphs = tuple(self.graphs)
-        self.segments = tuple((float(t), int(i)) for t, i in self.segments)
+        self.segments = tuple((float(t), as_int(i, "a segment's digraph index"))
+                              for t, i in self.segments)
         if not self.graphs:
             raise ValueError("schedule needs at least one digraph")
         if not self.segments or self.segments[0][0] != 0.0:
@@ -69,9 +71,9 @@ class SwitchingSchedule:
             if self.period <= starts[-1]:
                 raise ValueError("cyclic period must exceed the last segment start")
             gaps.append(self.period - starts[-1])
-        inferred = min(gaps) if gaps else math.inf
+        inferred = min(gaps) if gaps else math.inf  # a schedule that never switches
         if self.dwell_min is None:
-            self.dwell_min = inferred if math.isfinite(inferred) else 0.0
+            self.dwell_min = inferred
         elif gaps and self.dwell_min > inferred + 1e-12:
             raise ValueError(
                 f"declared dwell_min {self.dwell_min} exceeds the smallest segment gap {inferred}")
@@ -120,21 +122,6 @@ def graph_at(sched: SwitchingSchedule, t: float) -> int:
     return sched.segments[pos][1]
 
 
-def union_digraph(gs) -> WeightedDigraph:
-    """Joint digraph: union of the edge sets; a shared edge keeps the largest
-    weight, which is deterministic and preserves connectivity semantics."""
-    gs = list(gs)
-    if not gs:
-        raise ValueError("union of an empty digraph list is undefined")
-    n = gs[0].n
-    if any(g.n != n for g in gs):
-        raise ValueError("digraphs must share the node count")
-    weights = gs[0].weights.copy()
-    for g in gs[1:]:
-        np.maximum(weights, g.weights, out=weights)
-    return WeightedDigraph(n=n, weights=weights)
-
-
 @dataclass(frozen=True)
 class AdmissibilityReport:
     all_balanced: bool
@@ -162,16 +149,17 @@ def validate_admissible(sched: SwitchingSchedule, horizon: float,
     if not all_balanced:
         bad = [i for i in referenced if not is_weight_balanced(sched.graphs[i], tol)]
         notes.append(f"unbalanced digraph indices: {bad}")
-    dwell_ok = sched.dwell_min is not None and sched.dwell_min > 0
+    dwell_ok = sched.dwell_min > 0
+    if not dwell_ok:
+        notes.append(f"dwell time {sched.dwell_min:g} is not positive")
 
     intervals = []
     acc = None
     window_start = 0.0
-    pieces = sched.segments_in(horizon)
-    for start, end, idx in pieces:
-        g = sched.graphs[idx]
-        acc = g if acc is None else union_digraph([acc, g])
-        if is_strongly_connected(acc):
+    for _, end, idx in sched.segments_in(horizon):
+        edges = sched.graphs[idx].weights > 0
+        acc = edges if acc is None else acc | edges
+        if pattern_is_strongly_connected(acc):
             intervals.append((window_start, end))
             window_start = end
             acc = None
@@ -180,8 +168,8 @@ def validate_admissible(sched: SwitchingSchedule, horizon: float,
                      f"strongly connected before the horizon")
 
     if sched.period is not None:
-        period_union = union_digraph([sched.graphs[i] for i in referenced])
-        recurrent = is_strongly_connected(period_union)
+        recurrent = pattern_is_strongly_connected(
+            np.logical_or.reduce([sched.graphs[i].weights > 0 for i in referenced]))
         notes.append("cyclic schedule: recurrence certified by one jointly "
                      "strongly connected period" if recurrent else
                      "cyclic schedule: the period union is not strongly connected")
@@ -228,7 +216,7 @@ def schedule_from_json(fragment: dict) -> SwitchingSchedule:
         raise ValueError('schedule "repeat" must be "none" or {"cyclic": period}')
     return SwitchingSchedule(
         graphs=graphs,
-        segments=tuple((float(t), int(i)) for t, i in segments),
+        segments=segments,
         period=period,
         dwell_min=fragment.get("dwell_min"),
         end_time=fragment.get("end_time"),

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from dacsim.config import validate_scenario
 from dacsim.engine import run_scenario
@@ -32,6 +33,28 @@ def random_digraph(rng, n: int, p: float = 0.35) -> WeightedDigraph:
     w = (rng.random((n, n)) < p) * rng.uniform(0.1, 2.0, (n, n))
     np.fill_diagonal(w, 0.0)
     return WeightedDigraph(n=n, weights=w)
+
+
+@st.composite
+def drawn_digraphs(draw, max_graphs=1, max_n=12):
+    """1..max_graphs digraphs on one drawn node count in 1..max_n, each with
+    its own edge density, edgeless and complete ones included."""
+    n = draw(st.integers(1, max_n))
+    graphs = []
+    for _ in range(draw(st.integers(1, max_graphs))):
+        density = draw(st.sampled_from([0.0, 0.1, 0.2, 0.35, 0.6, 1.0]))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        w = (rng.random((n, n)) < density) * rng.uniform(0.1, 2.0, (n, n))
+        np.fill_diagonal(w, 0.0)
+        graphs.append(WeightedDigraph(n=n, weights=w))
+    return graphs
+
+
+def scipy_strongly_connected(weights) -> bool:
+    """The oracle for connectivity checks: scipy's strong components."""
+    from scipy.sparse.csgraph import connected_components
+
+    return connected_components(weights > 0, directed=True, connection="strong")[0] == 1
 
 
 def two_node_pair(weight: float = 1.0) -> WeightedDigraph:

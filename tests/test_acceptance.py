@@ -152,7 +152,7 @@ def test_criterion_02_transient_bound_both_regimes(zero_system_runs):
     for label in ("generic", "confluent"):
         alpha, beta, y0, w0, times, ys = zero_system_runs[label]
         for b in range(20):
-            bi = BoundInputs(alpha=alpha, beta=beta, lambda_hat_2=RING_LAMBDA2,
+            bi = BoundInputs(alpha=alpha, beta=beta, lambda_hat=RING_LAMBDA2,
                              y0_norm=float(np.linalg.norm(y0[:, b])),
                              w0_norm=float(np.linalg.norm(w0[:, b])))
             s_vals = transient_bound_s(times, bi)

@@ -1,5 +1,7 @@
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from dacsim.bounds import (
     transient_bound_s,
     ultimate_bound,
 )
+from dacsim.config import ConfigError, validate_scenario
 from dacsim.engine import pi_udot_series, simulate_protocol
 from dacsim.graphs import topology_preset
 from dacsim.protocols import AgentState, AlgorithmParams
@@ -20,10 +23,11 @@ from dacsim.signals import InputSet, make_signal, preset_scenario
 from conftest import ring_run
 
 RING_LAMBDA2 = 0.5
+SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "dacsim" / "scenarios"
 
 
-def bound_inputs(alpha=1.0, beta=1.0, y0=1.0, w0=1.0, **kw):
-    return BoundInputs(alpha=alpha, beta=beta, lambda_hat_2=RING_LAMBDA2,
+def bound_inputs(alpha=1.0, beta=1.0, y0=1.0, w0=1.0, lambda_hat=RING_LAMBDA2, **kw):
+    return BoundInputs(alpha=alpha, beta=beta, lambda_hat=lambda_hat,
                        y0_norm=y0, w0_norm=w0, **kw)
 
 
@@ -76,7 +80,7 @@ class TestTransientBound:
     @pytest.mark.parametrize("alpha,kappa", [(1.0, None), (RING_LAMBDA2, None), (0.3, 2.5)])
     def test_array_matches_scalar(self, alpha, kappa):
         # generic, confluent (alpha = beta lam) and switching-mode envelopes
-        extra = {} if kappa is None else {"kappa": kappa, "lambda_hat_sigma": 0.4}
+        extra = {} if kappa is None else {"kappa": kappa, "lambda_hat": 0.4}
         b = bound_inputs(alpha=alpha, y0=1.5, w0=0.7, **extra)
         grid = np.linspace(0.0, 30.0, 301)
         values = transient_bound_s(grid, b)
@@ -88,9 +92,9 @@ class TestTransientBound:
 
     def test_switching_mode_scales_transition_terms(self):
         plain = bound_inputs()
-        scaled = bound_inputs(kappa=2.0, lambda_hat_sigma=RING_LAMBDA2)
+        scaled = bound_inputs(kappa=2.0)
         # t=0: only the kappa e^{-beta lam t} ||y0|| term differs
-        assert scaled.effective_kappa == 2.0
+        assert scaled.kappa == 2.0
         assert transient_bound_s(0.0, scaled) == pytest.approx(
             transient_bound_s(0.0, plain) + 1.0)
         assert transient_bound_s(3.0, scaled) > transient_bound_s(3.0, plain)
@@ -113,7 +117,7 @@ class TestTrackingBound:
 
     def test_constant_disagreement_saturates_at_ultimate_bound(self):
         gamma = math.sqrt(2.0)
-        b = bound_inputs(y0=0.0, w0=0.0, gamma=gamma)
+        b = bound_inputs(y0=0.0, w0=0.0)
         limit = ultimate_bound(1.0, RING_LAMBDA2, gamma)
         val = tracking_bound_at(60.0, b, lambda tau: gamma, quad_step=5e-3)
         assert val == pytest.approx(limit, rel=1e-3)
@@ -132,7 +136,7 @@ class TestTrackingBound:
 def fading_integral(grid, f, blam):
     """The envelope's fading integral alone: with zero initial data s(t) and
     the ||du(0)|| term are exactly 0 and kappa is 1, so the curve is I."""
-    b = BoundInputs(alpha=1.0, beta=blam, lambda_hat_2=1.0, y0_norm=0.0, w0_norm=0.0)
+    b = BoundInputs(alpha=1.0, beta=blam, lambda_hat=1.0, y0_norm=0.0, w0_norm=0.0)
     return tracking_bound_curve(grid, b, f).values
 
 
@@ -321,7 +325,7 @@ class TestBoundDomination:
             w0 = rng.uniform(-5, 5, (6, 20))
             times, ys, _ = oracles.simulate_zero_system(ring6, alpha, 1.0, y0, w0, h=5e-3, T=30.0)
             for b in range(20):
-                bi = BoundInputs(alpha=alpha, beta=1.0, lambda_hat_2=RING_LAMBDA2,
+                bi = BoundInputs(alpha=alpha, beta=1.0, lambda_hat=RING_LAMBDA2,
                                  y0_norm=float(np.linalg.norm(y0[:, b])),
                                  w0_norm=float(np.linalg.norm(w0[:, b])))
                 s_vals = transient_bound_s(times, bi)
@@ -343,8 +347,7 @@ class TestBoundDomination:
         series, _ = pi_udot_series(inputs, traj.times)
         u0, du0 = inputs.eval_all(0.0)
         bi = BoundInputs.from_initial(x0, v0, u0, du0, alpha, beta,
-                                      lambda_hat_2=RING_LAMBDA2,
-                                      gamma=float(series.max()))
+                                      lambda_hat=RING_LAMBDA2)
         curve = tracking_bound_curve(traj.times, bi, series)
         offset = -v0.sum() / (alpha * 6)
         lhs = np.abs(traj.errors - offset).max(axis=1)
@@ -353,10 +356,13 @@ class TestBoundDomination:
 
 class TestValidation:
     def test_switching_fields_must_pair(self):
-        with pytest.raises(ValueError, match="switching"):
-            BoundInputs(alpha=1.0, beta=1.0, lambda_hat_2=0.5,
-                        y0_norm=0.0, w0_norm=0.0, kappa=2.0)
+        # BoundInputs takes one (lambda_hat, kappa) pair; a config, whose
+        # switching constants come from outside, must give both or neither
+        raw = json.loads((SCENARIOS / "case1.json").read_text())
+        raw["params"]["kappa"] = 2.0
+        with pytest.raises(ConfigError, match="must be given together"):
+            validate_scenario(raw)
 
     def test_positive_spectral_gap_required(self):
         with pytest.raises(ValueError):
-            BoundInputs(alpha=1.0, beta=1.0, lambda_hat_2=0.0, y0_norm=0.0, w0_norm=0.0)
+            BoundInputs(alpha=1.0, beta=1.0, lambda_hat=0.0, y0_norm=0.0, w0_norm=0.0)

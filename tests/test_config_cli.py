@@ -589,3 +589,66 @@ class TestOneAgent:
         assert f"the {where} has 1 agent; average consensus needs at least two" \
             in capsys.readouterr().out
         assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def cli_on(tmp_path, data, *args):
+    """``dacsim *args <file>`` on data written to a file; the exit code."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    return main([*args, str(path)])
+
+
+def scheduled(schedule):
+    data = tiny_scenario(schedule=schedule)
+    del data["graph"]
+    return data
+
+
+class TestScheduleWithoutSwitch:
+    """A schedule that never switches has an infinite dwell time."""
+
+    SCHEDULE = {"graphs": [{"preset": "fig1a"}], "segments": [[0.0, 0]]}
+
+    def test_validates_and_runs(self, tmp_path, capsys):
+        data = scheduled(self.SCHEDULE)
+        assert cli_on(tmp_path, data, "validate") == EXIT_OK
+        out = capsys.readouterr().out
+        assert "dwell_min=inf" in out and "admissible=True" in out
+        assert cli_on(tmp_path, data, "run", "--out", str(tmp_path / "out")) == EXIT_OK
+        assert (tmp_path / "out" / "tiny.csv").is_file()
+
+    def test_declared_zero_dwell_fails_with_its_own_note(self, tmp_path, capsys):
+        data = scheduled(dict(self.SCHEDULE, dwell_min=0))
+        assert cli_on(tmp_path, data, "validate") == EXIT_CONFIG
+        assert "dwell time 0 is not positive" in capsys.readouterr().out
+
+
+RING_EDGES = [[k, k % 6 + 1, 1.0] for k in range(1, 7)]
+
+
+class TestIntegerFields:
+    """A node count, an edge endpoint or a segment's digraph index is a JSON
+    integer or an integral float; anything else is a config error that names
+    the field, not a truncated value."""
+
+    @pytest.mark.parametrize("data,message", [
+        (tiny_scenario(graph={"n": 6.7, "edges": RING_EDGES}),
+         'digraph "n" must be an integer, got 6.7'),
+        (tiny_scenario(graph={"n": "6", "edges": RING_EDGES}),
+         "digraph \"n\" must be an integer, got '6'"),
+        (tiny_scenario(graph={"n": 6, "edges": [[1, 2.9, 1.0]] + RING_EDGES[1:]}),
+         "a node index of edge [1, 2.9, 1.0] must be an integer, got 2.9"),
+        (scheduled({"graphs": [{"preset": "fig1a"}], "segments": [[0.0, 0.5]]}),
+         "a segment's digraph index must be an integer, got 0.5"),
+    ], ids=["n-fraction", "n-string", "edge-endpoint", "segment-index"])
+    def test_non_integer_is_a_config_error(self, data, message, tmp_path, capsys):
+        assert cli_on(tmp_path, data, "validate") == EXIT_CONFIG
+        assert message in capsys.readouterr().out
+
+    def test_integral_floats_are_accepted(self):
+        edges = [[float(i), float(j), w] for i, j, w in RING_EDGES]
+        cfg = validate_scenario(tiny_scenario(graph={"n": 6.0, "edges": edges}))
+        assert cfg.n == 6
+        cfg = validate_scenario(scheduled({"graphs": [{"preset": "fig1a"}],
+                                           "segments": [[0.0, 0.0]]}))
+        assert cfg.topology.segments == ((0.0, 0),)

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from dacsim.discrete import (
     DiscreteState,
-    StepSize,
     dcdisc_step,
-    make_stepsize,
     max_stepsize,
     pdelta_spectrum_check,
 )
@@ -97,21 +95,37 @@ class TestStepsize:
             with pytest.raises(ValueError):
                 max_stepsize(*bad)
 
+    @staticmethod
+    def ring_run(delta):
+        """A short dcdisc run on the unit ring, where alpha = beta = 1 give
+        the bound 1."""
+        return simulate_discrete(topology_preset("fig1a"), constants([0.0] * 6),
+                                 AlgorithmParams(1.0, 1.0), np.zeros(6), np.zeros(6),
+                                 delta, num_steps=4)
+
     def test_paper_operating_point_admissible(self):
-        # alpha = beta = 1 on the unit ring gives bound 1; delta = 0.5 is fine
-        ss = make_stepsize(0.5, 1.0, 1.0, 1.0)
-        assert ss.admissible and ss.bound == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = self.ring_run(0.5)
+        assert traj.meta["bound"] == 1.0
 
     def test_inadmissible_warns_not_raises(self):
-        with pytest.warns(UserWarning, match="not below"):
-            ss = make_stepsize(1.5, 1.0, 1.0, 1.0)
-        assert not ss.admissible
+        with pytest.warns(UserWarning, match="stepsize 1.5 is not below the admissibility "
+                                             "bound 1; convergence") as record:
+            traj = self.ring_run(1.5)
+        assert traj.times.size == 5
+        assert record[0].filename == __file__  # the warning names the caller's line
 
     def test_stepsize_type_invariant(self):
-        assert StepSize(delta=0.3, bound=1.0).admissible
-        assert not StepSize(delta=1.0, bound=1.0).admissible
-        with pytest.raises(ValueError):
-            StepSize(delta=-0.1, bound=1.0)
+        # 0 < delta < bound runs quietly, delta = bound warns, delta <= 0 raises
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.ring_run(0.3)
+        with pytest.warns(UserWarning, match="not below"):
+            self.ring_run(1.0)
+        for bad in (0.0, -0.1):
+            with pytest.raises(ValueError, match="positive"):
+                self.ring_run(bad)
 
 
 class TestPdeltaSpectrum:

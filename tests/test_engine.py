@@ -22,6 +22,7 @@ from dacsim.config import load_scenario, validate_scenario
 from dacsim.csvformat import format_g12
 from dacsim.engine import (
     AFFINE_BLOCK,
+    BLAS_THREADED_SIZE,
     DISCRETE_BLOCK,
     DivergenceError,
     Trajectory,
@@ -138,27 +139,27 @@ class TestErrorMetrics:
     def test_perfect_tracking(self):
         times = np.linspace(0, 10, 101)
         traj = self.make_traj(times, np.zeros((101, 3)))
-        report = error_metrics(traj, constants([0.0] * 3), tail_start=5.0)
+        report = error_metrics(traj, tail_start=5.0)
         assert np.all(report.per_agent_sup_error_tail == 0.0)
 
     def test_constant_offset(self):
         times = np.linspace(0, 10, 101)
         traj = self.make_traj(times, np.full((101, 2), 0.3))
-        report = error_metrics(traj, constants([0.0] * 2), tail_start=5.0)
+        report = error_metrics(traj, tail_start=5.0)
         assert np.allclose(report.per_agent_sup_error_tail, 0.3)
 
     def test_synthetic_rate_recovery(self):
         times = np.linspace(0, 40, 4001)
         errors = (2.0 * np.exp(-0.5 * times))[:, None]
         traj = self.make_traj(times, errors)
-        report = error_metrics(traj, constants([0.0]), tail_start=30.0)
+        report = error_metrics(traj, tail_start=30.0)
         assert report.fitted_rate[0] == pytest.approx(0.5, abs=0.01)
 
     def test_empty_tail_rejected(self):
         times = np.linspace(0, 10, 11)
         traj = self.make_traj(times, np.zeros((11, 1)))
         with pytest.raises(ValueError, match="tail"):
-            error_metrics(traj, constants([0.0]), tail_start=10.0)
+            error_metrics(traj, tail_start=10.0)
 
     def test_fit_decay_rate_on_noisy_floor(self):
         times = np.linspace(0, 60, 6001)
@@ -537,25 +538,38 @@ def scan_block(incr, c, y):
     return y + _affine_scan(incr, c + incr @ y)
 
 
+def assert_scan_matches_sequential(rng, protocol, n, length):
+    """A block of ``length`` scanned rows of a drawn dc1 or dc2 system on n
+    agents against ``sequential_block``."""
+    g = random_balanced_strongly_connected(rng, n)
+    alpha, beta = (float(v) for v in rng.uniform(0.5, 3.0, 2))
+    theta = ThetaGain.constant(rng.uniform(0.1, 5.0, n)) if protocol == "dc2" else None
+    a, e = _affine_system(protocol, laplacian(g), AlgorithmParams(alpha, beta, theta=theta))
+    h = 0.01
+    incr, q0, qh, q1 = _rk4_affine(a, e, h)
+    f = rng.uniform(-3.0, 3.0, (2 * length + 1, n))
+    c = f[0:-1:2] @ q0.T + f[1::2] @ qh.T + f[2::2] @ q1.T
+    y = rng.uniform(-3.0, 3.0, a.shape[0])
+    ref = sequential_block(incr, c, y)
+    gap = float(np.abs(scan_block(incr, c, y) - ref).max())
+    assert gap <= 1e-12 * max(1.0, float(np.abs(ref).max())), gap
+
+
 class TestAffineScan:
     @settings(max_examples=24, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 30), st.sampled_from(["dc1", "dc2"]),
            st.sampled_from([1, 2, 3, 255, 256, 257, AFFINE_BLOCK]))
     def test_matches_sequential_recurrence(self, seed, protocol, length):
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 7))
-        g = random_balanced_strongly_connected(rng, n)
-        alpha, beta = (float(v) for v in rng.uniform(0.5, 3.0, 2))
-        theta = ThetaGain.constant(rng.uniform(0.1, 5.0, n)) if protocol == "dc2" else None
-        a, e = _affine_system(protocol, laplacian(g), AlgorithmParams(alpha, beta, theta=theta))
-        h = 0.01
-        incr, q0, qh, q1 = _rk4_affine(a, e, h)
-        f = rng.uniform(-3.0, 3.0, (2 * length + 1, n))
-        c = f[0:-1:2] @ q0.T + f[1::2] @ qh.T + f[2::2] @ q1.T
-        y = rng.uniform(-3.0, 3.0, a.shape[0])
-        ref = sequential_block(incr, c, y)
-        gap = float(np.abs(scan_block(incr, c, y) - ref).max())
-        assert gap <= 1e-12 * max(1.0, float(np.abs(ref).max())), gap
+        assert_scan_matches_sequential(rng, protocol, int(rng.integers(2, 7)), length)
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 30), st.integers(min_value=6, max_value=10))
+    def test_sliced_passes_match_sequential_recurrence(self, seed, n):
+        # dc2 on n >= 6 agents has 18 or more columns, so a pass over a full
+        # block goes in several row slices, the last one first
+        assert (BLAS_THREADED_SIZE - 1) // (3 * n) ** 2 < AFFINE_BLOCK - 1
+        assert_scan_matches_sequential(np.random.default_rng(seed), "dc2", n, AFFINE_BLOCK)
 
     def test_segments_shorter_than_a_block(self):
         # pieces of 5, 1 and 31 steps, so every block ends at a switch; the
@@ -742,7 +756,7 @@ class TestErrorMetricsByColumn:
                           protocol="dc1")
         offset = 0.01
         curve = BoundCurve(grid=times, values=np.full(times.size, 0.5))
-        report = error_metrics(traj, constants([0.0] * 5), tail_start=20.0,
+        report = error_metrics(traj, tail_start=20.0,
                                bound_curve=curve, offset=offset)
         full = x - avg[:, None]
         tail = times >= 20.0

@@ -10,10 +10,10 @@ from dacsim.graphs import (
     is_weight_balanced,
     laplacian,
     spectral_summary,
-    strongly_connected_components,
     topology_preset,
 )
-from conftest import random_balanced_strongly_connected, random_digraph, two_node_pair
+from conftest import (drawn_digraphs, random_balanced_strongly_connected, random_digraph,
+                      scipy_strongly_connected, two_node_pair)
 
 
 def six_cycle():
@@ -104,8 +104,6 @@ class TestBalanceAndConnectivity:
     def test_two_disjoint_cycles_not_strongly_connected(self):
         g = topology_preset("fig1b")
         assert not is_strongly_connected(g)
-        comps = strongly_connected_components(g)
-        assert sorted(map(tuple, comps)) == [(1, 2, 6), (3, 4, 5)]
 
     def test_union_of_weak_presets_strongly_connected(self):
         edges = (topology_preset("fig1b").edge_list()
@@ -125,6 +123,12 @@ class TestBalanceAndConnectivity:
             n = int(rng.integers(1, 6))
             g = random_digraph(rng, n, p=rng.uniform(0.1, 0.9))
             assert is_strongly_connected(g) == bool(reachability_closure(g).all())
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn_digraphs())
+    def test_connectivity_against_scipy_components(self, graphs):
+        (g,) = graphs
+        assert is_strongly_connected(g) == scipy_strongly_connected(g.weights)
 
 
 class TestSpectralSummary:

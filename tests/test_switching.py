@@ -1,17 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dacsim.graphs import build_digraph, is_strongly_connected, topology_preset
+from dacsim.graphs import WeightedDigraph, build_digraph, is_strongly_connected, topology_preset
 from dacsim.switching import (
     SwitchingSchedule,
     graph_at,
     schedule_from_json,
-    union_digraph,
     validate_admissible,
 )
-from conftest import case1_schedule, case2_schedule, random_digraph
+from conftest import (case1_schedule, case2_schedule, drawn_digraphs, random_digraph,
+                      scipy_strongly_connected)
 
 
 def three_segment_schedule(**kw):
@@ -63,39 +65,52 @@ class TestGraphAt:
         assert changes <= 40.0 / sched.dwell_min
 
 
+def cyclic(graphs, starts, indices, period):
+    return SwitchingSchedule(graphs=graphs, segments=tuple(zip(starts, indices)), period=period)
+
+
 class TestUnionDigraph:
+    """validate_admissible joins the digraphs of a window, and of a period,
+    by their edge patterns."""
+
     def test_weak_presets_union_is_connected(self):
-        u = union_digraph([topology_preset("fig1b"), topology_preset("fig1c")])
-        assert len(u.edge_list()) == 8
-        assert is_strongly_connected(u)
+        # neither fig1b nor fig1c is strongly connected; their union is
+        graphs = (topology_preset("fig1b"), topology_preset("fig1c"))
+        report = validate_admissible(cyclic(graphs, (0.0, 1.0), (0, 1), 2.0), horizon=6.0)
+        assert report.recurrent and report.admissible
+        assert report.joint_connectivity_intervals == ((0.0, 2.0), (2.0, 4.0), (4.0, 6.0))
 
     def test_idempotent(self):
-        g = topology_preset("fig1e")
-        assert np.array_equal(union_digraph([g, g]).weights, g.weights)
+        # a digraph that recurs within a window adds nothing to it
+        graphs = (topology_preset("fig1b"), topology_preset("fig1c"))
+        twice = validate_admissible(cyclic(graphs, (0.0, 1.0, 2.0), (0, 0, 1), 3.0), horizon=9.0)
+        once = validate_admissible(cyclic(graphs, (0.0, 2.0), (0, 1), 3.0), horizon=9.0)
+        assert twice.joint_connectivity_intervals == once.joint_connectivity_intervals
+        assert twice.recurrent and once.recurrent
 
     def test_empty_graph_is_identity(self):
-        g = topology_preset("fig1b")
-        empty = build_digraph(6, [])
-        assert np.array_equal(union_digraph([g, empty]).weights, g.weights)
-
-    def test_node_count_mismatch(self):
-        with pytest.raises(ValueError):
-            union_digraph([build_digraph(2, []), build_digraph(3, [])])
+        # an edgeless digraph adds nothing to a window
+        graphs = (topology_preset("fig1b"), topology_preset("fig1c"), build_digraph(6, []))
+        padded = validate_admissible(cyclic(graphs, (0.0, 1.0, 2.0), (0, 2, 1), 3.0), horizon=9.0)
+        plain = validate_admissible(cyclic(graphs, (0.0, 2.0), (0, 1), 3.0), horizon=9.0)
+        assert padded.joint_connectivity_intervals == plain.joint_connectivity_intervals
+        assert padded.recurrent and padded.admissible
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 30))
     def test_union_algebra(self, seed):
+        # the union is commutative and associative: the period verdict does
+        # not depend on the order of the digraphs, and a window over one
+        # period closes exactly when the whole period's union connects
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 7))
-        a, b, c = (random_digraph(rng, n) for _ in range(3))
-        ab = union_digraph([a, b])
-        ba = union_digraph([b, a])
-        assert np.array_equal(ab.weights, ba.weights)
-        left = union_digraph([union_digraph([a, b]), c])
-        right = union_digraph([a, union_digraph([b, c])])
-        assert np.array_equal(left.weights, right.weights)
-        again = union_digraph([ab, b])
-        assert set(map(tuple, ab.edge_list())) == set(map(tuple, again.edge_list()))
+        graphs = tuple(random_digraph(rng, n) for _ in range(3))
+        verdicts = set()
+        for order in itertools.permutations(range(3)):
+            report = validate_admissible(cyclic(graphs, (0.0, 1.0, 2.0), order, 3.0), horizon=3.0)
+            assert bool(report.joint_connectivity_intervals) == report.recurrent
+            verdicts.add(report.recurrent)
+        assert len(verdicts) == 1
 
 
 class TestAdmissibility:
@@ -108,7 +123,7 @@ class TestAdmissibility:
         sched = case1_schedule()
         for k in range(5):
             window = [sched.graphs[graph_at(sched, t)] for t in np.arange(8 * k, 8 * (k + 1), 2.0)]
-            assert is_strongly_connected(union_digraph(window))
+            assert is_strongly_connected(WeightedDigraph(6, sum(g.weights for g in window)))
 
     def test_constant_weak_graph_never_connects(self):
         sched = SwitchingSchedule(graphs=(topology_preset("fig1b"),),
@@ -138,6 +153,40 @@ class TestAdmissibility:
         for (a0, b0), (a1, b1) in zip(intervals, intervals[1:]):
             assert b0 == a1 and b1 > a1
         assert len(intervals) >= 40.0 / 8.0  # grows linearly for cyclic schedules
+
+
+@st.composite
+def drawn_schedules(draw):
+    """A schedule of 1..5 drawn digraphs, cyclic or not, with whole-number
+    segment lengths, and a horizon."""
+    graphs = draw(drawn_digraphs(max_graphs=5))
+    pieces = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(0, len(graphs) - 1)),
+                           min_size=1, max_size=8))
+    starts = np.cumsum([0.0] + [float(d) for d, _ in pieces[:-1]])
+    period = float(sum(d for d, _ in pieces)) if draw(st.booleans()) else None
+    sched = SwitchingSchedule(graphs=graphs, period=period,
+                              segments=tuple(zip(starts, (i for _, i in pieces))))
+    return sched, float(draw(st.integers(1, 30)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_schedules())
+def test_joint_connectivity_against_scipy_components(drawn):
+    # the greedy windows, each closed by scipy's verdict on the summed
+    # weights of its pieces, and for a cyclic schedule the period's union
+    sched, horizon = drawn
+    report = validate_admissible(sched, horizon)
+    expected, acc, start = [], None, 0.0
+    for _, end, idx in sched.segments_in(horizon):
+        w = sched.graphs[idx].weights
+        acc = w if acc is None else acc + w
+        if scipy_strongly_connected(acc):
+            expected.append((start, end))
+            start, acc = end, None
+    assert report.joint_connectivity_intervals == tuple(expected)
+    if sched.period is not None:
+        union = sum(sched.graphs[i].weights for i in {i for _, i in sched.segments})
+        assert report.recurrent == scipy_strongly_connected(union)
 
 
 class TestScheduleValidation:
