@@ -59,6 +59,15 @@ def _metrics_payload(cfg, traj, report):
     return payload
 
 
+def _stepsize_note(cfg, traj) -> None:
+    """Say on stderr when a dcdisc run's delta is not below ``max_stepsize``,
+    whose bound is sufficient, not necessary: the run goes on."""
+    meta = traj.meta if traj is not None else {}
+    if "bound" in meta and not meta["delta"] < meta["bound"]:
+        print(f"{cfg.name}: stepsize delta={meta['delta']:g} is not below the sufficient "
+              f"bound {meta['bound']:.6g}; convergence is not guaranteed", file=sys.stderr)
+
+
 def execute(scenario, out_dir, svg=False, seed=None, step=None, quiet=False):
     """Run one scenario (a file path or an already-validated ScenarioConfig);
     returns (exit_code, summary line) and writes CSV/metrics/SVG artifacts."""
@@ -79,6 +88,7 @@ def execute(scenario, out_dir, svg=False, seed=None, step=None, quiet=False):
     try:
         traj, report, curves = run_scenario(cfg)
     except DivergenceError as exc:
+        _stepsize_note(cfg, exc.partial)
         line = f"{cfg.name}: DIVERGED at t={exc.t:.6g} ({exc})"
         if exc.partial is not None:
             try:
@@ -88,6 +98,7 @@ def execute(scenario, out_dir, svg=False, seed=None, step=None, quiet=False):
             except OSError:
                 pass
         return EXIT_DIVERGED, line
+    _stepsize_note(cfg, traj)
 
     try:
         write_trajectory_csv(out_dir / cfg.outputs["csv"], traj, curves)

@@ -22,7 +22,6 @@ __all__ = [
     "SemiConvergenceReport",
     "max_stepsize",
     "dcdisc_system",
-    "dcdisc_advance",
     "dcdisc_step",
     "zero_system_matrix",
     "pdelta_spectrum_check",
@@ -72,27 +71,20 @@ def dcdisc_system(lap: np.ndarray, alpha: float, beta: float, d: float) -> np.nd
     return d * np.hstack((zero_system_matrix(lap, alpha, beta), feed))
 
 
-def dcdisc_advance(m: np.ndarray, row: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """One iteration in increment form, y_{k+1} = y_k + M (z_k, v_k, u_k):
-    ``row`` is (z_k, v_k, u(k delta)), M is ``dcdisc_system``'s, and
-    y_{k+1} = (z_{k+1}, v_{k+1}) is written to ``out`` and returned.  A
-    (rows x 3n) stack of such rows steps each of them, in one product.  One
-    product and one add give, up to roundoff, the update
+def dcdisc_step(s: DiscreteState, g: WeightedDigraph, inputs: InputSet,
+                p: AlgorithmParams, delta: float) -> DiscreteState:
+    """One iteration in increment form, y_{k+1} = y_k + M (z_k, v_k, u_k),
+    with u sampled at t = k delta, M = ``dcdisc_system``'s matrix and
+    y = (z, v), and the published output x_out+ = z+ + u(k+1).  One product
+    and one add give, up to roundoff, the update
 
     z+ = z - delta alpha z - delta beta L (z + u(k)) - delta v
     v+ = v + delta alpha beta L (z + u(k))
 
     The v increment sums to 0 over the agents up to roundoff, so sum(v) is
-    conserved, and delta = 0 adds exactly 0."""
-    return np.add(row[..., :m.shape[0]], row @ m.T, out=out)
-
-
-def dcdisc_step(s: DiscreteState, g: WeightedDigraph, inputs: InputSet,
-                p: AlgorithmParams, delta: float) -> DiscreteState:
-    """One iteration with u sampled at t = k delta, and the published output
-    x_out+ = z+ + u(k+1).  It runs ``dcdisc_advance`` on the matrix
-    ``simulate_discrete`` builds; a run, which steps its rows in sub-blocks
-    from anchors, agrees with repeated steps to roundoff."""
+    conserved, and delta = 0 adds exactly 0.  ``simulate_discrete`` steps
+    the same matrix in sub-blocks from anchors, and agrees with repeated
+    steps to roundoff."""
     d = float(delta)
     if d < 0:
         raise ValueError("stepsize must be nonnegative")
@@ -100,7 +92,8 @@ def dcdisc_step(s: DiscreteState, g: WeightedDigraph, inputs: InputSet,
         raise ValueError(f"state/inputs dimension does not match digraph size {g.n}")
     u = inputs.values(np.array([s.k, s.k + 1]) * d)
     m = dcdisc_system(laplacian(g), p.alpha, p.beta, d)
-    y = dcdisc_advance(m, np.concatenate((s.z, s.v, u[0])), np.empty(2 * g.n))
+    y = np.concatenate((s.z, s.v))
+    y += m @ np.concatenate((y, u[0]))
     return DiscreteState(z=y[:g.n], v=y[g.n:], k=s.k + 1, x_out=y[:g.n] + u[1])
 
 

@@ -12,14 +12,13 @@ inadmissible stepsizes early.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import bounds as bnd
-from .discrete import dcdisc_advance, dcdisc_system, max_stepsize, zero_system_matrix
+from .discrete import dcdisc_system, max_stepsize, zero_system_matrix
 from .graphs import WeightedDigraph, laplacian, symmetric_spectrum
 from .protocols import Z_STATE_PROTOCOLS, AgentState, AlgorithmParams, dc1_rhs, dc2_rhs, dc3_rhs
 from .signals import InputSet, InputTable, pi_norms, pi_udot_series, sampled_gamma
@@ -43,20 +42,21 @@ __all__ = [
 
 DIVERGENCE_LIMIT = 1e12
 GRID_ALIGN_TOL = 1e-6  # steps a grid time may lie from the nearest whole step
-AFFINE_BLOCK = 2048  # steps per forcing block and scan of the affine recurrence
 # multiply-adds m n k of the smallest product OpenBLAS runs threaded (measured
 # on 0.3.31); a second thread can stall a run for most of a second, so the
-# run's larger products go a few rows at a time, each slice below this size
+# stepping's products stay below this size, the forcing's a few rows at a time
 BLAS_THREADED_SIZE = 2 ** 19
-# simulate_discrete steps each chunk of DISCRETE_BLOCK iterations, its span
-# between divergence checks, as DISCRETE_SUBBLOCKS sub-blocks of
-# DISCRETE_SUBSTEPS rows, a power of two so that N_s comes from doubling.  A
-# chunk of s nb rows makes about 5 s + 3 nb numpy calls, fewest among powers
-# of two at s = nb = 32, and its products, (nb x 3n) by (3n x 2n), stay below
-# BLAS_THREADED_SIZE up to n = 52 agents
-DISCRETE_SUBSTEPS = 32
-DISCRETE_SUBBLOCKS = 32
-DISCRETE_BLOCK = DISCRETE_SUBSTEPS * DISCRETE_SUBBLOCKS
+# _sweep steps a block of SWEEP_BLOCK rows, the span of one divergence check
+# and of one input evaluation on the affine path, as SWEEP_SUBBLOCKS
+# sub-blocks of SWEEP_SUBSTEPS rows, a power of two so that N_s comes from
+# doubling.  A block of s nb rows makes about 6 s + 3 nb numpy calls; in
+# process, 32 x 64 stepped static, case1, rate and discrete_wide 14-30%
+# faster than 32 x 32, and within 10% of 64 x 32 and 16 x 64.  Its stacked
+# products, (nb x dim) by (dim x dim), stay below BLAS_THREADED_SIZE up to
+# dim = 90 state columns: 45 agents of dc1 or dcdisc, 30 of dc2
+SWEEP_SUBSTEPS = 32
+SWEEP_SUBBLOCKS = 64
+SWEEP_BLOCK = SWEEP_SUBSTEPS * SWEEP_SUBBLOCKS
 # cells per format_g12 block; 2 ** 14 and 2 ** 15 wrote no faster and raised
 # discrete_wide's peak memory by 1.5 and 4.6 MB
 CSV_CELLS = 2 ** 13
@@ -292,48 +292,18 @@ def _rk4_affine(a: np.ndarray, e: np.ndarray, h: float):
     return incr, q0, qh, (h / 6.0) * e
 
 
-def _affine_scan(incr: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Overwrite the rows of g with w_j = sum_{i<=j} P^(j-i) g_i, P = I + N,
-    the recurrence w_j = w_{j-1} + N w_{j-1} + g_j, and return it.  This is
-    Hillis-Steele doubling: after the pass of stride s, row j holds the
-    terms i > j - 2s.  N_d = P^s - I stays in increment form
-    (N_{d+1} = 2 N_d + N_d^2), so I + N is never formed.  Once P^s
-    overflows, an exactly zero row still adds nothing to later rows, as in
-    stepping the recurrence one row at a time.  Working in place keeps the
-    block's temporaries, and the run's peak memory, small.  A pass goes
-    ``rows`` rows at a time, each product below BLAS_THREADED_SIZE, from the
-    last slice to the first: a slice adds into rows s further on, which
-    only the slices after it read."""
-    w = g
-    nd, s = incr, 1
-    rows = max(1, (BLAS_THREADED_SIZE - 1) // incr.size)
-    while s < len(w):
-        finite = np.isfinite(nd).all()
-        for a in reversed(range(0, len(w) - s, rows)):
-            prev = w[a:min(a + rows, len(w) - s)]
-            if finite:
-                step = prev @ nd.T
-                step += prev
-                w[a + s:a + s + len(prev)] += step
-            else:
-                live = np.flatnonzero(prev.any(axis=1))
-                w[a + s + live] += prev[live] + prev[live] @ nd.T
-        nd = _power_increment(nd, 2)
-        s *= 2
-    return w
-
-
 def _affine_run(protocol, topology, inputs: InputSet, p: AlgorithmParams,
                 y0: np.ndarray, h: float, T: float):
     """Step the linear protocols as y_{k+1} = y_k + N_sigma y_k + c_k, one
-    switching segment at a time, forming c_k in blocks of AFFINE_BLOCK steps
-    from one input evaluation on the block's stage times.  Within a block
-    from y = y_{k0}, y_{k0+1+j} = y + w_j where w is the scan of
-    g_j = c_j + N y (``_affine_scan``).  Returns (times, states, avg_u,
-    pi_udot) with the input statistics read off the stage samples at the
-    stored times; a divergence's partial trajectory carries them as far as
-    it reaches.  A block's divergence check reads its largest and smallest
-    entries, and locates the first bad row only when one of them fails."""
+    switching segment at a time, in blocks of SWEEP_BLOCK steps.  A block
+    evaluates the inputs once on its stage times, writes
+    c_j = Q0 f_j + Qh f_{j+1/2} + Q1 f_{j+1} into its state rows
+    (``_forcing``), and steps them in place (``_sweep``).  Returns (times,
+    states, avg_u, pi_udot) with the input statistics read off the stage
+    samples at the stored times; a divergence's partial trajectory carries
+    them as far as it reaches.  A block's divergence check reads its largest
+    and smallest entries, and locates the first bad row only when one of
+    them fails."""
     switching = isinstance(topology, SwitchingSchedule)
     if not switching and not isinstance(topology, WeightedDigraph):
         raise TypeError("topology must be a WeightedDigraph or a SwitchingSchedule")
@@ -343,8 +313,10 @@ def _affine_run(protocol, topology, inputs: InputSet, p: AlgorithmParams,
     systems = {}
 
     def system(idx):
+        """(N^T, N_s^T, Q0^T, Qh^T, Q1^T) of digraph idx, built once."""
         if idx not in systems:
-            systems[idx] = _rk4_affine(*_affine_system(protocol, laplacian(graphs[idx]), p), h)
+            incr, q0, qh, q1 = _rk4_affine(*_affine_system(protocol, laplacian(graphs[idx]), p), h)
+            systems[idx] = (incr.T, _power_increment(incr, SWEEP_SUBSTEPS).T, q0.T, qh.T, q1.T)
         return systems[idx]
 
     out = np.empty((times.size, y0.size))
@@ -352,18 +324,17 @@ def _affine_run(protocol, topology, inputs: InputSet, p: AlgorithmParams,
     out[0] = y0
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
         for k_start, k_end, idx in pieces:
-            incr, q0, qh, q1 = system(idx)
-            for k0 in range(k_start, k_end, AFFINE_BLOCK):
-                k1 = min(k0 + AFFINE_BLOCK, k_end)
+            n_t, ns_t, q0_t, qh_t, q1_t = system(idx)
+            for k0 in range(k_start, k_end, SWEEP_BLOCK):
+                k1 = min(k0 + SWEEP_BLOCK, k_end)
                 u, du = inputs.eval_all(_half_steps(times[k0:k1 + 1], h))
                 # the even stage rows are the stored times k0..k1
                 avg_u[k0:k1 + 1] = u[::2].mean(axis=1)
                 pi_udot[k0:k1 + 1] = pi_norms(du[::2])
                 f = du + p.alpha * u
-                c = f[0:-1:2] @ q0.T + f[1::2] @ qh.T + f[2::2] @ q1.T
-                y = out[k0]
-                c += incr @ y  # g_j, scanned in place
-                block = np.add(y, _affine_scan(incr, c), out=out[k0 + 1:k1 + 1])
+                block = _forcing(out[k0 + 1:k1 + 1],
+                                 (f[0:-1:2], q0_t), (f[1::2], qh_t), (f[2::2], q1_t))
+                _sweep(n_t, ns_t, out, k0, k1)
                 # NaN fails both comparisons
                 if not (block.max() <= DIVERGENCE_LIMIT and -block.min() <= DIVERGENCE_LIMIT):
                     peak = np.abs(block).max(axis=1)
@@ -372,14 +343,69 @@ def _affine_run(protocol, topology, inputs: InputSet, p: AlgorithmParams,
     return times, out, avg_u, pi_udot
 
 
+def _forcing(out: np.ndarray, *terms) -> np.ndarray:
+    """Write the sum of a @ b over the (a, b) terms into out and return it,
+    a few rows at a time, each product below BLAS_THREADED_SIZE."""
+    rows = max(1, (BLAS_THREADED_SIZE - 1) // max(a.shape[1] * b.shape[1] for a, b in terms))
+    (a0, b0), *rest = terms
+    for r in range(0, len(out), rows):
+        part = np.matmul(a0[r:r + rows], b0, out=out[r:r + rows])
+        for a, b in rest:
+            part += a[r:r + rows] @ b
+    return out
+
+
+def _advance(y: np.ndarray, n_t: np.ndarray, g: np.ndarray, out: np.ndarray):
+    """One step y + (y N^T + g) of a stack of rows y, written to out, which
+    may be g: the increment is formed whole before it meets y."""
+    incr = y @ n_t
+    incr += g
+    np.add(y, incr, out=out)
+
+
+def _sweep(n_t: np.ndarray, ns_t: np.ndarray, ys: np.ndarray, k0: int, k1: int):
+    """Step rows k0 + 1..k1 of ys in place from row k0 by the recurrence
+    y_{k+1} = y_k + y_k N^T + g_k: row k + 1 holds the forcing g_k on entry
+    and y_{k+1} on return.  n_t is N^T, and ns_t is N_s^T, with
+    N_s = (I + N)^s - I for s = SWEEP_SUBSTEPS (``_power_increment``).  The
+    rows split into sub-blocks of s rows, the last one possibly shorter,
+    each stepped from an anchor row:
+
+    1. the forced response f of every sub-block but the last, the part its
+       forcing drives, is stepped from zero, all at once;
+    2. each next anchor follows from the one before as a + (a N_s^T + f);
+    3. every sub-block is stepped from its anchor, which writes the rows.
+
+    Sweeps 1 and 3 step a stack of one row per sub-block in increment form,
+    so I + N is never formed and the sum of the integral states v is
+    conserved to roundoff of the increments.  The anchors sit in a stack of
+    their own, since the rows they would take still hold forcing that sweep
+    3 reads.  Once N_s overflows, an exactly zero anchor still moves by its
+    f alone, as in stepping one row at a time."""
+    s = SWEEP_SUBSTEPS
+    last = k0 + (k1 - k0 - 1) // s * s  # the last sub-block's anchor
+    forced = ys[k0 + 1:last + 1:s].copy()  # the first step from zero
+    for i in range(1, s):
+        _advance(forced, n_t, ys[k0 + 1 + i:last + 1:s], forced)
+    anchors = np.empty((len(forced) + 1, ys.shape[1]))
+    anchors[0] = ys[k0]
+    finite = np.isfinite(ns_t).all()
+    for b, f in enumerate(forced):
+        a = anchors[b]
+        np.add(a, a @ ns_t + f if finite or a.any() else f, out=anchors[b + 1])
+    for i in range(min(s, k1 - k0)):
+        rows = ys[k0 + 1 + i:k1 + 1:s]
+        _advance(anchors if i == 0 else ys[k0 + i:k1:s], n_t, rows, rows)
+
+
 def _table_stats(table: InputTable, rows: int):
     """(avg_u, pi_udot) at the first ``rows`` stored times of a run whose
     inputs were sampled on the half-step grid: the table's even rows, read
-    AFFINE_BLOCK rows at a time so no full-size temporary sits beside the
+    SWEEP_BLOCK rows at a time so no full-size temporary sits beside the
     table and the integration buffers."""
     avg_u, pi_udot = np.empty(rows), np.empty(rows)
-    for a in range(0, rows, AFFINE_BLOCK):
-        b = min(a + AFFINE_BLOCK, rows)
+    for a in range(0, rows, SWEEP_BLOCK):
+        b = min(a + SWEEP_BLOCK, rows)
         avg_u[a:b] = table.u[2 * a:2 * b:2].mean(axis=1)
         pi_udot[a:b] = pi_norms(table.du[2 * a:2 * b:2])
     return avg_u, pi_udot
@@ -443,22 +469,21 @@ def simulate_discrete(g: WeightedDigraph, inputs: InputSet, p: AlgorithmParams,
                       z0, v0, delta: float, num_steps: int) -> Trajectory:
     """Iterate the discrete tracker for num_steps samples of stepsize delta.
     One (num_steps + 1, 3n) buffer holds the rows (z_k, v_k, u(k delta)):
-    the u columns are filled by one input evaluation, and the iterates are
-    stepped in place, DISCRETE_BLOCK rows at a time, by ``_dcdisc_chunk``'s
-    sub-block sweeps of the run's ``dcdisc_system`` matrix.  The rows agree
-    with repeated ``dcdisc_step`` calls to roundoff.  The u samples also
-    give avg_u and meta["gamma"], sup_k ||Pi_N (u(k+1) - u(k))||; the
-    published outputs x = z + u then overwrite them.  Each chunk is checked
-    once stepped, and a divergence's partial trajectory is cut after the
-    first row past the limit.  A delta at or above ``max_stepsize`` warns,
-    since that bound is sufficient, not necessary; a nonpositive one
-    raises."""
+    the u columns are filled by one input evaluation.  With
+    M = [N | M_u] (``dcdisc_system``), a step is y + y N^T + u_k M_u^T, so
+    the iterates are stepped in place, SWEEP_BLOCK rows at a time, by
+    writing the forcing u_k M_u^T into row k + 1 (``_forcing``) and
+    sweeping the block (``_sweep``).  The rows agree with repeated
+    ``dcdisc_step`` calls to roundoff.  The u samples also give avg_u and
+    meta["gamma"], sup_k ||Pi_N (u(k+1) - u(k))||; the published outputs
+    x = z + u then overwrite them.  Each block is checked once stepped, and
+    a divergence's partial trajectory is cut after the first row past the
+    limit.  meta also holds delta and ``max_stepsize``'s bound, which is
+    sufficient, not necessary: a delta at or above it still runs, and
+    ``dacsim run`` says so on stderr.  A nonpositive delta raises."""
     if delta <= 0:
         raise ValueError("stepsize must be positive")
     bound = max_stepsize(p.alpha, p.beta, float(g.out_degrees.max()))
-    if not delta < bound:
-        warnings.warn(f"stepsize {delta} is not below the admissibility bound {bound:.6g}; "
-                      "convergence is no longer guaranteed", stacklevel=2)
     n = g.n
     if len(inputs) != n:
         raise ValueError(f"state/inputs dimension does not match digraph size {n}")
@@ -468,14 +493,15 @@ def simulate_discrete(g: WeightedDigraph, inputs: InputSet, p: AlgorithmParams,
     inputs.values(times, out=rows[:, 2 * n:])
     meta = {"delta": delta, "bound": bound, "gamma": sampled_gamma(rows[:, 2 * n:])}
     m = dcdisc_system(laplacian(g), p.alpha, p.beta, delta)
+    n_t, mu_t = m[:, :2 * n].T, m[:, 2 * n:].T
     ys = rows[:, :2 * n]  # the iterates (z_k, v_k)
     rows[0, :n], rows[0, n:2 * n] = z0, v0
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
-        ns_t = _power_increment(m[:, :2 * n], DISCRETE_SUBSTEPS).T
-        for k0 in range(0, num_steps, DISCRETE_BLOCK):
-            k1 = min(k0 + DISCRETE_BLOCK, num_steps)
-            _dcdisc_chunk(m, ns_t, rows, k0, k1)
-            block = ys[k0 + 1:k1 + 1]
+        ns_t = _power_increment(m[:, :2 * n], SWEEP_SUBSTEPS).T
+        for k0 in range(0, num_steps, SWEEP_BLOCK):
+            k1 = min(k0 + SWEEP_BLOCK, num_steps)
+            block = _forcing(ys[k0 + 1:k1 + 1], (rows[k0:k1, 2 * n:], mu_t))
+            _sweep(n_t, ns_t, ys, k0, k1)
             peak = np.maximum(block.max(axis=1), -block.min(axis=1))  # max |.|, no copy
             bad = np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))
             if bad.size:
@@ -502,41 +528,6 @@ def _power_increment(incr: np.ndarray, s: int) -> np.ndarray:
         nd += square
         s //= 2
     return nd
-
-
-def _dcdisc_chunk(m: np.ndarray, ns_t: np.ndarray, rows: np.ndarray, k0: int, k1: int):
-    """Step the iterates y = (z, v) of buffer rows k0 + 1..k1 from row k0,
-    in place.  With M = [N | M_u] (``dcdisc_system``) a step is
-    y + y N^T + u M_u^T, and ns_t is N_s^T, N_s = (I + N)^s - I for
-    s = DISCRETE_SUBSTEPS.  The rows split into sub-blocks of s rows, the
-    last one possibly shorter, each starting from an anchor row:
-
-    1. the forced response f, the part the inputs drive, of every
-       sub-block but the last is stepped from zero, all at once;
-    2. each next anchor follows from the one before as a + a N_s^T + f;
-    3. every sub-block is stepped from its anchor, which writes the rows.
-
-    Sweeps 1 and 3 step ``dcdisc_advance`` on a stack of one row per
-    sub-block, so every step keeps the increment form and sum(v) is
-    conserved to roundoff of the increments.  Once N_s overflows, an
-    exactly zero anchor still moves by its f alone, as in stepping one row
-    at a time."""
-    s = DISCRETE_SUBSTEPS
-    dim = m.shape[0]
-    ys = rows[:, :dim]
-    last = k0 + (k1 - k0 - 1) // s * s  # the last sub-block's anchor
-    forced = np.zeros(((last - k0) // s, rows.shape[1]))  # rows (f, u)
-    f = forced[:, :dim]
-    for i in range(s):
-        forced[:, dim:] = rows[k0 + i:last:s, dim:]
-        dcdisc_advance(m, forced, f)
-    finite = np.isfinite(ns_t).all()
-    for b, a in enumerate(range(k0 + s, last + 1, s)):
-        prev = ys[a - s]
-        c = f[b] + prev @ ns_t if finite or prev.any() else f[b]
-        np.add(prev, c, out=ys[a])
-    for i in range(min(s, k1 - k0)):
-        dcdisc_advance(m, rows[k0 + i:k1:s], ys[k0 + i + 1:k1 + 1:s])
 
 
 def _published(rows, ks, times, n, meta) -> Trajectory:

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dacsim.cli import main
 from dacsim.discrete import (
     DiscreteState,
     dcdisc_step,
@@ -12,8 +14,8 @@ from dacsim.discrete import (
     pdelta_spectrum_check,
 )
 from dacsim.engine import (
-    DISCRETE_BLOCK,
-    DISCRETE_SUBSTEPS,
+    SWEEP_BLOCK,
+    SWEEP_SUBSTEPS,
     DivergenceError,
     integrate,
     simulate_discrete,
@@ -103,26 +105,45 @@ class TestStepsize:
                                  AlgorithmParams(1.0, 1.0), np.zeros(6), np.zeros(6),
                                  delta, num_steps=4)
 
+    @staticmethod
+    def ring_cli(tmp_path, capsys, delta):
+        """``dacsim run`` of the same ring at delta: (exit code, stderr)."""
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps({
+            "name": "ring", "graph": {"preset": "fig1a"}, "protocol": "dcdisc",
+            "params": {"alpha": 1.0, "beta": 1.0, "delta": delta},
+            "inputs": {"signals": [{"kind": "constant", "params": {"value": 0.0}}] * 6},
+            "horizon": 4 * delta, "tail_start": 2 * delta}))
+        code = main(["run", str(path), "--out", str(tmp_path / "out")])
+        return code, capsys.readouterr().err
+
     def test_paper_operating_point_admissible(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             traj = self.ring_run(0.5)
         assert traj.meta["bound"] == 1.0
 
-    def test_inadmissible_warns_not_raises(self):
-        with pytest.warns(UserWarning, match="stepsize 1.5 is not below the admissibility "
-                                             "bound 1; convergence") as record:
-            traj = self.ring_run(1.5)
-        assert traj.times.size == 5
-        assert record[0].filename == __file__  # the warning names the caller's line
-
-    def test_stepsize_type_invariant(self):
-        # 0 < delta < bound runs quietly, delta = bound warns, delta <= 0 raises
+    def test_inadmissible_warns_not_raises(self, tmp_path, capsys):
+        # the run goes on quietly and records delta and the bound; dacsim run
+        # prints one plain line for it, with no source path or code line
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            self.ring_run(0.3)
-        with pytest.warns(UserWarning, match="not below"):
-            self.ring_run(1.0)
+            traj = self.ring_run(1.5)
+        assert traj.times.size == 5
+        assert (traj.meta["delta"], traj.meta["bound"]) == (1.5, 1.0)
+        assert self.ring_cli(tmp_path, capsys, 1.5) == (
+            0, "ring: stepsize delta=1.5 is not below the sufficient bound 1; "
+               "convergence is not guaranteed\n")
+
+    def test_stepsize_type_invariant(self, tmp_path, capsys):
+        # 0 < delta < bound runs without the line, delta = bound prints it,
+        # delta <= 0 raises; the library itself never warns
+        for delta, noted in ((0.3, False), (1.0, True)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                self.ring_run(delta)
+            code, err = self.ring_cli(tmp_path, capsys, delta)
+            assert code == 0 and ("not below the sufficient bound" in err) == noted
         for bad in (0.0, -0.1):
             with pytest.raises(ValueError, match="positive"):
                 self.ring_run(bad)
@@ -247,9 +268,8 @@ def test_divergence_reports_first_bad_iterate():
     # 1e12 well inside the run's second block of iterations
     g, inputs, p = topology_preset("fig1a"), preset_scenario("case2"), AlgorithmParams(1.0, 1.0)
     delta = 1.01
-    with pytest.warns(UserWarning, match="not below the admissibility bound"):
-        with pytest.raises(DivergenceError) as err:
-            simulate_discrete(g, inputs, p, np.zeros(6), np.zeros(6), delta, num_steps=4000)
+    with pytest.raises(DivergenceError) as err:
+        simulate_discrete(g, inputs, p, np.zeros(6), np.zeros(6), delta, num_steps=4000)
     s = DiscreteState.initial(np.zeros(6), np.zeros(6), inputs)
     while True:
         s = dcdisc_step(s, g, inputs, p, delta)
@@ -264,13 +284,13 @@ def test_divergence_reports_first_bad_iterate():
 
 # step counts across the seams of the run's sub-blocks and chunks, the last
 # one leaving a partial chunk that ends in a short sub-block
-SEAM_STEPS = (1, DISCRETE_SUBSTEPS - 1, DISCRETE_SUBSTEPS, DISCRETE_SUBSTEPS + 1,
-              DISCRETE_BLOCK - 1, DISCRETE_BLOCK, DISCRETE_BLOCK + 1,
-              2 * DISCRETE_BLOCK + DISCRETE_SUBSTEPS + 5)
+SEAM_STEPS = (1, SWEEP_SUBSTEPS - 1, SWEEP_SUBSTEPS, SWEEP_SUBSTEPS + 1,
+              SWEEP_BLOCK - 1, SWEEP_BLOCK, SWEEP_BLOCK + 1,
+              2 * SWEEP_BLOCK + SWEEP_SUBSTEPS + 5)
 
 
 class TestFusedStep:
-    """simulate_discrete steps (z, v) in sub-blocks of DISCRETE_SUBSTEPS rows
+    """simulate_discrete steps (z, v) in sub-blocks of SWEEP_SUBSTEPS rows
     from anchors that follow one another through N_s = P^s - I.  The
     literal update is its oracle across the sub-block and chunk seams: to
     1e-12 of the state below the stepsize bound, and past it both must
@@ -300,17 +320,15 @@ class TestFusedStep:
             v.append(v_next)
         z, v = np.array(z), np.array(v)
         diverged = not np.abs(np.hstack((z, v))[-1]).max() <= 1e12
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a delta past the bound warns
-            if diverged:
-                with pytest.raises(DivergenceError) as err:
-                    simulate_discrete(g, inputs, AlgorithmParams(alpha, beta), z0, v0,
-                                      delta=delta, num_steps=num_steps)
-                assert err.value.t == (len(z) - 1) * delta
-                traj = err.value.partial
-            else:
-                traj = simulate_discrete(g, inputs, AlgorithmParams(alpha, beta), z0, v0,
-                                         delta=delta, num_steps=num_steps)
+        if diverged:
+            with pytest.raises(DivergenceError) as err:
+                simulate_discrete(g, inputs, AlgorithmParams(alpha, beta), z0, v0,
+                                  delta=delta, num_steps=num_steps)
+            assert err.value.t == (len(z) - 1) * delta
+            traj = err.value.partial
+        else:
+            traj = simulate_discrete(g, inputs, AlgorithmParams(alpha, beta), z0, v0,
+                                     delta=delta, num_steps=num_steps)
         assert traj.times.size == len(z)  # cut after the first bad row
         # Past the bound, roundoff is damped slowly or not at all, and the
         # literal recurrence pins its rows down only loosely: repeated
@@ -336,17 +354,15 @@ class TestFusedStep:
     def test_a_zero_state_stays_at_rest_when_n_s_overflows(self):
         # delta = 1e10 overflows (I + N)^s; from a zero state with zero
         # inputs every row stays exactly zero, as when stepping row by row
-        with pytest.warns(UserWarning, match="not below the admissibility bound"):
-            traj = simulate_discrete(topology_preset("fig1a"), constants([0.0] * 6),
-                                     AlgorithmParams(1.0, 1.0), np.zeros(6), np.zeros(6),
-                                     1e10, num_steps=DISCRETE_BLOCK + 1)
+        traj = simulate_discrete(topology_preset("fig1a"), constants([0.0] * 6),
+                                 AlgorithmParams(1.0, 1.0), np.zeros(6), np.zeros(6),
+                                 1e10, num_steps=SWEEP_BLOCK + 1)
         assert not np.any(traj.z) and not np.any(traj.v)
 
     def test_partial_trajectory_is_cut_after_the_bad_row(self):
         g, inputs, p = topology_preset("fig1a"), preset_scenario("case2"), AlgorithmParams(1.0, 1.0)
-        with pytest.warns(UserWarning, match="not below the admissibility bound"):
-            with pytest.raises(DivergenceError) as err:
-                simulate_discrete(g, inputs, p, np.zeros(6), np.zeros(6), 1.01, num_steps=4000)
+        with pytest.raises(DivergenceError) as err:
+            simulate_discrete(g, inputs, p, np.zeros(6), np.zeros(6), 1.01, num_steps=4000)
         partial = err.value.partial
         k = int(round(err.value.t / 1.01))
         assert np.array_equal(partial.k_index, np.arange(k + 1))

@@ -21,9 +21,9 @@ from dacsim.bounds import BoundCurve
 from dacsim.config import load_scenario, validate_scenario
 from dacsim.csvformat import format_g12
 from dacsim.engine import (
-    AFFINE_BLOCK,
     BLAS_THREADED_SIZE,
-    DISCRETE_BLOCK,
+    SWEEP_BLOCK,
+    SWEEP_SUBSTEPS,
     DivergenceError,
     Trajectory,
     error_metrics,
@@ -34,10 +34,12 @@ from dacsim.engine import (
     simulate_discrete,
     simulate_protocol,
     write_trajectory_csv,
-    _affine_scan,
     _affine_system,
+    _forcing,
     _grid,
+    _power_increment,
     _rk4_affine,
+    _sweep,
 )
 from dacsim.graphs import laplacian
 from dacsim.protocols import (
@@ -393,6 +395,15 @@ class TestAffinePath:
                            cfg.build_params(), cfg.x0, cfg.v0, cfg.step, cfg.horizon,
                            z0=cfg.z0 if has_z else None)
 
+    @pytest.mark.parametrize("fname", ["case1.json", "case2.json", "offset_sines.json",
+                                       "rate.json", "static.json"])
+    def test_bundled_runs_keep_the_increment_form(self, fname):
+        # stepping by the increment keeps sum(v) to roundoff of the
+        # increments over the whole run (measured at most 3.0e-13); N_s
+        # taken as a matrix power of I + N drifts by 1.1e-12 on rate
+        _, report, _ = run_scenario(load_scenario(SCENARIOS / fname))
+        assert report.conservation_residual <= 1e-12
+
     @settings(max_examples=12, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 30), st.booleans(),
            st.sampled_from(["dc1", "dc2"]))
@@ -521,12 +532,12 @@ class TestAffinePath:
 
 
 # ---------------------------------------------------------------------------
-# doubling scan vs the step-by-step affine recurrence
+# the blocked sweep vs the step-by-step affine recurrence
 # ---------------------------------------------------------------------------
 
 def sequential_block(incr, c, y):
-    """The recurrence one step at a time, as the engine stepped it before
-    the scan: rows y_{k0+1}, ..., y_{k0+B} from y = y_{k0}."""
+    """The recurrence one step at a time, the blocked sweep's reference:
+    rows y_{k0+1}, ..., y_{k0+B} from y = y_{k0}."""
     out = np.empty_like(c)
     for j in range(len(c)):
         y = y + (incr @ y + c[j])
@@ -534,13 +545,10 @@ def sequential_block(incr, c, y):
     return out
 
 
-def scan_block(incr, c, y):
-    return y + _affine_scan(incr, c + incr @ y)
-
-
-def assert_scan_matches_sequential(rng, protocol, n, length):
-    """A block of ``length`` scanned rows of a drawn dc1 or dc2 system on n
-    agents against ``sequential_block``."""
+def assert_sweep_matches_sequential(rng, protocol, n, length):
+    """A block of ``length`` rows of a drawn dc1 or dc2 system on n agents,
+    its forcing written by ``_forcing`` and stepped by ``_sweep`` from a
+    drawn row k0 of a larger buffer, against ``sequential_block``."""
     g = random_balanced_strongly_connected(rng, n)
     alpha, beta = (float(v) for v in rng.uniform(0.5, 3.0, 2))
     theta = ThetaGain.constant(rng.uniform(0.1, 5.0, n)) if protocol == "dc2" else None
@@ -551,25 +559,82 @@ def assert_scan_matches_sequential(rng, protocol, n, length):
     c = f[0:-1:2] @ q0.T + f[1::2] @ qh.T + f[2::2] @ q1.T
     y = rng.uniform(-3.0, 3.0, a.shape[0])
     ref = sequential_block(incr, c, y)
-    gap = float(np.abs(scan_block(incr, c, y) - ref).max())
+    k0 = int(rng.integers(0, 3))
+    ys = np.full((k0 + length + 2, a.shape[0]), np.nan)  # a row past k1 stays untouched
+    ys[k0] = y
+    _forcing(ys[k0 + 1:k0 + length + 1], (f[0:-1:2], q0.T), (f[1::2], qh.T), (f[2::2], q1.T))
+    _sweep(incr.T, _power_increment(incr, SWEEP_SUBSTEPS).T, ys, k0, k0 + length)
+    gap = float(np.abs(ys[k0 + 1:k0 + length + 1] - ref).max())
     assert gap <= 1e-12 * max(1.0, float(np.abs(ref).max())), gap
+    assert np.isnan(ys[k0 + length + 1]).all()
+
+
+class RecordedProducts(np.ndarray):
+    """A matrix that records the size m k n of every product it takes part
+    in, in the class-level ``sizes``."""
+
+    sizes = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        plain = [np.asarray(x) for x in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(np.asarray(o) for o in out)
+        if ufunc is np.matmul:
+            a, b = plain[:2]
+            RecordedProducts.sizes.append(
+                (a.shape[-2] if a.ndim > 1 else 1) * a.shape[-1] * (b.shape[-1] if b.ndim > 1 else 1))
+        return getattr(ufunc, method)(*plain, **kwargs)
 
 
 class TestAffineScan:
-    @settings(max_examples=24, deadline=None)
+    """``_sweep`` steps the one affine recurrence of the engine, both the RK4
+    step of dc1 and dc2 and dcdisc's (tested in test_discrete.py)."""
+
+    @settings(max_examples=28, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 30), st.sampled_from(["dc1", "dc2"]),
-           st.sampled_from([1, 2, 3, 255, 256, 257, AFFINE_BLOCK]))
+           st.sampled_from([1, SWEEP_SUBSTEPS - 1, SWEEP_SUBSTEPS, SWEEP_SUBSTEPS + 1,
+                            SWEEP_BLOCK - 1, SWEEP_BLOCK, SWEEP_BLOCK + 1]))
     def test_matches_sequential_recurrence(self, seed, protocol, length):
         rng = np.random.default_rng(seed)
-        assert_scan_matches_sequential(rng, protocol, int(rng.integers(2, 7)), length)
+        assert_sweep_matches_sequential(rng, protocol, int(rng.integers(2, 7)), length)
 
-    @settings(max_examples=8, deadline=None)
-    @given(st.integers(min_value=0, max_value=2 ** 30), st.integers(min_value=6, max_value=10))
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 30), st.integers(min_value=14, max_value=18))
     def test_sliced_passes_match_sequential_recurrence(self, seed, n):
-        # dc2 on n >= 6 agents has 18 or more columns, so a pass over a full
-        # block goes in several row slices, the last one first
-        assert (BLAS_THREADED_SIZE - 1) // (3 * n) ** 2 < AFFINE_BLOCK - 1
-        assert_scan_matches_sequential(np.random.default_rng(seed), "dc2", n, AFFINE_BLOCK)
+        # dc2 on n >= 14 agents forces a full block through (n x 3n) Q
+        # matrices in several row slices
+        assert (BLAS_THREADED_SIZE - 1) // (n * 3 * n) < SWEEP_BLOCK
+        assert_sweep_matches_sequential(np.random.default_rng(seed), "dc2", n, SWEEP_BLOCK)
+
+    @pytest.mark.parametrize("fname", ["case1.json", "case2.json", "offset_sines.json",
+                                       "rate.json", "static.json", "discrete_wide"])
+    def test_every_product_stays_below_the_threaded_size(self, fname, monkeypatch):
+        # every product of the sweep, its N_s and its forcing takes one of
+        # the recorded matrices; a bundled width on a full block and a
+        # partial one, and dcdisc at discrete_wide's 40 agents
+        RecordedProducts.sizes = []
+        record = lambda m: m.view(RecordedProducts)  # noqa: E731
+        rk4 = dacsim.engine._rk4_affine
+        monkeypatch.setattr(dacsim.engine, "_rk4_affine",
+                            lambda *args: tuple(record(m) for m in rk4(*args)))
+        system = dacsim.engine.dcdisc_system
+        monkeypatch.setattr(dacsim.engine, "dcdisc_system", lambda *args: record(system(*args)))
+        if fname == "discrete_wide":
+            rng = np.random.default_rng(40)
+            g = random_balanced_strongly_connected(rng, 40)
+            inputs = InputSet(signals=tuple(make_signal("sine", amplitude=1.0, frequency=0.1 * i)
+                                            for i in range(40)))
+            p = AlgorithmParams(1.0, 0.5)
+            delta = 0.5 / (p.beta * float(g.out_degrees.max()))
+            simulate_discrete(g, inputs, p, np.zeros(40), np.zeros(40), delta,
+                              SWEEP_BLOCK + SWEEP_BLOCK // 2)
+        else:
+            raw = json.loads((SCENARIOS / fname).read_text())
+            horizon = (SWEEP_BLOCK + SWEEP_BLOCK // 2) * raw["step"]
+            raw.update(horizon=horizon, tail_start=0.75 * horizon)
+            run_scenario(validate_scenario(raw, name=fname))
+        assert RecordedProducts.sizes
+        assert max(RecordedProducts.sizes) < BLAS_THREADED_SIZE
 
     def test_segments_shorter_than_a_block(self):
         # pieces of 5, 1 and 31 steps, so every block ends at a switch; the
@@ -595,7 +660,7 @@ class TestAffineScan:
             for i in range(6)))
         p = AlgorithmParams(3.0, 10.0)
         h, T = 0.25, 400.0
-        assert T / h < AFFINE_BLOCK
+        assert T / h < SWEEP_BLOCK
         with pytest.raises(DivergenceError) as affine:
             simulate_protocol("dc1", ring6, inputs, p,
                               AgentState(x=np.zeros(6), v=np.zeros(6)), h=h, T=T)
@@ -638,13 +703,13 @@ def transient_arrays(run):
 
 
 class TestRunStatistics:
-    # h = 0.01 over T = 25 is 2500 steps: past one AFFINE_BLOCK, so the
+    # h = 0.01 over T = 25 is 2500 steps: past one SWEEP_BLOCK, so the
     # block seams of both paths are covered
     @pytest.mark.parametrize("protocol,switching", [
         ("dc1", False), ("dc1", True), ("dc2", False), ("dc1_sat", False), ("dc3", False)])
     def test_match_a_whole_run_evaluation(self, protocol, switching, ring6):
         h, T = 0.01, 25.0
-        assert T / h > AFFINE_BLOCK
+        assert T / h > SWEEP_BLOCK
         inputs = preset_scenario("case1")
         x0 = inputs.values(0.0)
         p = AlgorithmParams(1.0, 2.0,
@@ -694,13 +759,13 @@ class TestRunStatistics:
     def test_no_full_size_temporaries_after_stepping(self, fname, horizon, limit):
         # the affine run's blocks, and on the closure path its whole-run
         # input table (4 arrays), are the only large transients left.
-        # dcdisc steps its 4000 rows (four DISCRETE_BLOCK chunks) in place
+        # dcdisc steps its 4000 rows (two SWEEP_BLOCK blocks) in place
         # in sub-blocks, so only the metrics' per-column arrays are left
         # (measured 0.67)
         raw = json.loads((SCENARIOS / fname).read_text())
         raw.update(horizon=horizon, tail_start=0.75 * horizon)
         if raw["protocol"] == "dcdisc":
-            assert horizon / raw["params"]["delta"] >= 3 * DISCRETE_BLOCK
+            assert horizon / raw["params"]["delta"] > SWEEP_BLOCK
         cfg = validate_scenario(raw, name=fname)
         assert transient_arrays(lambda: run_scenario(cfg)) <= limit
 
