@@ -129,12 +129,11 @@ def transient_bound_s(t, b: BoundInputs):
 def _scan_affine_maps(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Overwrite c with x_k = a_k x_{k-1} + c_k, x_{-1} = 0, and return it.
 
-    The engine's ``_sweep`` steps matrix recurrences with one increment N
-    throughout, so its sub-block anchors follow from a single N_s; here
-    a_k changes with the grid step, so this scalar recurrence is scanned
-    instead: Hillis-Steele doubling over the affine maps x -> a_k x + c_k,
-    whose composition is associative (Blelloch, "Prefix sums and their
-    applications", 1990).
+    The engine's ``_sweep`` anchors its sub-blocks with one N_s, as its
+    increment N is fixed; here a_k changes with the grid step, so this
+    scalar recurrence is scanned instead: Hillis-Steele doubling over the
+    affine maps x -> a_k x + c_k, whose composition is associative
+    (Blelloch, "Prefix sums and their applications", 1990).
     After the pass of stride s, entry k holds the composition of maps
     k - 2s + 1 .. k, so log2(len(c)) passes of
     ``c[s:] += a[s:] * c[:-s]; a[s:] *= a[:-s]`` finish the scan; a is

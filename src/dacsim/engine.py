@@ -43,17 +43,15 @@ __all__ = [
 DIVERGENCE_LIMIT = 1e12
 GRID_ALIGN_TOL = 1e-6  # steps a grid time may lie from the nearest whole step
 # multiply-adds m n k of the smallest product OpenBLAS runs threaded (measured
-# on 0.3.31); a second thread can stall a run for most of a second, so the
-# stepping's products stay below this size, the forcing's a few rows at a time
+# on 0.3.31); a second thread can stall a run for most of a second, so every
+# stepping product goes a few rows at a time below this size
 BLAS_THREADED_SIZE = 2 ** 19
 # _sweep steps a block of SWEEP_BLOCK rows, the span of one divergence check
 # and of one input evaluation on the affine path, as SWEEP_SUBBLOCKS
 # sub-blocks of SWEEP_SUBSTEPS rows, a power of two so that N_s comes from
 # doubling.  A block of s nb rows makes about 6 s + 3 nb numpy calls; in
 # process, 32 x 64 stepped static, case1, rate and discrete_wide 14-30%
-# faster than 32 x 32, and within 10% of 64 x 32 and 16 x 64.  Its stacked
-# products, (nb x dim) by (dim x dim), stay below BLAS_THREADED_SIZE up to
-# dim = 90 state columns: 45 agents of dc1 or dcdisc, 30 of dc2
+# faster than 32 x 32, and within 10% of 64 x 32 and 16 x 64
 SWEEP_SUBSTEPS = 32
 SWEEP_SUBBLOCKS = 64
 SWEEP_BLOCK = SWEEP_SUBSTEPS * SWEEP_SUBBLOCKS
@@ -356,8 +354,13 @@ def _forcing(out: np.ndarray, *terms) -> np.ndarray:
 
 
 def _advance(y: np.ndarray, n_t: np.ndarray, g: np.ndarray, out: np.ndarray):
-    """One step y + (y N^T + g) of a stack of rows y, written to out, which
-    may be g: the increment is formed whole before it meets y."""
+    """One step y + (y N^T + g), the bracket formed first, of a stack of
+    rows y into out, which may be g, in row slices below BLAS_THREADED_SIZE."""
+    rows = max(1, (BLAS_THREADED_SIZE - 1) // n_t.size)
+    if len(y) > rows:
+        for r in range(0, len(y), rows):
+            _advance(y[r:r + rows], n_t, g[r:r + rows], out[r:r + rows])
+        return
     incr = y @ n_t
     incr += g
     np.add(y, incr, out=out)
@@ -376,9 +379,8 @@ def _sweep(n_t: np.ndarray, ns_t: np.ndarray, ys: np.ndarray, k0: int, k1: int):
     2. each next anchor follows from the one before as a + (a N_s^T + f);
     3. every sub-block is stepped from its anchor, which writes the rows.
 
-    Sweeps 1 and 3 step a stack of one row per sub-block in increment form,
-    so I + N is never formed and the sum of the integral states v is
-    conserved to roundoff of the increments.  The anchors sit in a stack of
+    Sweeps 1 and 3 step a stack of one row per sub-block in increment form
+    (``_advance``), so I + N is never formed.  The anchors sit in a stack of
     their own, since the rows they would take still hold forcing that sweep
     3 reads.  Once N_s overflows, an exactly zero anchor still moves by its
     f alone, as in stepping one row at a time."""

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dacsim
@@ -23,6 +23,7 @@ from dacsim.csvformat import format_g12
 from dacsim.engine import (
     BLAS_THREADED_SIZE,
     SWEEP_BLOCK,
+    SWEEP_SUBBLOCKS,
     SWEEP_SUBSTEPS,
     DivergenceError,
     Trajectory,
@@ -598,20 +599,29 @@ class TestAffineScan:
         rng = np.random.default_rng(seed)
         assert_sweep_matches_sequential(rng, protocol, int(rng.integers(2, 7)), length)
 
-    @settings(max_examples=6, deadline=None)
-    @given(st.integers(min_value=0, max_value=2 ** 30), st.integers(min_value=14, max_value=18))
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 30), st.integers(min_value=6, max_value=32))
+    @example(0, 6)
+    @example(0, 14)
+    @example(0, 31)
     def test_sliced_passes_match_sequential_recurrence(self, seed, n):
-        # dc2 on n >= 14 agents forces a full block through (n x 3n) Q
-        # matrices in several row slices
-        assert (BLAS_THREADED_SIZE - 1) // (n * 3 * n) < SWEEP_BLOCK
+        # dc2 on n agents has 3n state columns over a full block: from 14
+        # agents its (n x 3n) Q matrices force it in several row slices, and
+        # from 31 the sweep's stacks of SWEEP_SUBBLOCKS rows go in slices too
+        assert (BLAS_THREADED_SIZE - 1) // (14 * 42) < SWEEP_BLOCK
+        assert (BLAS_THREADED_SIZE - 1) // 93 ** 2 < SWEEP_SUBBLOCKS
         assert_sweep_matches_sequential(np.random.default_rng(seed), "dc2", n, SWEEP_BLOCK)
 
-    @pytest.mark.parametrize("fname", ["case1.json", "case2.json", "offset_sines.json",
-                                       "rate.json", "static.json", "discrete_wide"])
-    def test_every_product_stays_below_the_threaded_size(self, fname, monkeypatch):
+    @pytest.mark.parametrize("case", [
+        "case1.json", "case2.json", "offset_sines.json", "rate.json", "static.json",
+        pytest.param(("dcdisc", 40), id="discrete_wide"),
+        pytest.param(("dcdisc", 46), id="dcdisc_46"), pytest.param(("dc2", 31), id="dc2_31")])
+    def test_every_product_stays_below_the_threaded_size(self, case, monkeypatch):
         # every product of the sweep, its N_s and its forcing takes one of
-        # the recorded matrices; a bundled width on a full block and a
-        # partial one, and dcdisc at discrete_wide's 40 agents
+        # the recorded matrices: the bundled widths on a full block and a
+        # partial one, dcdisc at discrete_wide's 40 agents, and the first
+        # widths whose stacks of SWEEP_SUBBLOCKS rows go in row slices,
+        # dcdisc on 46 agents and dc2 on 31 (92 and 93 state columns)
         RecordedProducts.sizes = []
         record = lambda m: m.view(RecordedProducts)  # noqa: E731
         rk4 = dacsim.engine._rk4_affine
@@ -619,20 +629,26 @@ class TestAffineScan:
                             lambda *args: tuple(record(m) for m in rk4(*args)))
         system = dacsim.engine.dcdisc_system
         monkeypatch.setattr(dacsim.engine, "dcdisc_system", lambda *args: record(system(*args)))
-        if fname == "discrete_wide":
-            rng = np.random.default_rng(40)
-            g = random_balanced_strongly_connected(rng, 40)
+        steps = SWEEP_BLOCK + SWEEP_BLOCK // 2
+        if isinstance(case, tuple):
+            protocol, n = case
+            rng = np.random.default_rng(n)
+            g = random_balanced_strongly_connected(rng, n)
             inputs = InputSet(signals=tuple(make_signal("sine", amplitude=1.0, frequency=0.1 * i)
-                                            for i in range(40)))
-            p = AlgorithmParams(1.0, 0.5)
-            delta = 0.5 / (p.beta * float(g.out_degrees.max()))
-            simulate_discrete(g, inputs, p, np.zeros(40), np.zeros(40), delta,
-                              SWEEP_BLOCK + SWEEP_BLOCK // 2)
+                                            for i in range(n)))
+            if protocol == "dcdisc":
+                p = AlgorithmParams(1.0, 0.5)
+                delta = 0.5 / (p.beta * float(g.out_degrees.max()))
+                simulate_discrete(g, inputs, p, np.zeros(n), np.zeros(n), delta, steps)
+            else:
+                p = AlgorithmParams(1.0, 0.5, theta=ThetaGain.constant(2.0))
+                state = AgentState(x=np.zeros(n), v=np.zeros(n), z=np.zeros(n))
+                simulate_protocol(protocol, g, inputs, p, state, h=0.01, T=steps * 0.01)
         else:
-            raw = json.loads((SCENARIOS / fname).read_text())
-            horizon = (SWEEP_BLOCK + SWEEP_BLOCK // 2) * raw["step"]
+            raw = json.loads((SCENARIOS / case).read_text())
+            horizon = steps * raw["step"]
             raw.update(horizon=horizon, tail_start=0.75 * horizon)
-            run_scenario(validate_scenario(raw, name=fname))
+            run_scenario(validate_scenario(raw, name=case))
         assert RecordedProducts.sizes
         assert max(RecordedProducts.sizes) < BLAS_THREADED_SIZE
 
