@@ -273,7 +273,7 @@ def validate_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
             if n is not None and protocol in STATE_WIDTH:
                 rows, width = round(count) + 1, STATE_WIDTH[protocol] * n
                 if rows * width > STATE_BUDGET:
-                    problems.append(f'"horizon" gives {rows} stored rows of {width} state '
+                    problems.append(f'"horizon" gives {rows:.3g} stored rows of {width} state '
                                     f'values, {rows * width:.3g} in all, above the budget '
                                     f'of {STATE_BUDGET:.0e}')
 

@@ -21,7 +21,7 @@ from . import bounds as bnd
 from .discrete import dcdisc_system, max_stepsize, zero_system_matrix
 from .graphs import WeightedDigraph, laplacian, symmetric_spectrum
 from .protocols import Z_STATE_PROTOCOLS, AgentState, AlgorithmParams, dc1_rhs, dc2_rhs, dc3_rhs
-from .signals import InputSet, InputTable, pi_norms, pi_udot_series, sampled_gamma
+from .signals import InputSet, pi_norms, pi_udot_series, sampled_gamma
 from .switching import SwitchingSchedule, graph_at
 
 __all__ = [
@@ -68,7 +68,7 @@ class DivergenceError(RuntimeError):
         super().__init__(message)
         self.t = t
         # the run up to the first bad row: a Trajectory from simulate_protocol
-        # and simulate_discrete, (times, states, ...) from integrate
+        # and simulate_discrete, (times, states) from integrate
         self.partial = partial
 
 
@@ -169,14 +169,27 @@ def _divergence(peak: float, times: np.ndarray, states: np.ndarray, k: int,
     )
 
 
+def _rk4_step(f, t, y, h: float, a0, ah, a1):
+    """One classical RK4 step of dy/dt = f(t, y, *a) from (t, y), where a0,
+    ah and a1 are the further arguments at t, t + h/2 and t + h.  Returns
+    (the next y, the stage-1 slope f(t, y, *a0))."""
+    half = 0.5 * h
+    k1 = f(t, y, *a0)
+    k2 = f(t + half, y + half * k1, *ah)
+    k3 = f(t + half, y + half * k2, *ah)
+    k4 = f(t + h, y + h * k3, *a1)
+    return y + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4), k1
+
+
 def integrate(rhs, s0, h: float, T: float, events=()):
     """Classical 4th-order fixed-step integration of ds/dt = rhs(t, s, t_step).
 
-    ``t_step`` is the start of the current step so piecewise-constant
-    structure (switching topologies) can be held fixed across a step's
-    internal stages.  ``events`` lists times that must sit on the grid.
-    Returns (times, states, stage1) where stage1[k] = rhs evaluated at the
-    stored point k (the applied command).
+    ``t_step`` is the start of the current step, passed to all four stages
+    so piecewise-constant structure can be held fixed across a step.
+    ``events`` lists times that must sit on the grid.  Returns (times,
+    states, stage1) where stage1[k] = rhs evaluated at the stored point k.
+    The protocols do not run through here: ``simulate_protocol`` steps them
+    block by block with the same ``_rk4_step``.
     """
     times = _grid(h, T, events)
     steps = times.size - 1
@@ -184,19 +197,12 @@ def integrate(rhs, s0, h: float, T: float, events=()):
     out = np.empty((steps + 1,) + y.shape)
     stage1 = np.empty_like(out)
     out[0] = y
-    half = 0.5 * h
-    sixth = h / 6.0
     for m in range(steps):
         t0 = times[m]
-        k1 = rhs(t0, y, t0)
-        stage1[m] = k1
-        k2 = rhs(t0 + half, y + half * k1, t0)
-        k3 = rhs(t0 + half, y + half * k2, t0)
-        k4 = rhs(t0 + h, y + h * k3, t0)
-        y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        y, stage1[m] = _rk4_step(rhs, t0, y, h, (t0,), (t0,), (t0,))
         out[m + 1] = y
         peak = np.max(np.abs(y))
-        if not np.isfinite(peak) or peak > DIVERGENCE_LIMIT:
+        if not peak <= DIVERGENCE_LIMIT:  # NaN fails it
             raise _divergence(peak, times, out, m + 1)
     stage1[steps] = rhs(times[steps], y, times[steps])
     return times, out, stage1
@@ -204,47 +210,21 @@ def integrate(rhs, s0, h: float, T: float, events=()):
 
 def _step_pieces(sched: SwitchingSchedule, h: float, T: float):
     """(k0, k1, graph index) step ranges of the ``segments_in`` pieces, the
-    switching segments both integration paths step."""
+    switching segments a run steps one at a time."""
     return [(int(round(a / h)), int(round(b / h)), idx) for a, b, idx in sched.segments_in(T)]
 
 
-def _protocol_rhs(protocol: str, topology, inputs, p: AlgorithmParams, h: float, T: float):
-    """Compile the flat RHS for a protocol over a fixed digraph or schedule.
-    Returns (rhs(t, y, t_step), events).  Under a schedule, the step from
-    t_step runs the digraph of its piece (``_step_pieces``, as on the affine
-    path), looked up by step number: graph_at's fmod can round an unrolled
-    switch time below the switch.  The factories are looked up in this
-    module at call time, so rebinding ``engine.dc*_rhs`` takes effect."""
-
-    def build(lap):
-        if protocol == "dc1":
-            return dc1_rhs(lap, inputs, p)
-        if protocol == "dc1_sat":
-            return dc1_rhs(lap, inputs, p, saturate=True)
-        if protocol == "dc2":
-            return dc2_rhs(lap, inputs, p)
-        if protocol == "dc2_sat":
-            return dc2_rhs(lap, inputs, p, saturate=True)
-        if protocol == "dc3":
-            return dc3_rhs(lap, inputs, p)
-        raise ValueError(f"unknown continuous protocol {protocol!r}")
-
-    if isinstance(topology, WeightedDigraph):
-        f = build(laplacian(topology))
-        return (lambda t, y, ts: f(t, y)), ()
-    if isinstance(topology, SwitchingSchedule):
-        fns = [build(laplacian(g)) for g in topology.graphs]
-        step_graph = np.empty(int(round(T / h)) + 1, dtype=np.intp)
-        for k0, k1, idx in _step_pieces(topology, h, T):
-            step_graph[k0:k1] = idx
-        # the last stored point's stage-1 command takes the digraph active there
-        step_graph[-1] = graph_at(topology, T)
-
-        def rhs(t, y, ts):
-            return fns[step_graph[int(round(ts / h))]](t, y)
-
-        return rhs, topology.boundaries(T)
-    raise TypeError("topology must be a WeightedDigraph or a SwitchingSchedule")
+def _closure(protocol: str, lap: np.ndarray, p: AlgorithmParams):
+    """The protocol's right-hand side f(t, y, u, du) on Laplacian lap.  The
+    factories are looked up in this module at call time, so rebinding
+    ``engine.dc*_rhs`` takes effect."""
+    if protocol in ("dc1", "dc1_sat"):
+        return dc1_rhs(lap, p, saturate=protocol == "dc1_sat")
+    if protocol in ("dc2", "dc2_sat"):
+        return dc2_rhs(lap, p, saturate=protocol == "dc2_sat")
+    if protocol == "dc3":
+        return dc3_rhs(lap, p)
+    raise ValueError(f"unknown continuous protocol {protocol!r}")
 
 
 def _is_affine(protocol: str, p: AlgorithmParams) -> bool:
@@ -290,55 +270,83 @@ def _rk4_affine(a: np.ndarray, e: np.ndarray, h: float):
     return incr, q0, qh, (h / 6.0) * e
 
 
-def _affine_run(protocol, topology, inputs: InputSet, p: AlgorithmParams,
-                y0: np.ndarray, h: float, T: float):
-    """Step the linear protocols as y_{k+1} = y_k + N_sigma y_k + c_k, one
-    switching segment at a time, in blocks of SWEEP_BLOCK steps.  A block
-    evaluates the inputs once on its stage times, writes
+def _block_run(protocol, topology, inputs: InputSet, p: AlgorithmParams,
+               y0: np.ndarray, h: float, T: float):
+    """Step a continuous protocol one switching segment at a time, in blocks
+    of SWEEP_BLOCK steps.  A block evaluates the inputs once on its stage
+    times and reads avg_u and ||Pi_N u_dot|| off them at the stored times.
+    On the affine path (``_is_affine``) the block then writes
     c_j = Q0 f_j + Qh f_{j+1/2} + Q1 f_{j+1} into its state rows
-    (``_forcing``), and steps them in place (``_sweep``).  Returns (times,
-    states, avg_u, pi_udot) with the input statistics read off the stage
-    samples at the stored times; a divergence's partial trajectory carries
-    them as far as it reaches.  A block's divergence check reads its largest
-    and smallest entries, and locates the first bad row only when one of
-    them fails."""
+    (``_forcing``) and steps them in place by y_{k+1} = y_k + N_sigma y_k + c_k
+    (``_sweep``); its divergence check reads the block's largest and
+    smallest entries and locates the first bad row only when one of them
+    fails.  Otherwise it RK4-steps its rows with the digraph's ``dc*_rhs``
+    closure, each stage fed its own sample, keeps every stage-1 command,
+    and checks each row as it is stepped, so a ThetaGain that leaves its
+    bounds later in the block cannot pre-empt a divergence.  Returns (times,
+    states, avg_u, pi_udot, commands), the x rows of the stage-1 slopes or
+    None on the affine path; a divergence's partial trajectory carries the
+    input statistics as far as it reaches."""
     switching = isinstance(topology, SwitchingSchedule)
     if not switching and not isinstance(topology, WeightedDigraph):
         raise TypeError("topology must be a WeightedDigraph or a SwitchingSchedule")
     graphs = topology.graphs if switching else (topology,)
     times = _grid(h, T, topology.boundaries(T) if switching else ())
     pieces = _step_pieces(topology, h, T) if switching else [(0, times.size - 1, 0)]
-    systems = {}
+    affine = _is_affine(protocol, p)
+    built = {}
 
-    def system(idx):
-        """(N^T, N_s^T, Q0^T, Qh^T, Q1^T) of digraph idx, built once."""
-        if idx not in systems:
-            incr, q0, qh, q1 = _rk4_affine(*_affine_system(protocol, laplacian(graphs[idx]), p), h)
-            systems[idx] = (incr.T, _power_increment(incr, SWEEP_SUBSTEPS).T, q0.T, qh.T, q1.T)
-        return systems[idx]
+    def stepper(idx):
+        """Digraph idx's (N^T, N_s^T, Q0^T, Qh^T, Q1^T), or its closure, built once."""
+        if idx not in built:
+            lap = laplacian(graphs[idx])
+            if affine:
+                incr, q0, qh, q1 = _rk4_affine(*_affine_system(protocol, lap, p), h)
+                built[idx] = (incr.T, _power_increment(incr, SWEEP_SUBSTEPS).T, q0.T, qh.T, q1.T)
+            else:
+                built[idx] = _closure(protocol, lap, p)
+        return built[idx]
 
+    n = graphs[0].n
     out = np.empty((times.size, y0.size))
     avg_u, pi_udot = np.empty(times.size), np.empty(times.size)
+    commands = None if affine else np.empty((times.size, n))
     out[0] = y0
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
         for k_start, k_end, idx in pieces:
-            n_t, ns_t, q0_t, qh_t, q1_t = system(idx)
+            step = stepper(idx)
             for k0 in range(k_start, k_end, SWEEP_BLOCK):
                 k1 = min(k0 + SWEEP_BLOCK, k_end)
                 u, du = inputs.eval_all(_half_steps(times[k0:k1 + 1], h))
                 # the even stage rows are the stored times k0..k1
                 avg_u[k0:k1 + 1] = u[::2].mean(axis=1)
                 pi_udot[k0:k1 + 1] = pi_norms(du[::2])
-                f = du + p.alpha * u
-                block = _forcing(out[k0 + 1:k1 + 1],
-                                 (f[0:-1:2], q0_t), (f[1::2], qh_t), (f[2::2], q1_t))
-                _sweep(n_t, ns_t, out, k0, k1)
-                # NaN fails both comparisons
-                if not (block.max() <= DIVERGENCE_LIMIT and -block.min() <= DIVERGENCE_LIMIT):
-                    peak = np.abs(block).max(axis=1)
-                    bad = np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))[0]
-                    raise _divergence(peak[bad], times, out, k0 + 1 + bad, avg_u, pi_udot)
-    return times, out, avg_u, pi_udot
+                if affine:
+                    n_t, ns_t, q0_t, qh_t, q1_t = step
+                    f = du + p.alpha * u
+                    block = _forcing(out[k0 + 1:k1 + 1],
+                                     (f[0:-1:2], q0_t), (f[1::2], qh_t), (f[2::2], q1_t))
+                    _sweep(n_t, ns_t, out, k0, k1)
+                    # NaN fails both comparisons
+                    if not (block.max() <= DIVERGENCE_LIMIT and -block.min() <= DIVERGENCE_LIMIT):
+                        peak = np.abs(block).max(axis=1)
+                        bad = np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))[0]
+                        raise _divergence(peak[bad], times, out, k0 + 1 + bad, avg_u, pi_udot)
+                    continue
+                for j in range(k0, k1):
+                    i = 2 * (j - k0)  # the samples at t_j, its midpoint and t_j + h
+                    y, k = _rk4_step(step, times[j], out[j], h, *zip(u[i:i + 3], du[i:i + 3]))
+                    commands[j] = k[:n]
+                    out[j + 1] = y
+                    peak = np.max(np.abs(y))
+                    if not peak <= DIVERGENCE_LIMIT:  # NaN fails it
+                        raise _divergence(peak, times, out, j + 1, avg_u, pi_udot)
+        if not affine:
+            # the last stored point's command takes the digraph active there
+            # and the last block's final sample, at T
+            final = stepper(graph_at(topology, T) if switching else 0)
+            commands[-1] = final(times[-1], out[-1], u[-1], du[-1])[:n]
+    return times, out, avg_u, pi_udot, commands
 
 
 def _forcing(out: np.ndarray, *terms) -> np.ndarray:
@@ -400,51 +408,24 @@ def _sweep(n_t: np.ndarray, ns_t: np.ndarray, ys: np.ndarray, k0: int, k1: int):
         _advance(anchors if i == 0 else ys[k0 + i:k1:s], n_t, rows, rows)
 
 
-def _table_stats(table: InputTable, rows: int):
-    """(avg_u, pi_udot) at the first ``rows`` stored times of a run whose
-    inputs were sampled on the half-step grid: the table's even rows, read
-    SWEEP_BLOCK rows at a time so no full-size temporary sits beside the
-    table and the integration buffers."""
-    avg_u, pi_udot = np.empty(rows), np.empty(rows)
-    for a in range(0, rows, SWEEP_BLOCK):
-        b = min(a + SWEEP_BLOCK, rows)
-        avg_u[a:b] = table.u[2 * a:2 * b:2].mean(axis=1)
-        pi_udot[a:b] = pi_norms(table.du[2 * a:2 * b:2])
-    return avg_u, pi_udot
-
-
 def simulate_protocol(protocol: str, topology, inputs: InputSet, p: AlgorithmParams,
                       state0: AgentState, h: float, T: float) -> Trajectory:
     """Run one continuous protocol and package the stored grid.
 
-    dc1, and dc2 with a ``ThetaGain.constant`` gain, step as an affine
-    recurrence (``_affine_run``).  The other protocols integrate their
-    ``dc*_rhs`` closures with ``integrate``, reading the inputs from a table
-    sampled once on the half-step grid.
+    Every protocol steps through ``_block_run``: dc1, and dc2 with a
+    ``ThetaGain.constant`` gain, as an affine recurrence, the others by RK4
+    on their ``dc*_rhs`` closures, fed the inputs that each block samples
+    once on its half-step grid.
     """
     n = state0.n
     has_z = protocol in Z_STATE_PROTOCOLS
-    affine = _is_affine(protocol, p)
-    if not affine:
-        table = InputTable.sample(inputs, _half_steps(_grid(h, T), h), 0.5 * h)
-        rhs, events = _protocol_rhs(protocol, topology, table, p, h, T)
     if has_z and state0.z is None:
         raise ValueError(f"protocol {protocol} needs an initial z state")
     y0 = state0.pack() if has_z else np.concatenate((state0.x, state0.v))
     try:
-        if affine:
-            times, ys, avg_u, pi_udot = _affine_run(protocol, topology, inputs, p, y0, h, T)
-            commands = None
-        else:
-            times, ys, stage1 = integrate(rhs, y0, h, T, events=events)
-            commands = stage1[:, :n]
-            avg_u, pi_udot = _table_stats(table, times.size)
+        times, ys, avg_u, pi_udot, commands = _block_run(protocol, topology, inputs, p, y0, h, T)
     except DivergenceError as err:
-        if err.partial is not None:
-            pt, py, *stats = err.partial
-            if not stats:
-                stats = _table_stats(table, pt.size)
-            err.partial = _package(protocol, pt, py, n, has_z, p, *stats)
+        err.partial = _package(protocol, *err.partial[:2], n, has_z, p, *err.partial[2:])
         raise
     return _package(protocol, times, ys, n, has_z, p, avg_u, pi_udot, commands)
 

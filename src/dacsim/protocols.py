@@ -16,7 +16,7 @@ degraded behavior the saturated comparison runs expose.
 
 Input derivatives always come from the signal model, never from
 differentiating the trajectory.  The ``*_rhs`` factories return flat-vector
-closures for the integrator.
+closures for the RK4 stages.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-
-from .signals import InputSet
 
 __all__ = [
     "AgentState",
@@ -154,24 +152,22 @@ def _require_limits(p: AlgorithmParams) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Flat-vector right-hand sides (what the integrator consumes)
+# Flat-vector right-hand sides (what the RK4 stages consume)
 #
-# ``inputs`` is anything with eval_all(t) -> (u, du): an InputSet evaluates
-# the signals at t, an InputTable reads them from samples taken on the
-# integrator's half-step grid.
+# A closure f(t, y, u, du) takes the inputs u(t) and du/dt(t) as arguments:
+# a run samples them once per block on its half-step grid and hands each
+# stage its own sample.
 # ---------------------------------------------------------------------------
 
-def dc1_rhs(lap: np.ndarray, inputs: InputSet, p: AlgorithmParams,
-            saturate: bool = False):
-    """f(t, y) for the basic tracker, y = (x, v) flat:
+def dc1_rhs(lap: np.ndarray, p: AlgorithmParams, saturate: bool = False):
+    """f(t, y, u, du) for the basic tracker, y = (x, v) flat:
     dx = du - alpha (x - u) - beta L x - v,  dv = alpha beta L x."""
     n = lap.shape[0]
     alpha, beta = p.alpha, p.beta
     limits = _require_limits(p) if saturate else None
 
-    def f(t, y):
+    def f(t, y, u, du):
         x, v = y[:n], y[n:]
-        u, du = inputs.eval_all(t)
         lx = lap @ x
         dx = du - alpha * (x - u) - beta * lx - v
         if limits is not None:
@@ -181,9 +177,9 @@ def dc1_rhs(lap: np.ndarray, inputs: InputSet, p: AlgorithmParams,
     return f
 
 
-def dc2_rhs(lap: np.ndarray, inputs: InputSet, p: AlgorithmParams,
-            saturate: bool = False, psi: Optional[Callable[[float], float]] = None):
-    """f(t, y) for the rate-controlled tracker, y = (x, v, z) flat.
+def dc2_rhs(lap: np.ndarray, p: AlgorithmParams, saturate: bool = False,
+            psi: Optional[Callable[[float], float]] = None):
+    """f(t, y, u, du) for the rate-controlled tracker, y = (x, v, z) flat.
 
     The information phase (z, v) is the dc1 core applied to z; the motion
     phase dx = -theta(t) (x - z) + dz follows at each agent's own pace.  A
@@ -199,9 +195,8 @@ def dc2_rhs(lap: np.ndarray, inputs: InputSet, p: AlgorithmParams,
     limits = _require_limits(p) if saturate else None
     fixed = theta.at(0.0) if theta.is_constant else None  # checked once, not per stage
 
-    def f(t, y):
+    def f(t, y, u, du):
         x, v, z = y[:n], y[n:2 * n], y[2 * n:]
-        u, du = inputs.eval_all(t)
         lz = lap @ (z + psi(t)) if psi is not None else lap @ z
         dz = du - alpha * (z - u) - beta * lz - v
         dx = -(fixed if fixed is not None else theta.at(t)) * (x - z) + dz
@@ -212,6 +207,6 @@ def dc2_rhs(lap: np.ndarray, inputs: InputSet, p: AlgorithmParams,
     return f
 
 
-def dc3_rhs(lap: np.ndarray, inputs: InputSet, p: AlgorithmParams):
+def dc3_rhs(lap: np.ndarray, p: AlgorithmParams):
     """dc2 dynamics computed from the masked transmissions z + psi(t)."""
-    return dc2_rhs(lap, inputs, p, saturate=False, psi=p.psi if p.psi is not None else (lambda t: 0.0))
+    return dc2_rhs(lap, p, saturate=False, psi=p.psi if p.psi is not None else (lambda t: 0.0))

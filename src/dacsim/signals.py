@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "InputSignal",
     "InputSet",
-    "InputTable",
     "make_signal",
     "signal_from_json",
     "signal_to_json",
@@ -386,30 +385,6 @@ def _term_key(sig):
         return json.dumps(signal_to_json(sig), sort_keys=True)
     except TypeError:
         return None
-
-
-@dataclass(frozen=True, eq=False)
-class InputTable:
-    """u and its derivative sampled once at the grid times t_j = j * dt.
-    ``eval_all`` looks a grid time up by index, so a right-hand side built on
-    a table reads the inputs without evaluating them; a time off the grid is
-    an error."""
-
-    dt: float
-    u: np.ndarray
-    du: np.ndarray
-
-    @classmethod
-    def sample(cls, inputs: InputSet, times, dt: float) -> "InputTable":
-        """Sample ``inputs`` at ``times``, which must be (to roundoff) j * dt."""
-        u, du = inputs.eval_all(times)
-        return cls(dt=dt, u=u, du=du)
-
-    def eval_all(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        j = round(t / self.dt)
-        if not 0 <= j < self.u.shape[0] or abs(t - j * self.dt) > 1e-3 * self.dt:
-            raise ValueError(f"t={t} is not a sample time of the input table")
-        return self.u[j], self.du[j]
 
 
 def pi_norms(d: np.ndarray) -> np.ndarray:

@@ -172,10 +172,12 @@ class TestCli:
 
     def test_cli_import_leaves_out_what_a_run_does_not_use(self):
         # argument parsing, the batch pool, urllib.request (which
-        # xml.sax.saxutils would load for the SVG title), and difflib (for
-        # suggestions on unknown config keys)
+        # xml.sax.saxutils would load for the SVG title), difflib (for
+        # suggestions on unknown config keys), and the CSV and SVG writers,
+        # which only the runs that write them compile
         code = ("import sys, dacsim.cli; print(sorted({'argparse', 'concurrent.futures', "
-                "'urllib.request', 'difflib'} & set(sys.modules)))")
+                "'urllib.request', 'difflib', 'dacsim.csvformat', 'dacsim.svgplot'} "
+                "& set(sys.modules)))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
@@ -463,6 +465,21 @@ class TestStateBudget:
         assert main(["validate", str(path)]) == EXIT_CONFIG
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert capsys.readouterr().out.count("budget") == 2
+
+    def test_row_count_of_a_tiny_step_is_printed_short(self, tmp_path, capsys):
+        # a step of 1e-300 gives about 4e301 stored rows, an exact integer
+        # of 302 digits: it is printed to three figures, like the product
+        data = json.loads((SCENARIOS / "static.json").read_text())
+        data.update(step=1e-300)
+        with pytest.raises(ConfigError, match="budget") as excinfo:
+            validate_scenario(data)
+        [problem] = [p for p in excinfo.value.problems if "budget" in p]
+        assert re.search(r"gives \d\.\d*e\+\d+ stored rows", problem), problem
+        path = tmp_path / "tiny_step.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        out = capsys.readouterr().out
+        assert "budget" in out and not re.search(r"\d{20}", out), out
 
 
 def test_agent_count_resolved_at_validation(monkeypatch):

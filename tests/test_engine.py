@@ -53,7 +53,6 @@ from dacsim.protocols import (
 )
 from dacsim.signals import (
     InputSet,
-    InputTable,
     discrete_disagreement_gamma,
     make_signal,
     preset_scenario,
@@ -342,16 +341,20 @@ class TestSwitchingIntegration:
 # ---------------------------------------------------------------------------
 
 def closure_run(protocol, topology, inputs, p, y0, h, T):
-    """The RK4 closure path from the public pieces: dc1_rhs/dc2_rhs over a
-    table of the inputs on the half-step grid, integrated by ``integrate``."""
-    steps = int(round(T / h))
-    table = InputTable.sample(inputs, np.arange(2 * steps + 1) * (0.5 * h), 0.5 * h)
+    """The RK4 closure path from the public pieces: dc1_rhs/dc2_rhs
+    integrated by ``integrate``, each stage fed ``InputSet.eval_all`` at its
+    own time, so it shares no input sampling with the run."""
     factory = dc1_rhs if protocol == "dc1" else dc2_rhs
+
+    def fed(lap):
+        f = factory(lap, p)
+        return lambda t, y: f(t, y, *inputs.eval_all(t))
+
     if isinstance(topology, SwitchingSchedule):
-        fns = [factory(laplacian(g), table, p) for g in topology.graphs]
+        fns = [fed(laplacian(g)) for g in topology.graphs]
         return integrate(lambda t, y, ts: fns[graph_at(topology, ts)](t, y), y0, h, T,
                          events=topology.boundaries(T))
-    f = factory(laplacian(topology), table, p)
+    f = fed(laplacian(topology))
     return integrate(lambda t, y, ts: f(t, y), y0, h, T)
 
 
@@ -458,6 +461,19 @@ class TestAffinePath:
         with pytest.raises(ValueError, match="leaves its declared bounds"):
             simulate_protocol("dc2", ring6, preset_scenario("case2"),
                               AlgorithmParams(3.0, 10.0, theta=theta), state, h=0.01, T=2.0)
+
+    def test_divergence_comes_before_a_later_theta_check(self, ring6):
+        # the closure run passes the limit near t = 3; theta leaves its bounds
+        # at t = 50, later in the same block, and must not pre-empt that
+        theta = ThetaGain(fn=lambda t: np.full(6, 1.0 if t < 50.0 else 2.0),
+                          lower=np.ones(6), upper=np.ones(6))
+        state = AgentState(x=np.zeros(6), v=np.zeros(6), z=np.zeros(6))
+        h, T = 0.25, 100.0
+        assert T / h <= SWEEP_BLOCK
+        with pytest.raises(DivergenceError) as err:
+            simulate_protocol("dc2", ring6, preset_scenario("case2"),
+                              AlgorithmParams(3.0, 10.0, theta=theta), state, h=h, T=T)
+        assert err.value.t < 50.0
 
     def test_divergence_same_on_both_paths(self, ring6):
         inputs = preset_scenario("case2")
@@ -720,12 +736,14 @@ def transient_arrays(run):
 
 class TestRunStatistics:
     # h = 0.01 over T = 25 is 2500 steps: past one SWEEP_BLOCK, so the
-    # block seams of both paths are covered
+    # block seams of both paths are covered.  The schedule stays on the
+    # ring from t = 10, so its runs go to T = 35 for a piece that spans a seam
     @pytest.mark.parametrize("protocol,switching", [
-        ("dc1", False), ("dc1", True), ("dc2", False), ("dc1_sat", False), ("dc3", False)])
+        ("dc1", False), ("dc1", True), ("dc2", False), ("dc1_sat", False), ("dc1_sat", True),
+        ("dc3", False), ("dc3", True)])
     def test_match_a_whole_run_evaluation(self, protocol, switching, ring6):
-        h, T = 0.01, 25.0
-        assert T / h > SWEEP_BLOCK
+        h, T = 0.01, 35.0 if switching else 25.0
+        assert (T - 10.0 if switching else T) / h > SWEEP_BLOCK
         inputs = preset_scenario("case1")
         x0 = inputs.values(0.0)
         p = AlgorithmParams(1.0, 2.0,
@@ -739,16 +757,22 @@ class TestRunStatistics:
         assert len(traj.times) == int(T / h) + 1
         assert_stats_are_the_inputs(traj, inputs)
 
-    @pytest.mark.parametrize("protocol", ["dc1", "dc3"])
-    def test_partial_trajectory_keeps_them(self, protocol, ring6):
-        # affine (dc1) and closure (dc3) divergences, inside the first block
+    @pytest.mark.parametrize("protocol,alpha,beta,h,rows", [
+        pytest.param("dc1", 3.0, 10.0, 0.25, (2, 400), id="dc1"),
+        pytest.param("dc3", 3.0, 10.0, 0.25, (2, 400), id="dc3"),
+        pytest.param("dc3", 279.0, 0.1, 0.01, (SWEEP_BLOCK + 1, 4500), id="dc3_late")])
+    def test_partial_trajectory_keeps_them(self, protocol, alpha, beta, h, rows, ring6):
+        # affine (dc1) and closure (dc3) divergences inside the first block;
+        # at h alpha = 2.79, just past RK4's stability interval, the closure
+        # run's consensus mode grows by 0.7% a step and passes the limit in
+        # a later block
         inputs = preset_scenario("case2")
-        p = AlgorithmParams(3.0, 10.0, theta=ThetaGain.constant(1.0), psi=np.cos)
+        p = AlgorithmParams(alpha, beta, theta=ThetaGain.constant(1.0), psi=np.cos)
         state = AgentState(x=np.zeros(6), v=np.zeros(6), z=np.zeros(6))
         with pytest.raises(DivergenceError) as err:
-            simulate_protocol(protocol, ring6, inputs, p, state, h=0.25, T=100.0)
+            simulate_protocol(protocol, ring6, inputs, p, state, h=h, T=100.0)
         partial = err.value.partial
-        assert 2 < len(partial.times) < 400
+        assert rows[0] < len(partial.times) < rows[1]
         assert_stats_are_the_inputs(partial, inputs)
 
     def test_discrete_gamma_from_the_run_samples(self):
@@ -770,14 +794,15 @@ class TestRunStatistics:
             cfg.build_inputs(), cfg.delta, int(round(cfg.horizon / cfg.delta)))
 
     @pytest.mark.parametrize("fname,horizon,limit", [("case1.json", 20.0, 2.5),
-                                                     ("sat.json", 10.0, 5.0),
+                                                     ("sat.json", 10.0, 2.5),
                                                      ("sampled_bias.json", 2000.0, 0.8)])
     def test_no_full_size_temporaries_after_stepping(self, fname, horizon, limit):
-        # the affine run's blocks, and on the closure path its whole-run
-        # input table (4 arrays), are the only large transients left.
-        # dcdisc steps its 4000 rows (two SWEEP_BLOCK blocks) in place
-        # in sub-blocks, so only the metrics' per-column arrays are left
-        # (measured 0.67)
+        # the blocks of the run are the only large transients left.  On
+        # sat's closure path a block's stage samples (0.82 arrays) are held
+        # while the next block's are evaluated: measured 2.05, where a
+        # whole-run input table left 4.51.  dcdisc steps its 4000 rows (two
+        # SWEEP_BLOCK blocks) in place in sub-blocks, so only the metrics'
+        # per-column arrays are left (measured 0.67)
         raw = json.loads((SCENARIOS / fname).read_text())
         raw.update(horizon=horizon, tail_start=0.75 * horizon)
         if raw["protocol"] == "dcdisc":

@@ -28,7 +28,7 @@ def params(alpha=1.0, beta=1.0, **kw):
 def rhs_at(factory, state, t, g, inputs, p, **kw):
     """The factory's flat right-hand side at (t, state), split into its x, v
     and z rows (z is empty for dc1)."""
-    flat = factory(laplacian(g), inputs, p, **kw)(t, state.pack())
+    flat = factory(laplacian(g), p, **kw)(t, state.pack(), *inputs.eval_all(t))
     n = state.n
     return flat[:n], flat[n:2 * n], flat[2 * n:]
 

@@ -294,28 +294,6 @@ class TestArrayEvaluation:
             inputs.values(np.array([0.0, -1e-3]))
 
 
-class TestInputTable:
-    def test_lookup_on_grid(self):
-        from dacsim.signals import InputTable
-        inputs = preset_scenario("case2")
-        dt = 0.05
-        table = InputTable.sample(inputs, np.arange(41) * dt, dt)
-        for j in (0, 7, 40):
-            u, du = table.eval_all(j * dt)
-            np.testing.assert_array_equal(u, inputs.values(j * dt))
-            np.testing.assert_array_equal(du, inputs.derivatives(j * dt))
-        # a stage time computed another way still finds its sample
-        u, _ = table.eval_all(0.3 + 0.5 * 0.1)
-        np.testing.assert_array_equal(u, table.u[7])
-
-    @pytest.mark.parametrize("t", [0.025, -0.05, 2.05])
-    def test_off_grid_rejected(self, t):
-        from dacsim.signals import InputTable
-        table = InputTable.sample(preset_scenario("case2"), np.arange(41) * 0.05, 0.05)
-        with pytest.raises(ValueError, match="sample time"):
-            table.eval_all(t)
-
-
 # ---------------------------------------------------------------------------
 # one InputSet evaluation per distinct term
 # ---------------------------------------------------------------------------
