@@ -36,9 +36,10 @@ OUTPUT_SUFFIXES = {"csv": ".csv", "metrics": "_metrics.json", "svg": ".svg"}
 DEFAULT_STEP = 1e-3
 # Largest stored state of a run, in float64 cells: the rows of its time grid
 # times its state columns per agent (x and v, and z where the protocol keeps
-# one), checked before any per-step work or allocation.
+# one; dcdisc's (z, v, u) buffer is three), checked before any per-step work
+# or allocation.
 STATE_BUDGET = 10 ** 8
-STATE_WIDTH = {"dc1": 2, "dc1_sat": 2, "dc2": 3, "dc2_sat": 3, "dc3": 3, "dcdisc": 3}
+STATE_WIDTH = {p: 3 if p in Z_STATE_PROTOCOLS + ("dcdisc",) else 2 for p in PROTOCOL_IDS}
 
 
 class ConfigError(ValueError):
@@ -340,9 +341,18 @@ def validate_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         if end is not None and not (isinstance(end, (int, float)) and end > horizon):
             problems.append(f'schedule "end_time" must be a number beyond the horizon '
                             f'{horizon:g}, got {end!r}')
-        for b in topology.boundaries(horizon):
-            if _off_grid(b, step, "switching boundary", problems):
-                break
+        # one period's switches first: the schedule is unrolled only once
+        # they sit on the grid, a period of at least one step, so it never
+        # has more switches than the run has rows
+        period = topology.period
+        once = [t for t, _ in topology.segments[1:]] + ([period] if period else [])
+        off = any(_off_grid(b, step, "switching boundary", problems) for b in once if b < horizon)
+        if not off and period and period < horizon and round(period / step) < 1:
+            problems.append(f"schedule period {period} is shorter than the step h = {step}")
+        elif not off:
+            for b in topology.boundaries(horizon):
+                if _off_grid(b, step, "switching boundary", problems):
+                    break
     waived = bool(data.get("waive_graph_checks", False))
     if topology is not None and not waived and not problems:
         problems.extend(_topology_problems(topology, horizon))

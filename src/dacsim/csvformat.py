@@ -1,5 +1,6 @@
 """Exact ``%.12g`` text of float blocks, formatted by numpy a block at a
-time: the CSV writer's number format.
+time: the one number format of the outputs, the CSV writer's cells and
+``svgplot``'s polyline points.
 
 Python's ``"%.12g" % x`` runs a correctly rounded binary-to-decimal
 conversion (Gay, "Correctly rounded binary-decimal and decimal-binary
@@ -13,9 +14,9 @@ get wrong through ``%``.  It lays every cell out as four little-endian
 and the ``%g`` cut of trailing zeros already in place, and the tail (the
 exponent, written only in ``d.ddde±XX`` notation, and the separator).
 Bytes a cell does not use are NUL, and dropping them leaves ``%``'s text.
-It is a module of its own, imported by the writer on its first call:
-compiled as part of ``engine`` at import, it raised the peak memory of a
-whole run by 0.5 MB.
+It is a module of its own, imported by the CSV writer on its first call
+and by ``svgplot``, which only a ``--svg`` run imports: compiled as part of
+``engine`` at import, it raised the peak memory of a whole run by 0.5 MB.
 """
 
 from __future__ import annotations

@@ -317,6 +317,7 @@ def _block_run(protocol, topology, inputs: InputSet, p: AlgorithmParams,
             step = stepper(idx)
             for k0 in range(k_start, k_end, SWEEP_BLOCK):
                 k1 = min(k0 + SWEEP_BLOCK, k_end)
+                u = du = f = None  # the last block's samples go before the next are taken
                 u, du = inputs.eval_all(_half_steps(times[k0:k1 + 1], h))
                 # the even stage rows are the stored times k0..k1
                 avg_u[k0:k1 + 1] = u[::2].mean(axis=1)

@@ -85,28 +85,19 @@ class SwitchingSchedule:
 
     def boundaries(self, horizon: float) -> list[float]:
         """Switch times in (0, horizon), cyclic repetitions unrolled."""
-        out = []
-        if self.period is None:
-            out = [t for t, _ in self.segments if 0.0 < t < horizon]
-        else:
-            reps = int(math.ceil(horizon / self.period)) + 1
-            for r in range(reps):
-                base = r * self.period
-                for t, _ in self.segments:
-                    s = base + t
-                    if 0.0 < s < horizon:
-                        out.append(s)
-        return sorted(out)
+        return [a for a, _, _ in self.segments_in(horizon)[1:]]
 
     def segments_in(self, horizon: float) -> list[tuple[float, float, int]]:
-        """Contiguous (start, end, graph_index) pieces covering [0, horizon).
-        A cyclic piece takes the digraph active at its midpoint: an unrolled
-        boundary r*period + t_j can round just below the switch it stands
-        for, where graph_at would still return the previous digraph."""
-        cuts = [0.0] + self.boundaries(horizon) + [horizon]
-        cyclic = self.period is not None
-        return [(a, b, graph_at(self, 0.5 * (a + b) if cyclic else a))
-                for a, b in zip(cuts, cuts[1:]) if b > a]
+        """Contiguous (start, end, graph_index) pieces covering [0, horizon),
+        cyclic repetitions unrolled.  A piece runs the digraph of the segment
+        it repeats, not the one graph_at finds at its start: an unrolled
+        start r*period + t_j can round just below the switch it stands for."""
+        period = self.period or 0.0
+        reps = 1 if self.period is None else int(math.ceil(horizon / period)) + 1
+        starts = sorted(((r * period + t, i) for r in range(reps) for t, i in self.segments
+                         if r * period + t < horizon), key=lambda start: start[0])
+        ends = [t for t, _ in starts[1:]] + [horizon]
+        return [(a, b, i) for (a, i), b in zip(starts, ends) if b > a]
 
 
 def graph_at(sched: SwitchingSchedule, t: float) -> int:

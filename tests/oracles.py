@@ -27,10 +27,12 @@ def fading_integral(grid, pi_udot_samples, blam):
 
 
 def svg_points(xs, ys):
-    """A polyline's points attribute: "x,y" pairs to two decimals, joined
-    by single spaces."""
-    return " ".join(map("%.2f,%.2f".__mod__, zip(np.asarray(xs).tolist(),
-                                                  np.asarray(ys).tolist())))
+    """A polyline's points attribute: each coordinate rounded to hundredths,
+    rint(100 x) / 100, written as "%.12g", and the "x,y" pairs joined by
+    single spaces."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs, ys = (np.rint(100.0 * np.asarray(c, dtype=float)) / 100.0 for c in (xs, ys))
+    return " ".join(map("%.12g,%.12g".__mod__, zip(xs.tolist(), ys.tolist())))
 
 
 def simulate_zero_system(g, alpha, beta, y0, w0, h, T):

@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -450,6 +451,17 @@ def test_z_state_protocols_named_once(protocol):
 
 
 class TestStateBudget:
+    @pytest.mark.parametrize("fname", ALL_PRESETS)
+    def test_width_is_the_run_storage(self, fname):
+        # the budget counts the columns of the array that a run stores its
+        # state in: (x, v), (x, v, z), or dcdisc's (z, v, u).  20 steps do
+        data = json.loads((SCENARIOS / fname).read_text())
+        unit = data["params"].get("delta") or data.get("step", config.DEFAULT_STEP)
+        data.update(horizon=20 * unit, tail_start=15 * unit)
+        cfg = validate_scenario(data)
+        traj, _, _ = run_scenario(cfg)
+        assert STATE_WIDTH[cfg.protocol] * cfg.n == traj.x.base.shape[1]
+
     def test_long_horizon_rejected_before_the_admissibility_scan(self, tmp_path, capsys):
         # 1e9 rows of 12 states; the schedule scan alone took ~20 s.  Every
         # bundled scenario stays within the budget (test_round_trip loads them)
@@ -480,6 +492,41 @@ class TestStateBudget:
         assert main(["validate", str(path)]) == EXIT_CONFIG
         out = capsys.readouterr().out
         assert "budget" in out and not re.search(r"\d{20}", out), out
+
+    @staticmethod
+    def dense_schedule(period):
+        """case1 on a two-digraph schedule that switches every period / 2,
+        with h = 0.01 and T = 100."""
+        data = json.loads((SCENARIOS / "case1.json").read_text())
+        data["schedule"].update(segments=[[0.0, 0], [period / 2, 1]], repeat={"cyclic": period})
+        data.update(horizon=100.0, tail_start=75.0, step=0.01)
+        return data
+
+    @pytest.mark.parametrize("period,message", [
+        (1e-4, r"switching boundary 5e-05 is not a multiple of the step h = 0\.01"),
+        (1e-9, r"schedule period 1e-09 is shorter than the step h = 0\.01")])
+    def test_dense_schedule_rejected_before_it_is_unrolled(self, period, message, tmp_path,
+                                                           capsys):
+        # one period's switches are checked before the schedule is unrolled
+        # into its 1e6 (1e11) switches: unrolling first took 6.5 s and 81 MB
+        # traced to reject the 1e-4 period
+        data = self.dense_schedule(period)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ConfigError) as excinfo:
+                validate_scenario(data)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        [problem] = excinfo.value.problems
+        assert re.search(message, problem), problem
+        assert elapsed < 1.0 and peak < 2 ** 20, (elapsed, peak)
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == EXIT_CONFIG == 1
+        assert re.search(message, capsys.readouterr().out)
 
 
 def test_agent_count_resolved_at_validation(monkeypatch):
