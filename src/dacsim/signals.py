@@ -330,8 +330,9 @@ class InputSet:
     def derivatives(self, t) -> np.ndarray:
         return self._columns(self._plans[1], t)
 
-    def eval_all(self, t) -> tuple[np.ndarray, np.ndarray]:
-        return self.values(t), self.derivatives(t)
+    def eval_all(self, t, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
+        """(u, u_dot) at t; ``out`` may give the arrays that receive them."""
+        return self.values(t, out[0]), self._columns(self._plans[1], t, out[1])
 
     @staticmethod
     def _columns(plan, t, out=None) -> np.ndarray:

@@ -454,7 +454,8 @@ class TestStateBudget:
     @pytest.mark.parametrize("fname", ALL_PRESETS)
     def test_width_is_the_run_storage(self, fname):
         # the budget counts the columns of the array that a run stores its
-        # state in: (x, v), (x, v, z), or dcdisc's (z, v, u).  20 steps do
+        # state in: (x, v), (x, v, z), or dcdisc's (z, v, u); twenty steps
+        # of each bundled scenario show it
         data = json.loads((SCENARIOS / fname).read_text())
         unit = data["params"].get("delta") or data.get("step", config.DEFAULT_STEP)
         data.update(horizon=20 * unit, tail_start=15 * unit)
@@ -493,24 +494,18 @@ class TestStateBudget:
         out = capsys.readouterr().out
         assert "budget" in out and not re.search(r"\d{20}", out), out
 
-    @staticmethod
-    def dense_schedule(period):
-        """case1 on a two-digraph schedule that switches every period / 2,
-        with h = 0.01 and T = 100."""
-        data = json.loads((SCENARIOS / "case1.json").read_text())
-        data["schedule"].update(segments=[[0.0, 0], [period / 2, 1]], repeat={"cyclic": period})
-        data.update(horizon=100.0, tail_start=75.0, step=0.01)
-        return data
-
     @pytest.mark.parametrize("period,message", [
         (1e-4, r"switching boundary 5e-05 is not a multiple of the step h = 0\.01"),
         (1e-9, r"schedule period 1e-09 is shorter than the step h = 0\.01")])
     def test_dense_schedule_rejected_before_it_is_unrolled(self, period, message, tmp_path,
                                                            capsys):
-        # one period's switches are checked before the schedule is unrolled
-        # into its 1e6 (1e11) switches: unrolling first took 6.5 s and 81 MB
-        # traced to reject the 1e-4 period
-        data = self.dense_schedule(period)
+        # case1 on two digraphs that switch every period / 2.  One period's
+        # switches are checked before the schedule is unrolled into its 2e6
+        # (2e11) switches: unrolling first took 6.5 s untraced, and 81 MB
+        # traced, to reject the 1e-4 period
+        data = json.loads((SCENARIOS / "case1.json").read_text())
+        data["schedule"].update(segments=[[0.0, 0], [period / 2, 1]], repeat={"cyclic": period})
+        data.update(horizon=100.0, tail_start=75.0, step=0.01)
         tracemalloc.start()
         start = time.perf_counter()
         try:

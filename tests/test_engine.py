@@ -797,12 +797,12 @@ class TestRunStatistics:
                                                      ("sat.json", 10.0, 1.6),
                                                      ("sampled_bias.json", 2000.0, 0.8)])
     def test_no_full_size_temporaries_after_stepping(self, fname, horizon, limit):
-        # the blocks of the run are the only large transients left, and a
-        # block's input samples (and, on the affine path, its forcing) are
-        # freed before the next block's are evaluated, so the peak is one
-        # block's evaluation: measured 0.885 on case1's affine path and
-        # 1.34 on sat's closure path, where holding the previous block's
-        # arrays gave 1.22 and 2.05, and a whole-run input table 4.51 on
+        # the blocks of the run are the only large transients left.  Every
+        # block refills one (u, du) buffer, and the affine forcing
+        # overwrites u, so the peak is one block's input evaluation:
+        # measured 0.885 on case1's affine path and 1.34 on sat's closure
+        # path, where holding the previous block's arrays while evaluating
+        # the next gave 1.22 and 2.05, and a whole-run input table 4.51 on
         # sat.  dcdisc steps its 4000 rows (two SWEEP_BLOCK blocks) in place
         # in sub-blocks, so only the metrics' per-column arrays are left
         # (measured 0.67)
