@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import check_on_grid
+from .engine import check_on_grid, check_switches_on_grid
 from .graphs import graph_from_json, is_strongly_connected, is_weight_balanced
 from .protocols import PROTOCOL_IDS, Z_STATE_PROTOCOLS, AlgorithmParams, ThetaGain
 from .signals import SCENARIO_PRESETS, InputSet, preset_scenario, signal_from_json
@@ -341,18 +341,10 @@ def validate_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         if end is not None and not (isinstance(end, (int, float)) and end > horizon):
             problems.append(f'schedule "end_time" must be a number beyond the horizon '
                             f'{horizon:g}, got {end!r}')
-        # one period's switches first: the schedule is unrolled only once
-        # they sit on the grid, a period of at least one step, so it never
-        # has more switches than the run has rows
-        period = topology.period
-        once = [t for t, _ in topology.segments[1:]] + ([period] if period else [])
-        off = any(_off_grid(b, step, "switching boundary", problems) for b in once if b < horizon)
-        if not off and period and period < horizon and round(period / step) < 1:
-            problems.append(f"schedule period {period} is shorter than the step h = {step}")
-        elif not off:
-            for b in topology.boundaries(horizon):
-                if _off_grid(b, step, "switching boundary", problems):
-                    break
+        try:
+            check_switches_on_grid(topology, step, horizon)
+        except ValueError as exc:
+            problems.append(str(exc))
     waived = bool(data.get("waive_graph_checks", False))
     if topology is not None and not waived and not problems:
         problems.extend(_topology_problems(topology, horizon))

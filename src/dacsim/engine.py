@@ -37,6 +37,7 @@ __all__ = [
     "run_scenario",
     "write_trajectory_csv",
     "check_on_grid",
+    "check_switches_on_grid",
     "DIVERGENCE_LIMIT",
 ]
 
@@ -131,6 +132,22 @@ def check_on_grid(value: float, h: float, what: str, step: str = "h"):
         raise ValueError(
             f"{what} {value} is not a multiple of the step {step} = {h}; "
             f"try {step} = {suggestion:.9g}")
+
+
+def check_switches_on_grid(sched: SwitchingSchedule, h: float, T: float):
+    """Raise ValueError unless every switch of sched in (0, T) is a whole
+    number of steps h (``check_on_grid``).  One period's switch times, the
+    segment starts after the first and the period, are checked first, and
+    the schedule is unrolled only when they sit on the grid and the period
+    spans a step or more, so it unrolls to at most one period a step."""
+    period = sched.period
+    for t in [s for s, _ in sched.segments[1:]] + ([period] if period else []):
+        if t < T:
+            check_on_grid(t, h, "switching boundary")
+    if period and period < T and round(period / h) < 1:
+        raise ValueError(f"schedule period {period} is shorter than the step h = {h}")
+    for t in sched.boundaries(T):
+        check_on_grid(t, h, "switching boundary")
 
 
 def _grid(h: float, T: float, events=()) -> np.ndarray:
@@ -291,7 +308,9 @@ def _block_run(protocol, topology, inputs: InputSet, p: AlgorithmParams,
     if not switching and not isinstance(topology, WeightedDigraph):
         raise TypeError("topology must be a WeightedDigraph or a SwitchingSchedule")
     graphs = topology.graphs if switching else (topology,)
-    times = _grid(h, T, topology.boundaries(T) if switching else ())
+    times = _grid(h, T)
+    if switching:
+        check_switches_on_grid(topology, h, T)
     pieces = _step_pieces(topology, h, T) if switching else [(0, times.size - 1, 0)]
     affine = _is_affine(protocol, p)
     built = {}

@@ -335,6 +335,22 @@ class TestSwitchingIntegration:
             simulate_protocol("dc1", sched, inputs,
                               AlgorithmParams(3.0, 10.0), st, h=0.3, T=12.0)
 
+    def test_dense_schedule_rejected_before_it_is_unrolled(self):
+        # 2e6 switches of a 1e-4 period to T = 100: unrolling them before
+        # the check took 6.8 s and 81 MB traced
+        sched = SwitchingSchedule(graphs=case2_schedule().graphs[:2], period=1e-4,
+                                  segments=((0.0, 0), (5e-5, 1)))
+        st = AgentState(x=np.zeros(6), v=np.zeros(6))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="switching boundary 5e-05 is not a multiple"):
+                simulate_protocol("dc1", sched, preset_scenario("case2"),
+                                  AlgorithmParams(3.0, 10.0), st, h=0.01, T=100.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak
+
 
 # ---------------------------------------------------------------------------
 # affine recurrence vs the closure right-hand sides
