@@ -4,7 +4,8 @@ depends on it.
 
 The polyline points are the bulk of the file.  ``_points`` rounds them to
 hundredths of a pixel and writes them with the CSV writer's ``%.12g``
-kernel, ``csvformat.format_g12``; this module formats no number itself.
+kernel, ``csvformat.format_g12``: the module has no number formatter of
+its own, and only the few axis labels go through f-strings.
 """
 
 from __future__ import annotations
