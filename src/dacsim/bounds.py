@@ -82,9 +82,8 @@ class BoundInputs:
 
 @dataclass(frozen=True, eq=False)
 class BoundCurve:
-    """A nonnegative envelope sampled on a time grid."""
+    """A nonnegative envelope sampled on the run's stored times."""
 
-    grid: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
@@ -205,7 +204,7 @@ def tracking_bound_curve(grid, b: BoundInputs, pi_udot_samples, transient=None) 
     branch = _branch_factor(grid, b.alpha, blam, kappa,
                             np.exp(-b.alpha * grid), np.exp(-blam * grid))
     values = transient + kappa * integral + branch * b.udot0_norm
-    return BoundCurve(grid=grid, values=values)
+    return BoundCurve(values=values)
 
 
 def ultimate_bound(beta: float, lambda_hat_2: float, gamma: float,

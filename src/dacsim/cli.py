@@ -162,7 +162,7 @@ def _cmd_validate(args):
         print(f"switching schedule: {len(topology.graphs)} digraphs, "
               f"dwell_min={topology.dwell_min}, "
               f"repeat={'cyclic %g' % topology.period if topology.period else 'none'}")
-        print(f"  all_balanced={report.all_balanced}, dwell_ok={report.dwell_ok}, "
+        print(f"  all_balanced={report.all_balanced}, "
               f"recurrent={report.recurrent}, admissible={report.admissible}")
         for a, b in report.joint_connectivity_intervals[:8]:
             print(f"  jointly strongly connected on [{a:g}, {b:g})")

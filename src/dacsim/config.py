@@ -102,8 +102,6 @@ def _per_agent(value, n) -> np.ndarray:
 def _build_theta(spec, n) -> ThetaGain:
     if isinstance(spec, (int, float)) or isinstance(spec, list):
         return ThetaGain.constant(_per_agent(spec, n))
-    if isinstance(spec, dict) and spec.get("name") == "constant":
-        return ThetaGain.constant(_per_agent(spec["values"], n))
     if isinstance(spec, dict) and spec.get("name") == "sine":
         base = _per_agent(spec.get("base", 1.0), n)
         amp = float(spec.get("amplitude", 0.5))
@@ -112,8 +110,8 @@ def _build_theta(spec, n) -> ThetaGain:
             raise ValueError("sine theta schedule needs 0 <= amplitude < 1")
         return ThetaGain(fn=lambda t: base * (1.0 + amp * math.sin(freq * t)),
                          lower=base * (1.0 - amp), upper=base * (1.0 + amp))
-    raise ValueError('theta must be a number, a list, or a named schedule '
-                     '("constant" or "sine")')
+    raise ValueError(f'theta must be a number, a list, or the named schedule '
+                     f'{{"name": "sine", ...}}, got {spec!r}')
 
 
 def _suggest(key, pool) -> str:
@@ -334,13 +332,7 @@ def validate_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         files[kind] = file
 
     if hasattr(topology, "boundaries") and not problems:
-        # neither the schedule's domain nor grid alignment is a graph
-        # hypothesis: "waive_graph_checks" keeps both.  The run reads the
-        # digraph at t = horizon, and graph_at is defined before end_time.
-        end = topology.end_time
-        if end is not None and not (isinstance(end, (int, float)) and end > horizon):
-            problems.append(f'schedule "end_time" must be a number beyond the horizon '
-                            f'{horizon:g}, got {end!r}')
+        # grid alignment is not a graph hypothesis: "waive_graph_checks" keeps it
         try:
             check_switches_on_grid(topology, step, horizon)
         except ValueError as exc:

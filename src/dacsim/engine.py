@@ -43,6 +43,8 @@ __all__ = [
 
 DIVERGENCE_LIMIT = 1e12
 GRID_ALIGN_TOL = 1e-6  # steps a grid time may lie from the nearest whole step
+FIT_START_FRACTION = 0.5
+FIT_FLOOR = 1e-8
 # multiply-adds m n k of the smallest product OpenBLAS runs threaded (measured
 # on 0.3.31); a second thread can stall a run for most of a second, so every
 # stepping product goes a few rows at a time below this size
@@ -550,26 +552,26 @@ def _published(rows, ks, times, n, meta) -> Trajectory:
                       z=rows[:, :n], k_index=ks, meta=meta)
 
 
-def fit_decay_rate(times: np.ndarray, err: np.ndarray,
-                   floor: float = 1e-8, start_fraction: float = 0.5) -> float:
+def fit_decay_rate(times: np.ndarray, err: np.ndarray) -> float:
     """Log-linear decay-rate fit of |err|, restricted to the window between
-    start_fraction * |err(0)| and the floor so neither the initial transient
-    nor the numerical noise floor contaminates the slope.  The rate is minus
-    the closed-form least-squares slope sum((t - tm)(y - ym)) / sum((t - tm)^2)
-    of y = log|err| over the window's points at or above the floor."""
+    FIT_START_FRACTION * |err(0)| and FIT_FLOOR so neither the initial
+    transient nor the numerical noise floor contaminates the slope.  The rate
+    is minus the closed-form least-squares slope sum((t - tm)(y - ym)) /
+    sum((t - tm)^2) of y = log|err| over the window's points at or above the
+    floor."""
     e = np.abs(np.asarray(err, dtype=float))
     e0 = e[0]
-    if e0 <= 10 * floor:
+    if e0 <= 10 * FIT_FLOOR:
         return math.nan
-    below = e <= start_fraction * e0
+    below = e <= FIT_START_FRACTION * e0
     i0 = int(below.argmax())  # the first True, or 0 when there is none
     if not below[i0]:
         return math.nan
-    dead = e[i0:] < floor
+    dead = e[i0:] < FIT_FLOOR
     i1 = i0 + int(dead.argmax()) if dead.any() else e.size
     seg_t = times[i0:i1]
     seg_e = e[i0:i1]
-    keep = seg_e >= floor
+    keep = seg_e >= FIT_FLOOR
     if keep.sum() < 10:
         return math.nan
     # the least-squares slope of log|err| on t, from centred sums; elementwise
@@ -658,20 +660,17 @@ def run_scenario(cfg):
         b = bnd.BoundInputs.from_initial(cfg.x0, cfg.v0, u0, du0, params.alpha, params.beta,
                                          lam_hat, kappa)
         s_values = bnd.transient_bound_s(traj.times, b)
-        curves["bound_s"] = bnd.BoundCurve(grid=traj.times, values=s_values)
+        curves["bound_s"] = bnd.BoundCurve(values=s_values)
         curves["bound_tracking"] = bnd.tracking_bound_curve(
             traj.times, b, traj.pi_udot, transient=s_values)
 
     if ult is not None:
         # one number seen at every stored time: a read-only view, no array
-        curves["bound_ultimate"] = bnd.BoundCurve(
-            grid=traj.times, values=np.broadcast_to(ult, traj.times.shape))
+        curves["bound_ultimate"] = bnd.BoundCurve(values=np.broadcast_to(ult, traj.times.shape))
 
     report = error_metrics(traj, cfg.tail_start, bound_curve=curves.get("bound_tracking"),
                            offset=offset, gamma_used=gamma)
     traj.meta.update({
-        "scenario": cfg.name,
-        "seed": cfg.seed,
         "ultimate_bound": ult,
         "lambda_hat_2": lambda_hat_2,
         "offset_prediction": offset,

@@ -83,7 +83,6 @@ class SpectralData:
     lambda_hat_2: float
     re_lambda_2: float
     d_max_out: float
-    eigenvalues_L: np.ndarray = field(repr=False)
     eigenvalues_symL: np.ndarray = field(repr=False)
 
 
@@ -154,11 +153,10 @@ def laplacian(g: WeightedDigraph) -> np.ndarray:
     return cached
 
 
-def is_weight_balanced(g: WeightedDigraph, tol: float = BALANCE_TOL) -> bool:
-    """True iff weighted in-degree equals out-degree at every node (1^T L = 0)."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    return bool(np.max(np.abs(g.in_degrees - g.out_degrees)) <= tol)
+def is_weight_balanced(g: WeightedDigraph) -> bool:
+    """True iff weighted in-degree equals out-degree at every node (1^T L = 0)
+    to within BALANCE_TOL."""
+    return bool(np.max(np.abs(g.in_degrees - g.out_degrees)) <= BALANCE_TOL)
 
 
 def is_strongly_connected(g: WeightedDigraph) -> bool:
@@ -202,7 +200,6 @@ def spectral_summary(g: WeightedDigraph) -> SpectralData:
         lambda_hat_2=float(eig_sym[1]),
         re_lambda_2=re_lambda_2,
         d_max_out=float(g.out_degrees.max()) if g.n else 0.0,
-        eigenvalues_L=eig_l,
         eigenvalues_symL=eig_sym,
     )
 

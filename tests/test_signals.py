@@ -188,13 +188,6 @@ class TestDerivatives:
                 central = (sig.value(t + h) - sig.value(t - h)) / (2 * h)
                 assert abs(analytic - central) <= 1e-5 * (1.0 + abs(analytic))
 
-    def test_central_difference_mode(self):
-        sig = make_signal("tanh", amplitude=2.0, rate=0.5,
-                          derivative_mode="central_difference", h_d=1e-6)
-        ref = make_signal("tanh", amplitude=2.0, rate=0.5)
-        for t in (0.0, 0.5, 4.0):
-            assert sig.derivative(t) == pytest.approx(ref.derivative(t), abs=1e-8)
-
 
 class TestJson:
     def test_round_trip_nested(self):
@@ -234,7 +227,7 @@ class TestArrayEvaluation:
         "sum-of-terms": make_signal("sum-of-terms", terms=[
             preset_scenario("case1").signals[0],
             make_signal("sum-of-terms", terms=[
-                make_signal("tanh", derivative_mode="central_difference", h_d=1e-5),
+                make_signal("tanh"),
                 make_signal("cosine", amplitude=0.5)])]),
     }
 
@@ -269,17 +262,6 @@ class TestArrayEvaluation:
         # past the last sample the final value holds
         np.testing.assert_array_equal(sig.value(t), [1.0, 2.0, 3.0, 3.0, 3.0, 1.0, 2.0])
         assert sig.value(0.5) == 3.0
-
-    def test_central_difference_near_zero(self):
-        h = 1e-3
-        sig = make_signal("sine", derivative_mode="central_difference", h_d=h)
-        t = np.array([0.0, 0.25 * h, h, 2 * h, 1.0])
-        expected = []
-        for s in t:
-            lo = max(s - h, 0.0)  # one-sided below h: no sample before t = 0
-            expected.append((math.sin(s + h) - math.sin(lo)) / (s + h - lo))
-        np.testing.assert_allclose(sig.derivative(t), expected, rtol=1e-12)
-        np.testing.assert_array_equal(sig.derivative(t), [sig.derivative(float(s)) for s in t])
 
     def test_input_set_shapes(self):
         inputs = preset_scenario("case1")
@@ -330,10 +312,7 @@ def term_dicts(draw, depth=0):
         "step-modulated-composite": lambda: {"carrier": draw(term_dicts(depth + 1)),
                                              "half_period": 1.0},
     }[kind]()
-    spec = {"kind": kind, "params": params}
-    if draw(st.integers(0, 3)) == 0:
-        spec.update(derivative_mode="central_difference", h_d=draw(st.sampled_from([1e-3, 1e-5])))
-    return spec
+    return {"kind": kind, "params": params}
 
 
 @st.composite
@@ -356,8 +335,7 @@ def input_sets(draw):
         terms = [term() for _ in range(draw(st.integers(1, 4)))]
         if shape == "nested":
             terms.append(make_signal("sum-of-terms", terms=[term(), term()]))
-        mode = draw(st.sampled_from(["analytic", "analytic", "central_difference"]))
-        signals.append(make_signal("sum-of-terms", terms=terms, derivative_mode=mode, h_d=1e-4))
+        signals.append(make_signal("sum-of-terms", terms=terms))
     return InputSet(signals=tuple(signals))
 
 
@@ -384,8 +362,7 @@ class TestSharedTerms:
                 continue
             terms = [signal_from_json(x) if isinstance(x, dict) else x for x in sig.params["terms"]]
             assert same_bits(sig.value(t), sum(term.value(t) for term in terms))
-            if sig.derivative_mode == "analytic":
-                assert same_bits(sig.derivative(t), sum(term.derivative(t) for term in terms))
+            assert same_bits(sig.derivative(t), sum(term.derivative(t) for term in terms))
 
     @pytest.mark.parametrize("scenario", ["case1", "offset_sines"])
     def test_common_sine_is_evaluated_once(self, scenario, monkeypatch):
