@@ -119,8 +119,9 @@ def validate_admissible(sched: SwitchingSchedule, horizon: float) -> Admissibili
 
     Joint-connectivity windows are found greedily: extend each window one
     segment at a time until the union of active digraphs is strongly
-    connected, then start the next window.  Findings are reported, never
-    raised.
+    connected, then start the next window.  A schedule's digraphs form few
+    distinct unions, so each union's edge pattern is tested once, however
+    many pieces the horizon unrolls.  Findings are reported, never raised.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -130,13 +131,21 @@ def validate_admissible(sched: SwitchingSchedule, horizon: float) -> Admissibili
     if bad:
         notes.append(f"unbalanced digraph indices: {bad}")
 
+    patterns = {i: sched.graphs[i].weights > 0 for i in referenced}
+    verdicts = {}
+
+    def connected(pattern):
+        key = pattern.tobytes()
+        if key not in verdicts:
+            verdicts[key] = pattern_is_strongly_connected(pattern)
+        return verdicts[key]
+
     intervals = []
     acc = None
     window_start = 0.0
     for _, end, idx in sched.segments_in(horizon):
-        edges = sched.graphs[idx].weights > 0
-        acc = edges if acc is None else acc | edges
-        if pattern_is_strongly_connected(acc):
+        acc = patterns[idx] if acc is None else acc | patterns[idx]
+        if connected(acc):
             intervals.append((window_start, end))
             window_start = end
             acc = None
@@ -145,8 +154,7 @@ def validate_admissible(sched: SwitchingSchedule, horizon: float) -> Admissibili
                      f"strongly connected before the horizon")
 
     if sched.period is not None:
-        recurrent = pattern_is_strongly_connected(
-            np.logical_or.reduce([sched.graphs[i].weights > 0 for i in referenced]))
+        recurrent = connected(np.logical_or.reduce(list(patterns.values())))
         notes.append("cyclic schedule: recurrence certified by one jointly "
                      "strongly connected period" if recurrent else
                      "cyclic schedule: the period union is not strongly connected")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dacsim import switching
 from dacsim.graphs import WeightedDigraph, build_digraph, is_strongly_connected, topology_preset
 from dacsim.switching import (
     SwitchingSchedule,
@@ -107,6 +108,26 @@ class TestUnionDigraph:
             assert bool(report.joint_connectivity_intervals) == report.recurrent
             verdicts.add(report.recurrent)
         assert len(verdicts) == 1
+
+
+class TestScanCost:
+    def test_each_union_is_tested_once(self, monkeypatch):
+        """A dense cyclic schedule repeats a few unions over many pieces: the
+        strong-connectivity tests do not grow with the horizon."""
+        sched = cyclic(case1_schedule().graphs, (0.0, 0.01, 0.02, 0.03), (0, 1, 2, 3), 0.04)
+        test = switching.pattern_is_strongly_connected
+        calls = []
+        monkeypatch.setattr(switching, "pattern_is_strongly_connected",
+                            lambda pattern: calls.append(1) or test(pattern))
+        counts = []
+        for horizon in (40.0, 400.0):
+            calls.clear()
+            report = validate_admissible(sched, horizon)
+            counts.append(len(calls))
+            assert report.admissible
+            # fig1b | fig1c and fig1d | fig1e each connect: two windows a period
+            assert len(report.joint_connectivity_intervals) == round(horizon / 0.02)
+        assert counts[0] == counts[1]
 
 
 class TestAdmissibility:
