@@ -31,19 +31,22 @@ __all__ = [
     "SCENARIO_PRESETS",
 ]
 
-SIGNAL_KINDS = (
-    "constant",
-    "linear",
-    "sine",
-    "cosine",
-    "atan",
-    "tanh",
-    "reciprocal-power",
-    "exponential-decay",
-    "step-modulated-composite",
-    "sampled-piecewise-constant",
-    "sum-of-terms",
-)
+# The parameters each signal kind reads; a signal that gives any other is
+# rejected, so a misspelt parameter cannot fall back to its default.
+KIND_PARAMS = {
+    "constant": ("value",),
+    "linear": ("slope", "intercept"),
+    "sine": ("amplitude", "frequency", "phase"),
+    "cosine": ("amplitude", "frequency", "phase"),
+    "atan": ("amplitude", "rate", "shift"),
+    "tanh": ("amplitude", "rate", "shift"),
+    "reciprocal-power": ("coefficient", "shift", "power"),
+    "exponential-decay": ("coefficient", "rate"),
+    "step-modulated-composite": ("carrier", "half_period"),
+    "sampled-piecewise-constant": ("values", "hold"),
+    "sum-of-terms": ("terms",),
+}
+SIGNAL_KINDS = tuple(KIND_PARAMS)
 
 # Sample differences per block in sampled_gamma.  One whole-run
 # np.diff and its norm temporaries raised peak RSS from 47.9 to 55.2 MB on a
@@ -72,6 +75,10 @@ class InputSignal:
     def __post_init__(self):
         if self.kind not in SIGNAL_KINDS:
             raise ValueError(f"unknown signal kind {self.kind!r}")
+        extra = set(self.params) - set(KIND_PARAMS[self.kind])
+        if extra:
+            raise ValueError(f"signal kind {self.kind!r} has unknown parameter(s) {sorted(extra)}; "
+                             f"it reads {list(KIND_PARAMS[self.kind])}")
         if self.kind == "sum-of-terms":
             self._terms = tuple(_as_signal(term) for term in self.params.get("terms", []))
         self._vfn, self._dfn = _compile(self.kind, self.params, self._terms)

@@ -697,3 +697,23 @@ def test_removed_option_is_a_config_error(data, needle, tmp_path, capsys):
     assert cli_on(tmp_path, data, "validate") == EXIT_CONFIG
     assert cli_on(tmp_path, data, "run", "--out", str(tmp_path / "out")) == EXIT_CONFIG
     assert capsys.readouterr().out.count(needle) == 2
+
+
+class TestSignalParameters:
+    """A parameter that a signal's kind does not read is a config error that
+    names the kind and the key, not a default taken in silence."""
+
+    TYPO = {"kind": "sine", "params": {"amplitud": 2, "frequncy": 3}}
+
+    @pytest.mark.parametrize("data", [
+        with_signal(TYPO),
+        with_signal({"kind": "sum-of-terms", "params": {"terms": [TYPO]}}),
+        tiny_scenario(protocol="dc3", params={"alpha": 1.0, "beta": 1.0, "theta": 1.0,
+                                              "psi": TYPO}),
+    ], ids=["input", "term", "psi"])
+    def test_unread_parameter(self, data, tmp_path, capsys):
+        assert cli_on(tmp_path, data, "validate") == EXIT_CONFIG
+        assert cli_on(tmp_path, data, "run", "--out", str(tmp_path / "out")) == EXIT_CONFIG
+        message = "signal kind 'sine' has unknown parameter(s) ['amplitud', 'frequncy']"
+        assert capsys.readouterr().out.count(message) == 2
+        assert not (tmp_path / "out" / "tiny.csv").exists()
