@@ -293,7 +293,15 @@ def validate_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
     _check_keys(init, INIT_KEYS, '"init"', problems)
     x0 = v0 = z0 = None
     if n is not None and inputs is not None and len(inputs) == n:
-        u0 = inputs.values(0.0)
+        # the initial state, the continuous dynamics and the bounds read
+        # u(0) and du/dt(0); dcdisc reads only u
+        with np.errstate(all="ignore"):  # a pole at t = 0 is reported below
+            u0, du0 = inputs.eval_all(0.0)
+        reads = (("u(0)", u0),) if protocol == "dcdisc" else (("u(0)", u0), ("du/dt(0)", du0))
+        for i in range(n):
+            bad = [f"{what} = {vals[i]:g}" for what, vals in reads if not math.isfinite(vals[i])]
+            if bad:
+                problems.append(f'the input of agent {i + 1} is not finite at t = 0: {", ".join(bad)}')
         try:
             x0 = _init_vector(init.get("x0", "zeros"), n, None, u0, "x0")
             v0 = _init_vector(init.get("v0", "zeros"), n, None, None, "v0")

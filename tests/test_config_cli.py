@@ -717,3 +717,33 @@ class TestSignalParameters:
         message = "signal kind 'sine' has unknown parameter(s) ['amplitud', 'frequncy']"
         assert capsys.readouterr().out.count(message) == 2
         assert not (tmp_path / "out" / "tiny.csv").exists()
+
+
+def pole(**params):
+    """(t + 0) ** -power: a pole of u at t = 0, or with a negative power of
+    its derivative alone."""
+    return {"kind": "reciprocal-power", "params": {"coefficient": 1, "shift": 0, **params}}
+
+
+class TestInputsFiniteAtZero:
+    """u(0) sets the initial state and du/dt(0) the continuous dynamics and
+    the bounds: an input with a pole at t = 0 is a config error naming the
+    agent, not a traceback or a divergence blamed on the stepsize."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("signal,init,message", [
+        (pole(), {"x0": "u0"}, "u(0) = inf, du/dt(0) = -inf"),
+        (pole(power=-0.5), {}, "du/dt(0) = inf"),
+    ], ids=["value", "derivative"])
+    def test_is_a_config_error(self, signal, init, message, tmp_path, capsys):
+        data = with_signal(signal, init=init)
+        assert cli_on(tmp_path, data, "validate") == EXIT_CONFIG
+        assert cli_on(tmp_path, data, "run", "--out", str(tmp_path / "out")) == EXIT_CONFIG
+        out = capsys.readouterr().out
+        assert out.count(f"the input of agent 1 is not finite at t = 0: {message}\n") == 2
+        assert not (tmp_path / "out" / "tiny.csv").exists()
+
+    def test_dcdisc_reads_no_derivative(self):
+        data = with_signal(pole(power=-0.5), protocol="dcdisc",
+                           params={"alpha": 1.0, "beta": 0.5, "delta": 0.01})
+        assert validate_scenario(data).protocol == "dcdisc"
