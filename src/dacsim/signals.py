@@ -47,6 +47,7 @@ KIND_PARAMS = {
     "sum-of-terms": ("terms",),
 }
 SIGNAL_KINDS = tuple(KIND_PARAMS)
+SIGNAL_KEYS = {"kind", "params"}  # the keys of a signal's JSON form
 
 # Sample differences per block in sampled_gamma.  One whole-run
 # np.diff and its norm temporaries raised peak RSS from 47.9 to 55.2 MB on a
@@ -254,7 +255,7 @@ def signal_from_json(fragment: dict) -> InputSignal:
     (sum terms, carriers) use the same schema."""
     if "kind" not in fragment:
         raise ValueError('signal JSON needs a "kind" key')
-    extra = set(fragment) - {"kind", "params"}
+    extra = set(fragment) - SIGNAL_KEYS
     if extra:
         raise ValueError(f"unknown signal key(s) {sorted(extra)}")
     return InputSignal(kind=fragment["kind"], params=dict(fragment.get("params", {})))

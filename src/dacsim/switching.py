@@ -32,6 +32,8 @@ __all__ = [
     "schedule_from_json",
 ]
 
+SCHEDULE_KEYS = {"graphs", "segments", "repeat"}  # the keys of a schedule's JSON form
+
 
 @dataclass
 class SwitchingSchedule:
@@ -182,7 +184,7 @@ def schedule_from_json(fragment: dict) -> SwitchingSchedule:
     """Build a schedule from
     {"graphs": [graph | {"preset": name}, ...], "segments": [[t, idx], ...],
      "repeat": "none" | {"cyclic": period}}."""
-    extra = set(fragment) - {"graphs", "segments", "repeat"}
+    extra = set(fragment) - SCHEDULE_KEYS
     if extra:
         raise ValueError(f"unknown schedule key(s) {sorted(extra)}")
     try:

@@ -14,15 +14,22 @@ import pytest
 from dacsim import cli, config
 from dacsim.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from dacsim.config import (
+    INIT_KEYS,
+    OUTPUT_SUFFIXES,
+    PARAM_KEYS,
     STATE_WIDTH,
+    TOP_KEYS,
     ConfigError,
     load_scenario,
     validate_scenario,
 )
 from dacsim.engine import run_scenario
 from dacsim.protocols import PROTOCOL_IDS, Z_STATE_PROTOCOLS
+from dacsim.signals import SIGNAL_KEYS
+from dacsim.switching import SCHEDULE_KEYS
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "dacsim" / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "src" / "dacsim" / "scenarios"
 ALL_PRESETS = sorted(p.name for p in SCENARIOS.glob("*.json"))
 
 
@@ -747,3 +754,12 @@ class TestInputsFiniteAtZero:
         data = with_signal(pole(power=-0.5), protocol="dcdisc",
                            params={"alpha": 1.0, "beta": 0.5, "delta": 0.01})
         assert validate_scenario(data).protocol == "dcdisc"
+
+
+def test_readme_names_every_accepted_key():
+    """README's Scenario JSON block shows every key that validation accepts."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Scenario JSON", 1)[1].split("```jsonc", 1)[1].split("```", 1)[0]
+    keys = (TOP_KEYS | PARAM_KEYS | INIT_KEYS | set(OUTPUT_SUFFIXES)
+            | SCHEDULE_KEYS | SIGNAL_KEYS)
+    assert sorted(k for k in keys if f'"{k}"' not in block) == []
