@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,22 +32,50 @@ __all__ = [
     "SCENARIO_PRESETS",
 ]
 
-# The parameters each signal kind reads; a signal that gives any other is
-# rejected, so a misspelt parameter cannot fall back to its default.
-KIND_PARAMS = {
-    "constant": ("value",),
-    "linear": ("slope", "intercept"),
-    "sine": ("amplitude", "frequency", "phase"),
-    "cosine": ("amplitude", "frequency", "phase"),
-    "atan": ("amplitude", "rate", "shift"),
-    "tanh": ("amplitude", "rate", "shift"),
-    "reciprocal-power": ("coefficient", "shift", "power"),
-    "exponential-decay": ("coefficient", "rate"),
-    "step-modulated-composite": ("carrier", "half_period"),
-    "sampled-piecewise-constant": ("values", "hold"),
-    "sum-of-terms": ("terms",),
+REQUIRED = object()  # the default of a parameter that every signal of its kind must give
+
+
+class Kind(NamedTuple):
+    """A signal kind's parameters in order, each with its default or
+    REQUIRED, and a closed form's value and derivative as functions of
+    (t, *params); ``_compile`` builds the structural kinds itself."""
+
+    params: dict
+    value: Callable | None = None
+    derivative: Callable | None = None
+
+
+def _full(t, c):
+    return np.full(np.shape(t), c)
+
+
+def _tanh_derivative(t, a, r, s):
+    th = np.tanh(r * t + s)
+    return a * r * (1.0 - th * th)
+
+
+# Every signal kind.  A signal that gives a parameter its kind does not list
+# is rejected, so a misspelt parameter cannot fall back to its default.
+KINDS = {
+    "constant": Kind({"value": REQUIRED}, _full, lambda t, c: _full(t, 0.0)),
+    "linear": Kind({"slope": 0.0, "intercept": 0.0}, lambda t, a, b: a * t + b, lambda t, a, b: _full(t, a)),
+    "sine": Kind({"amplitude": 1.0, "frequency": 1.0, "phase": 0.0},
+                 lambda t, a, w, p: a * np.sin(w * t + p), lambda t, a, w, p: a * w * np.cos(w * t + p)),
+    "cosine": Kind({"amplitude": 1.0, "frequency": 1.0, "phase": 0.0},
+                   lambda t, a, w, p: a * np.cos(w * t + p), lambda t, a, w, p: -a * w * np.sin(w * t + p)),
+    "atan": Kind({"amplitude": 1.0, "rate": 1.0, "shift": 0.0},
+                 lambda t, a, r, s: a * np.arctan(r * t + s), lambda t, a, r, s: a * r / (1.0 + (r * t + s) ** 2)),
+    "tanh": Kind({"amplitude": 1.0, "rate": 1.0, "shift": 0.0},
+                 lambda t, a, r, s: a * np.tanh(r * t + s), _tanh_derivative),
+    "reciprocal-power": Kind({"coefficient": REQUIRED, "shift": REQUIRED, "power": 1.0},
+                             lambda t, c, s, p: c * (t + s) ** -p, lambda t, c, s, p: -c * p * (t + s) ** -(p + 1.0)),
+    "exponential-decay": Kind({"coefficient": REQUIRED, "rate": 1.0},
+                              lambda t, c, r: c * np.exp(-r * t), lambda t, c, r: -c * r * np.exp(-r * t)),
+    "step-modulated-composite": Kind({"carrier": REQUIRED, "half_period": 10.0}),
+    "sampled-piecewise-constant": Kind({"values": REQUIRED, "hold": 1.0}),
+    "sum-of-terms": Kind({"terms": REQUIRED}),
 }
-SIGNAL_KINDS = tuple(KIND_PARAMS)
+SIGNAL_KINDS = tuple(KINDS)
 SIGNAL_KEYS = {"kind", "params"}  # the keys of a signal's JSON form
 
 # Sample differences per block in sampled_gamma.  One whole-run
@@ -74,15 +103,7 @@ class InputSignal:
     _terms: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in SIGNAL_KINDS:
-            raise ValueError(f"unknown signal kind {self.kind!r}")
-        extra = set(self.params) - set(KIND_PARAMS[self.kind])
-        if extra:
-            raise ValueError(f"signal kind {self.kind!r} has unknown parameter(s) {sorted(extra)}; "
-                             f"it reads {list(KIND_PARAMS[self.kind])}")
-        if self.kind == "sum-of-terms":
-            self._terms = tuple(_as_signal(term) for term in self.params.get("terms", []))
-        self._vfn, self._dfn = _compile(self.kind, self.params, self._terms)
+        self._vfn, self._dfn, self._terms = _compile(self.kind, self.params)
 
     def value(self, t):
         return _scalar_or_array(self._vfn(np.asarray(t, dtype=float)))
@@ -122,98 +143,50 @@ def make_signal(kind: str, **params) -> InputSignal:
     return InputSignal(kind=kind, params=params)
 
 
-def _compile(kind, params, terms=()):
-    """Build (value, derivative) closures for a signal record; ``terms`` are
-    a sum-of-terms' term signals.  Both take a float ndarray of times (0-d
-    included) and return values of its shape.  A sum adds its terms in
-    order from 0 (``_add``), a constant term as a number."""
-    p = dict(params)
+def read_params(what, table, given) -> list:
+    """The values of ``table``'s parameters in its order: each one ``given``
+    names, else its default.  A parameter outside the table, or a REQUIRED
+    one that ``given`` lacks, is a ValueError that names ``what``."""
+    extra = set(given) - set(table)
+    if extra:
+        raise ValueError(f"{what} has unknown parameter(s) {sorted(extra)}; it reads {list(table)}")
+    missing = [name for name, default in table.items() if default is REQUIRED and name not in given]
+    if missing:
+        raise ValueError(f"{what} is missing parameter(s) {missing}")
+    return [given.get(name, default) for name, default in table.items()]
 
-    def need(*names):
-        missing = [n for n in names if n not in p]
-        if missing:
-            raise ValueError(f"signal kind {kind!r} is missing parameter(s) {missing}")
-        return [float(p[n]) for n in names]
 
-    def fill(c):
-        return lambda t: np.full(np.shape(t), c)
+def _compile(kind, params):
+    """(value, derivative, terms) of a signal record: closures that take a
+    float ndarray of times (0-d included) and return values of its shape,
+    and a sum-of-terms' term signals.  A sum adds its terms in order from 0
+    (``_add``), a constant term as a number."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown signal kind {kind!r}")
+    entry = KINDS[kind]
+    args = read_params(f"signal kind {kind!r}", entry.params, params)
 
-    if kind == "constant":
-        (c,) = need("value")
-        return fill(c), fill(0.0)
-
-    if kind == "linear":
-        a = float(p.get("slope", 0.0))
-        b = float(p.get("intercept", 0.0))
-        return (lambda t: a * t + b), fill(a)
-
-    if kind in ("sine", "cosine"):
-        amp = float(p.get("amplitude", 1.0))
-        freq = float(p.get("frequency", 1.0))
-        phase = float(p.get("phase", 0.0))
-        if kind == "sine":
-            return (
-                lambda t: amp * np.sin(freq * t + phase),
-                lambda t: amp * freq * np.cos(freq * t + phase),
-            )
-        return (
-            lambda t: amp * np.cos(freq * t + phase),
-            lambda t: -amp * freq * np.sin(freq * t + phase),
-        )
-
-    if kind == "atan":
-        amp = float(p.get("amplitude", 1.0))
-        rate = float(p.get("rate", 1.0))
-        shift = float(p.get("shift", 0.0))
-        return (
-            lambda t: amp * np.arctan(rate * t + shift),
-            lambda t: amp * rate / (1.0 + (rate * t + shift) ** 2),
-        )
-
-    if kind == "tanh":
-        amp = float(p.get("amplitude", 1.0))
-        rate = float(p.get("rate", 1.0))
-        shift = float(p.get("shift", 0.0))
-
-        def tanh_d(t):
-            th = np.tanh(rate * t + shift)
-            return amp * rate * (1.0 - th * th)
-
-        return (lambda t: amp * np.tanh(rate * t + shift)), tanh_d
-
-    if kind == "reciprocal-power":
-        coeff, shift = need("coefficient", "shift")
-        power = float(p.get("power", 1.0))
-        return (
-            lambda t: coeff * (t + shift) ** -power,
-            lambda t: -coeff * power * (t + shift) ** -(power + 1.0),
-        )
-
-    if kind == "exponential-decay":
-        (coeff,) = need("coefficient")
-        rate = float(p.get("rate", 1.0))
-        return (
-            lambda t: coeff * np.exp(-rate * t),
-            lambda t: -coeff * rate * np.exp(-rate * t),
-        )
+    if entry.value is not None:
+        args = [float(a) for a in args]
+        value, derivative = entry.value, entry.derivative
+        return (lambda t: value(t, *args)), (lambda t: derivative(t, *args)), ()
 
     if kind == "sum-of-terms":
+        terms = tuple(_as_signal(term) for term in args[0])
         if not terms:
             raise ValueError("sum-of-terms needs at least one term")
 
         def summed(parts):
             def fn(t):
                 total = _add(parts, t)
-                return np.full(np.shape(t), total) if isinstance(total, float) else total
+                return _full(t, total) if isinstance(total, float) else total
             return fn
 
-        return summed([_part(s, False) for s in terms]), summed([_part(s, True) for s in terms])
+        return (summed([_part(s, False) for s in terms]),
+                summed([_part(s, True) for s in terms]), terms)
 
     if kind == "step-modulated-composite":
-        carrier = _as_signal(p["carrier"]) if "carrier" in p else None
-        if carrier is None:
-            raise ValueError("step-modulated-composite needs a carrier signal")
-        half_period = float(p.get("half_period", 10.0))
+        carrier, half_period = _as_signal(args[0]), float(args[1])
         if half_period <= 0:
             raise ValueError("half_period must be positive")
         cv, cd = carrier._vfn, carrier._dfn
@@ -223,23 +196,19 @@ def _compile(kind, params, terms=()):
         def gate(t):
             return np.where(np.floor(t / half_period) % 2 == 0, 1.0, 0.0)
 
-        return (lambda t: gate(t) * cv(t)), (lambda t: gate(t) * cd(t))
+        return (lambda t: gate(t) * cv(t)), (lambda t: gate(t) * cd(t)), ()
 
-    if kind == "sampled-piecewise-constant":
-        values = np.array([float(v) for v in p.get("values", [])])
-        if not values.size:
-            raise ValueError("sampled-piecewise-constant needs a nonempty value list")
-        hold = float(p.get("hold", 1.0))
-        if hold <= 0:
-            raise ValueError("hold duration must be positive")
-        last = values.size - 1
+    values, hold = np.array([float(v) for v in args[0]]), float(args[1])  # sampled-piecewise-constant
+    if not values.size:
+        raise ValueError("sampled-piecewise-constant needs a nonempty value list")
+    if hold <= 0:
+        raise ValueError("hold duration must be positive")
+    last = values.size - 1
 
-        def held(t):
-            return values[np.minimum(np.floor(t / hold), last).astype(np.intp)]
+    def held(t):
+        return values[np.minimum(np.floor(t / hold), last).astype(np.intp)]
 
-        return held, fill(0.0)
-
-    raise ValueError(f"unknown signal kind {kind!r}")
+    return held, (lambda t: _full(t, 0.0)), ()
 
 
 def _as_signal(spec) -> InputSignal:
