@@ -19,7 +19,7 @@ import numpy as np
 from .engine import check_on_grid, check_switches_on_grid
 from .graphs import graph_from_json, is_strongly_connected, is_weight_balanced
 from .protocols import PROTOCOL_IDS, Z_STATE_PROTOCOLS, AlgorithmParams, ThetaGain
-from .signals import SCENARIO_PRESETS, InputSet, preset_scenario, signal_from_json
+from .signals import SCENARIO_PRESETS, InputSet, preset_scenario, read_params, signal_from_json
 from .switching import schedule_from_json, validate_admissible
 
 __all__ = ["ScenarioConfig", "ConfigError", "load_scenario", "validate_scenario"]
@@ -31,6 +31,8 @@ TOP_KEYS = {
 }
 PARAM_KEYS = {"alpha", "beta", "theta", "sat_limits", "psi", "delta", "kappa", "lambda_hat_sigma"}
 INIT_KEYS = {"x0", "v0", "z0"}
+# the parameters of the named theta schedule {"name": "sine", ...}, with their defaults
+THETA_SINE = {"base": 1.0, "amplitude": 0.5, "frequency": 1.0}
 # file name of each output, after the scenario name, unless "outputs" names one
 OUTPUT_SUFFIXES = {"csv": ".csv", "metrics": "_metrics.json", "svg": ".svg"}
 DEFAULT_STEP = 1e-3
@@ -103,9 +105,9 @@ def _build_theta(spec, n) -> ThetaGain:
     if isinstance(spec, (int, float)) or isinstance(spec, list):
         return ThetaGain.constant(_per_agent(spec, n))
     if isinstance(spec, dict) and spec.get("name") == "sine":
-        base = _per_agent(spec.get("base", 1.0), n)
-        amp = float(spec.get("amplitude", 0.5))
-        freq = float(spec.get("frequency", 1.0))
+        given = {k: v for k, v in spec.items() if k != "name"}
+        base, amp, freq = read_params("theta schedule 'sine'", THETA_SINE, given)
+        base, amp, freq = _per_agent(base, n), float(amp), float(freq)
         if not 0.0 <= amp < 1.0:
             raise ValueError("sine theta schedule needs 0 <= amplitude < 1")
         return ThetaGain(fn=lambda t: base * (1.0 + amp * math.sin(freq * t)),

@@ -707,21 +707,26 @@ def test_removed_option_is_a_config_error(data, needle, tmp_path, capsys):
 
 
 class TestSignalParameters:
-    """A parameter that a signal's kind does not read is a config error that
-    names the kind and the key, not a default taken in silence."""
+    """A parameter that a signal's kind, or the named theta schedule, does
+    not read is a config error that names the kind and the key, not a
+    default taken in silence."""
 
     TYPO = {"kind": "sine", "params": {"amplitud": 2, "frequncy": 3}}
+    SIGNAL = "signal kind 'sine'"
 
-    @pytest.mark.parametrize("data", [
-        with_signal(TYPO),
-        with_signal({"kind": "sum-of-terms", "params": {"terms": [TYPO]}}),
-        tiny_scenario(protocol="dc3", params={"alpha": 1.0, "beta": 1.0, "theta": 1.0,
-                                              "psi": TYPO}),
-    ], ids=["input", "term", "psi"])
-    def test_unread_parameter(self, data, tmp_path, capsys):
+    @pytest.mark.parametrize("data,what", [
+        (with_signal(TYPO), SIGNAL),
+        (with_signal({"kind": "sum-of-terms", "params": {"terms": [TYPO]}}), SIGNAL),
+        (tiny_scenario(protocol="dc3", params={"alpha": 1.0, "beta": 1.0, "theta": 1.0,
+                                               "psi": TYPO}), SIGNAL),
+        (tiny_scenario(protocol="dc2", params={"alpha": 1.0, "beta": 1.0, "theta": {
+            "name": "sine", "base": 2.0, "amplitud": 0.1, "frequncy": 3.0}}),
+         "theta schedule 'sine'"),
+    ], ids=["input", "term", "psi", "theta"])
+    def test_unread_parameter(self, data, what, tmp_path, capsys):
         assert cli_on(tmp_path, data, "validate") == EXIT_CONFIG
         assert cli_on(tmp_path, data, "run", "--out", str(tmp_path / "out")) == EXIT_CONFIG
-        message = "signal kind 'sine' has unknown parameter(s) ['amplitud', 'frequncy']"
+        message = f"{what} has unknown parameter(s) ['amplitud', 'frequncy']"
         assert capsys.readouterr().out.count(message) == 2
         assert not (tmp_path / "out" / "tiny.csv").exists()
 
