@@ -18,7 +18,7 @@ import numpy as np
 
 from .engine import check_on_grid, check_switches_on_grid
 from .graphs import graph_from_json, is_strongly_connected, is_weight_balanced
-from .protocols import PROTOCOL_IDS, Z_STATE_PROTOCOLS, AlgorithmParams, ThetaGain
+from .protocols import PROTOCOL_IDS, PROTOCOL_KEYS, AlgorithmParams, ThetaGain
 from .signals import SCENARIO_PRESETS, InputSet, preset_scenario, read_params, signal_from_json
 from .switching import schedule_from_json, validate_admissible
 
@@ -38,10 +38,12 @@ OUTPUT_SUFFIXES = {"csv": ".csv", "metrics": "_metrics.json", "svg": ".svg"}
 DEFAULT_STEP = 1e-3
 # Largest stored state of a run, in float64 cells: the rows of its time grid
 # times its state columns per agent (x and v, and z where the protocol keeps
-# one; dcdisc's (z, v, u) buffer is three), checked before any per-step work
-# or allocation.
+# one, which is where it reads "init.z0"; dcdisc's (z, v, u) buffer is three),
+# checked before any per-step work or allocation.
 STATE_BUDGET = 10 ** 8
-STATE_WIDTH = {p: 3 if p in Z_STATE_PROTOCOLS + ("dcdisc",) else 2 for p in PROTOCOL_IDS}
+STATE_WIDTH = {p: 3 if "init.z0" in optional else 2 for p, (_, optional) in PROTOCOL_KEYS.items()}
+# the keys that some protocols do not read (protocols.PROTOCOL_KEYS)
+PROTOCOL_SPECIFIC_KEYS = {key for required, optional in PROTOCOL_KEYS.values() for key in required + optional}
 
 
 class ConfigError(ValueError):
@@ -196,18 +198,12 @@ def validate_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         if not isinstance(value, (int, float)) or value <= 0:
             problems.append(f'"params.{gain}" must be a positive number, got {value!r}')
     gains_ok = len(problems) == before
-    if protocol in Z_STATE_PROTOCOLS and "theta" not in params:
-        problems.append(f'protocol {protocol} requires "params.theta"')
-    if protocol in ("dc1_sat", "dc2_sat") and "sat_limits" not in params:
-        problems.append(f'protocol {protocol} requires "params.sat_limits"')
     delta = params.get("delta")
     if protocol == "dcdisc":
-        if not isinstance(delta, (int, float)) or delta <= 0:
+        if delta is not None and (not isinstance(delta, (int, float)) or delta <= 0):
             problems.append('"params.delta" must be a positive number for dcdisc')
         if has_schedule:
             problems.append("dcdisc runs on a fixed graph only (switching is out of scope)")
-    elif delta is not None:
-        problems.append('"params.delta" only applies to the dcdisc protocol')
     for opt in ("kappa", "lambda_hat_sigma"):
         if opt in params and (not isinstance(params[opt], (int, float)) or params[opt] <= 0):
             problems.append(f'"params.{opt}" must be a positive number')
@@ -293,6 +289,16 @@ def validate_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         problems.append('"init" must be an object')
         init = {}
     _check_keys(init, INIT_KEYS, '"init"', problems)
+    if protocol in PROTOCOL_KEYS:
+        given = {f"params.{k}" for k in params} | {f"init.{k}" for k in init} | {"step"} & set(data)
+        required, optional = PROTOCOL_KEYS[protocol]
+        problems.extend(f'protocol {protocol} requires "{key}"' for key in required if key not in given)
+        for key in sorted(given & PROTOCOL_SPECIFIC_KEYS - set(required + optional)):
+            problems.append(f'protocol {protocol} does not read "{key}"')
+        if has_graph:  # only a schedule's bounds read kappa and lambda_hat_sigma
+            for key in sorted(given & {"params.kappa", "params.lambda_hat_sigma"}):
+                problems.append(f'protocol {protocol} does not read "{key}" on a fixed digraph, '
+                                "where the bounds use (lambda_hat_2, 1)")
     x0 = v0 = z0 = None
     if n is not None and inputs is not None and len(inputs) == n:
         # the initial state, the continuous dynamics and the bounds read

@@ -34,12 +34,26 @@ __all__ = [
     "dc2_rhs",
     "dc3_rhs",
     "PROTOCOL_IDS",
+    "PROTOCOL_KEYS",
     "Z_STATE_PROTOCOLS",
 ]
 
-PROTOCOL_IDS = ("dc1", "dc1_sat", "dc2", "dc2_sat", "dc3", "dcdisc")
-# the continuous protocols that keep the information state z, y = (x, v, z)
-Z_STATE_PROTOCOLS = ("dc2", "dc2_sat", "dc3")
+# The scenario keys that some protocols read and others do not: for each
+# protocol, those it requires, then those it may take.  Every protocol reads
+# "params.alpha", "params.beta", "init.x0" and "init.v0"; a scenario that
+# gives a key its protocol does not read is rejected.
+PROTOCOL_KEYS = {
+    "dc1": ((), ("step",)),
+    "dc1_sat": (("params.sat_limits",), ("step",)),
+    "dc2": (("params.theta",), ("step", "init.z0")),
+    "dc2_sat": (("params.theta", "params.sat_limits"), ("step", "init.z0")),
+    "dc3": (("params.theta",), ("step", "init.z0", "params.psi")),
+    "dcdisc": (("params.delta",), ("init.z0",)),
+}
+PROTOCOL_IDS = tuple(PROTOCOL_KEYS)
+# the continuous protocols that keep the information state z, y = (x, v, z):
+# those with a motion gain theta
+Z_STATE_PROTOCOLS = tuple(p for p, (required, _) in PROTOCOL_KEYS.items() if "params.theta" in required)
 
 
 @dataclass(eq=False)

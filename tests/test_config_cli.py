@@ -404,15 +404,13 @@ def test_z_state_protocols_named_once(protocol):
     """Z_STATE_PROTOCOLS decides both which runs keep z and which configs
     need a theta gain."""
     keeps_z = protocol in Z_STATE_PROTOCOLS
-    no_theta = tiny_scenario(protocol=protocol, params={"alpha": 1.0, "beta": 1.0,
-                                                        "sat_limits": 5.0})
-    if keeps_z:
-        with pytest.raises(ConfigError, match='requires "params.theta"'):
-            validate_scenario(no_theta)
-    else:
-        validate_scenario(no_theta)
-    cfg = validate_scenario(tiny_scenario(protocol=protocol, params={
-        "alpha": 1.0, "beta": 1.0, "theta": 2.0, "sat_limits": 5.0}))
+    params = {"alpha": 1.0, "beta": 1.0, **({"sat_limits": 5.0} if protocol.endswith("_sat") else {})}
+    no_theta = tiny_scenario(protocol=protocol, params=params)
+    with_theta = tiny_scenario(protocol=protocol, params=dict(params, theta=2.0))
+    with pytest.raises(ConfigError, match='requires "params.theta"' if keeps_z
+                       else f'protocol {protocol} does not read "params.theta"'):
+        validate_scenario(no_theta if keeps_z else with_theta)
+    cfg = validate_scenario(with_theta if keeps_z else no_theta)
     traj, _, _ = run_scenario(cfg)
     assert (traj.z is not None) == keeps_z
     if keeps_z:
@@ -496,7 +494,7 @@ class TestStateBudget:
 
 def test_agent_count_resolved_at_validation(monkeypatch):
     from dacsim.config import ScenarioConfig
-    cfg = validate_scenario(tiny_scenario(protocol="dc2", params={
+    cfg = validate_scenario(tiny_scenario(protocol="dc2_sat", params={
         "alpha": 1.0, "beta": 1.0, "theta": 2.0, "sat_limits": 3.0}))
     assert cfg.n == 6
 
@@ -731,6 +729,30 @@ class TestSignalParameters:
         assert not (tmp_path / "out" / "tiny.csv").exists()
 
 
+def bundled(fname, params=(), **top):
+    """A bundled scenario with keys added to its "params" and top level."""
+    data = json.loads((SCENARIOS / fname).read_text())
+    data["params"].update(params)
+    data.update(top)
+    return data
+
+
+@pytest.mark.parametrize("data,message", [
+    (bundled("static.json", {"psi": SINE}), 'protocol dc1 does not read "params.psi"'),
+    (bundled("static.json", {"theta": 2.0}), 'protocol dc1 does not read "params.theta"'),
+    (bundled("static.json", {"sat_limits": 5.0}), 'protocol dc1 does not read "params.sat_limits"'),
+    (bundled("static.json", init={"z0": "zeros"}), 'protocol dc1 does not read "init.z0"'),
+    (bundled("sampled_bias.json", step=0.01), 'protocol dcdisc does not read "step"'),
+    (bundled("static.json", {"kappa": 5.0, "lambda_hat_sigma": 0.01}),
+     'protocol dc1 does not read "params.kappa" on a fixed digraph'),
+], ids=["psi", "theta", "sat_limits", "z0", "step", "kappa"])
+def test_key_the_protocol_does_not_read(data, message, tmp_path, capsys):
+    """A key that the scenario's protocol, on its topology, never reads is a
+    config error that names the key and the protocol, not a silent no-op."""
+    assert cli_on(tmp_path, data, "validate") == EXIT_CONFIG
+    assert message in capsys.readouterr().out
+
+
 def pole(**params):
     """(t + 0) ** -power: a pole of u at t = 0, or with a negative power of
     its derivative alone."""
@@ -758,6 +780,7 @@ class TestInputsFiniteAtZero:
     def test_dcdisc_reads_no_derivative(self):
         data = with_signal(pole(power=-0.5), protocol="dcdisc",
                            params={"alpha": 1.0, "beta": 0.5, "delta": 0.01})
+        del data["step"]  # dcdisc steps by delta
         assert validate_scenario(data).protocol == "dcdisc"
 
 
