@@ -158,7 +158,7 @@ def _cmd_validate(args):
                   f"(admissible={cfg.delta < bound}); semi-convergent one-step "
                   f"matrix: {rep.semi_convergent}")
     else:
-        report = validate_admissible(topology, horizon=cfg.horizon)
+        report = cfg.admissibility or validate_admissible(topology, horizon=cfg.horizon)
         print(f"switching schedule: {len(topology.graphs)} digraphs, "
               f"dwell_min={topology.dwell_min}, "
               f"repeat={'cyclic %g' % topology.period if topology.period else 'none'}")

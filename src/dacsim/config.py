@@ -60,7 +60,9 @@ class ScenarioConfig:
     topology, the inputs and the parameters are built once, at validation,
     and the build_* methods return those objects, so every run of the
     config shares them.  ``outputs`` maps each output kind to its file
-    name, custom or default, no two of them the same file."""
+    name, custom or default, no two of them the same file.
+    ``admissibility`` is a schedule's report when validation scanned it,
+    which it does unless "waive_graph_checks" is set."""
 
     raw: dict
     name: str
@@ -80,6 +82,7 @@ class ScenarioConfig:
     topology: object = field(default=None, repr=False)
     inputs: InputSet = field(default=None, repr=False)
     params: AlgorithmParams = field(default=None, repr=False)
+    admissibility: object = field(default=None, repr=False)
 
     def __eq__(self, other):
         return isinstance(other, ScenarioConfig) and self.raw == other.raw
@@ -354,8 +357,9 @@ def validate_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         except ValueError as exc:
             problems.append(str(exc))
     waived = bool(data.get("waive_graph_checks", False))
+    admissibility = None
     if topology is not None and not waived and not problems:
-        problems.extend(_topology_problems(topology, horizon))
+        admissibility = _topology_problems(topology, horizon, problems)
 
     if problems:
         raise ConfigError(problems)
@@ -374,7 +378,7 @@ def validate_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         lambda_hat_sigma=params.get("lambda_hat_sigma"),
         x0=x0, v0=v0, z0=z0,
         outputs=files,
-        topology=topology, inputs=inputs, params=algo,
+        topology=topology, inputs=inputs, params=algo, admissibility=admissibility,
     )
 
 
@@ -414,9 +418,10 @@ def _off_grid(value, step, what, problems, name="h") -> bool:
     return False
 
 
-def _topology_problems(topology, horizon) -> list[str]:
-    """Graph hypotheses: weight balance, connectivity/admissibility."""
-    problems = []
+def _topology_problems(topology, horizon, problems):
+    """Report the graph hypotheses that fail: weight balance, connectivity
+    or admissibility.  Returns a schedule's admissibility report, or None
+    for a fixed digraph."""
     if hasattr(topology, "weights"):  # fixed digraph
         if not is_weight_balanced(topology):
             problems.append("digraph is not weight-balanced "
@@ -424,13 +429,13 @@ def _topology_problems(topology, horizon) -> list[str]:
         if not is_strongly_connected(topology):
             problems.append("digraph is not strongly connected "
                             '(set "waive_graph_checks" to run anyway)')
-        return problems
+        return None
     report = validate_admissible(topology, horizon=horizon)
     if not report.admissible:
         detail = "; ".join(report.notes) or "see admissibility report"
         problems.append(f"switching schedule is not admissible: {detail} "
                         '(set "waive_graph_checks" to run anyway)')
-    return problems
+    return report
 
 
 def load_scenario(path) -> ScenarioConfig:

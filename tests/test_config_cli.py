@@ -645,6 +645,28 @@ class TestScheduleWithoutSwitch:
         assert (tmp_path / "out" / "tiny.csv").is_file()
 
 
+@pytest.mark.parametrize("waived", [False, True], ids=["checked", "waived"])
+def test_validate_scans_the_schedule_once(waived, tmp_path, capsys, monkeypatch):
+    """``dacsim validate`` prints the report of the scan that validation
+    made; only a waived schedule, which validation does not scan, is
+    scanned for the print."""
+    from dacsim import switching
+
+    calls = []
+
+    def counted(sched, horizon):
+        calls.append(horizon)
+        return switching.validate_admissible(sched, horizon)
+
+    for module in (config, cli):
+        monkeypatch.setattr(module, "validate_admissible", counted)
+    data = json.loads((SCENARIOS / "case1.json").read_text())
+    data["waive_graph_checks"] = waived
+    assert cli_on(tmp_path, data, "validate") == EXIT_OK
+    assert len(calls) == 1
+    assert "admissible=True" in capsys.readouterr().out
+
+
 RING_EDGES = [[k, k % 6 + 1, 1.0] for k in range(1, 7)]
 
 
