@@ -189,6 +189,69 @@ class TestDerivatives:
                 assert abs(analytic - central) <= 1e-5 * (1.0 + abs(analytic))
 
 
+# Each closed-form kind: its parameters, every one distinct and none at its
+# default; its optional parameters' defaults; and its value and derivative,
+# written with math and the parameters by name.
+CLOSED_FORMS = {
+    "constant": ({"value": 2.5}, {},
+                 lambda t, value: value, lambda t, value: 0.0),
+    "linear": ({"slope": -0.3, "intercept": 1.7}, {"slope": 0.0, "intercept": 0.0},
+               lambda t, slope, intercept: slope * t + intercept,
+               lambda t, slope, intercept: slope),
+    "sine": ({"amplitude": 2.0, "frequency": 0.7, "phase": 0.3},
+             {"amplitude": 1.0, "frequency": 1.0, "phase": 0.0},
+             lambda t, amplitude, frequency, phase: amplitude * math.sin(frequency * t + phase),
+             lambda t, amplitude, frequency, phase: amplitude * frequency * math.cos(frequency * t + phase)),
+    "cosine": ({"amplitude": 1.5, "frequency": 1.3, "phase": -0.4},
+               {"amplitude": 1.0, "frequency": 1.0, "phase": 0.0},
+               lambda t, amplitude, frequency, phase: amplitude * math.cos(frequency * t + phase),
+               lambda t, amplitude, frequency, phase: -amplitude * frequency * math.sin(frequency * t + phase)),
+    "atan": ({"amplitude": 1.5, "rate": 0.4, "shift": -0.6},
+             {"amplitude": 1.0, "rate": 1.0, "shift": 0.0},
+             lambda t, amplitude, rate, shift: amplitude * math.atan(rate * t + shift),
+             lambda t, amplitude, rate, shift: amplitude * rate / (1.0 + (rate * t + shift) ** 2)),
+    "tanh": ({"amplitude": -1.2, "rate": 0.8, "shift": 0.35},
+             {"amplitude": 1.0, "rate": 1.0, "shift": 0.0},
+             lambda t, amplitude, rate, shift: amplitude * math.tanh(rate * t + shift),
+             lambda t, amplitude, rate, shift: amplitude * rate / math.cosh(rate * t + shift) ** 2),
+    "reciprocal-power": ({"coefficient": 1.5, "shift": 2.5, "power": 1.7}, {"power": 1.0},
+                         lambda t, coefficient, shift, power: coefficient * (t + shift) ** -power,
+                         lambda t, coefficient, shift, power:
+                             -coefficient * power * (t + shift) ** (-power - 1.0)),
+    "exponential-decay": ({"coefficient": 3.0, "rate": 0.45}, {"rate": 1.0},
+                          lambda t, coefficient, rate: coefficient * math.exp(-rate * t),
+                          lambda t, coefficient, rate: -coefficient * rate * math.exp(-rate * t)),
+}
+
+
+class TestClosedForms:
+    """Every closed-form kind against its formula, with each parameter set
+    and with only the required ones, so the table's parameter order and
+    defaults are both held to the formula."""
+
+    TIMES = (0.0, 0.37, 1.9, 3.2)
+
+    def test_every_closed_form_covered(self):
+        from dacsim.signals import KINDS
+        assert sorted(CLOSED_FORMS) == sorted(k for k, entry in KINDS.items() if entry.value)
+
+    @pytest.mark.parametrize("kind", sorted(CLOSED_FORMS))
+    @pytest.mark.parametrize("given", ["all", "required"])
+    def test_matches_the_formula(self, kind, given):
+        params, defaults, value, derivative = CLOSED_FORMS[kind]
+        assert len(set(params.values())) == len(params)
+        assert all(params[name] != default for name, default in defaults.items())
+        if given == "required":
+            params = {name: v for name, v in params.items() if name not in defaults}
+        sig = make_signal(kind, **params)
+        params = {**defaults, **params}
+        times = np.array(self.TIMES)
+        for got, formula, rel in ((sig.value(times), value, 1e-14),
+                                  (sig.derivative(times), derivative, 1e-12)):
+            want = [formula(t, **params) for t in self.TIMES]
+            np.testing.assert_allclose(got, want, rtol=rel, atol=0.0)
+
+
 class TestJson:
     def test_round_trip_nested(self):
         sig = preset_scenario("saturation").signals[1]
