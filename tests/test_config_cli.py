@@ -24,8 +24,8 @@ from dacsim.config import (
     validate_scenario,
 )
 from dacsim.engine import run_scenario
-from dacsim.protocols import PROTOCOL_IDS, Z_STATE_PROTOCOLS
-from dacsim.signals import SIGNAL_KEYS
+from dacsim.protocols import PROTOCOL_IDS, PROTOCOL_KEYS, Z_STATE_PROTOCOLS
+from dacsim.signals import KINDS, REQUIRED, SIGNAL_KEYS
 from dacsim.switching import SCHEDULE_KEYS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -813,3 +813,31 @@ def test_readme_names_every_accepted_key():
     keys = (TOP_KEYS | PARAM_KEYS | INIT_KEYS | set(OUTPUT_SUFFIXES)
             | SCHEDULE_KEYS | SIGNAL_KEYS)
     assert sorted(k for k in keys if f'"{k}"' not in block) == []
+
+
+def readme_rows(heading):
+    """The first cell, one backquoted name, and the second cell of each row
+    of the table under README's ``heading``."""
+    section = (ROOT / "README.md").read_text().split(heading + "\n", 1)[1].split("\n#", 1)[0]
+    return dict(re.findall(r"^\| `([\w.-]+)` \| (.*?) \|", section, re.M))
+
+
+def test_readme_kind_table_is_the_kind_table():
+    """README lists every signal kind with its parameters in order, each
+    with its default or "required", as signals.KINDS has them."""
+    def cell(params):
+        return ", ".join(f"`{name}` required" if default is REQUIRED else f"`{name}={default!r}`"
+                         for name, default in params.items())
+
+    assert readme_rows("### Signal kinds") == {kind: cell(entry.params) for kind, entry in KINDS.items()}
+    readme = (ROOT / "README.md").read_text()
+    assert f"`{json.dumps({'name': 'sine', **config.THETA_SINE})}`" in readme
+
+
+def test_readme_names_the_protocols_that_read_each_key():
+    rows = readme_rows("### Which protocols read which keys")
+    for key in config.PROTOCOL_SPECIFIC_KEYS:
+        readers = [p for p, (required, optional) in PROTOCOL_KEYS.items() if key in required + optional]
+        (required,) = {key in PROTOCOL_KEYS[p][0] for p in readers}
+        assert rows[key] == ", ".join(f"`{p}`" for p in readers) + (", required" if required else "")
+    assert set(rows) == config.PROTOCOL_SPECIFIC_KEYS
