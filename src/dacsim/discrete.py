@@ -82,9 +82,8 @@ def dcdisc_step(s: DiscreteState, g: WeightedDigraph, inputs: InputSet,
     v+ = v + delta alpha beta L (z + u(k))
 
     The v increment sums to 0 over the agents up to roundoff, so sum(v) is
-    conserved, and delta = 0 adds exactly 0.  ``simulate_discrete`` steps
-    the same matrix in sub-blocks from anchors, and agrees with repeated
-    steps to roundoff."""
+    conserved, and delta = 0 adds exactly 0.  ``simulate_discrete`` takes
+    the same update in (x, v) and agrees with repeated steps to roundoff."""
     d = float(delta)
     if d < 0:
         raise ValueError("stepsize must be nonnegative")

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .discrete import dcdisc_system, max_stepsize, zero_system_matrix
 from .graphs import WeightedDigraph, laplacian, symmetric_spectrum
 from .protocols import Z_STATE_PROTOCOLS, AgentState, AlgorithmParams, dc1_rhs, dc2_rhs, dc3_rhs
 from .signals import InputSet, pi_norms, pi_udot_series, sampled_gamma
-from .switching import SwitchingSchedule, graph_at
+from .switching import SwitchingSchedule
 
 __all__ = [
     "Trajectory",
@@ -78,13 +79,11 @@ class DivergenceError(RuntimeError):
 @dataclass(eq=False)
 class Trajectory:
     """Uniformly sampled run: states per stored time, and for masked runs the
-    transmitted payloads.  ``commands`` is the closure path's applied
-    (clamped, for the saturated protocols) x-velocity command, the stage-1
-    rows of dc1_sat, dc2_sat, dc3 and a dc2 with a time-varying gain; it is
-    None on the affine path (dc1, dc2 with a constant gain) and for dcdisc,
-    whose outputs do not read it.  ``avg_u`` and ``pi_udot`` (||Pi_N u_dot||,
-    None for dcdisc) are the input statistics at the stored times, taken
-    from the samples the run stepped on."""
+    transmitted payloads.  x, v and z are column views of the run's one
+    state buffer; dcdisc steps (x, v) and derives z = x - u per block.
+    ``avg_u`` and ``pi_udot`` (||Pi_N u_dot||, None for dcdisc) are the
+    input statistics at the stored times, taken from the samples the run
+    stepped on."""
 
     times: np.ndarray
     x: np.ndarray
@@ -92,7 +91,6 @@ class Trajectory:
     avg_u: np.ndarray
     protocol: str
     z: Optional[np.ndarray] = None
-    commands: Optional[np.ndarray] = None
     messages_sample: Optional[np.ndarray] = None
     k_index: Optional[np.ndarray] = None
     pi_udot: Optional[np.ndarray] = None
@@ -166,25 +164,15 @@ def _grid(h: float, T: float, events=()) -> np.ndarray:
     return np.arange(int(round(T / h)) + 1) * h
 
 
-def _half_steps(times: np.ndarray, h: float) -> np.ndarray:
-    """The RK4 stage times of the steps between ``times``: each stored time
-    followed by its step's midpoint, ending at times[-1]."""
-    grid = np.empty(2 * times.size - 1)
-    grid[0::2] = times
-    grid[1::2] = times[:-1] + 0.5 * h
-    return grid
-
-
-def _divergence(peak: float, times: np.ndarray, states: np.ndarray, k: int,
-                *rows) -> DivergenceError:
+def _divergence(peak: float, times: np.ndarray, states: np.ndarray, k: int) -> DivergenceError:
     """The abort for stored row k, the first one past the trust region.  The
-    partial trajectory is (times, states, *rows) cut after row k."""
+    partial trajectory is (times, states) cut after row k."""
     return DivergenceError(
         f"state magnitude {peak:.3g} at t={times[k]:.6g} exceeds "
         f"{DIVERGENCE_LIMIT:.0e}; the configuration is numerically unstable "
         "(check stepsize and gains)",
         t=float(times[k]),
-        partial=tuple(a[: k + 1] for a in (times, states) + rows),
+        partial=(times[: k + 1], states[: k + 1]),
     )
 
 
@@ -225,12 +213,6 @@ def integrate(rhs, s0, h: float, T: float, events=()):
             raise _divergence(peak, times, out, m + 1)
     stage1[steps] = rhs(times[steps], y, times[steps])
     return times, out, stage1
-
-
-def _step_pieces(sched: SwitchingSchedule, h: float, T: float):
-    """(k0, k1, graph index) step ranges of the ``segments_in`` pieces, the
-    switching segments a run steps one at a time."""
-    return [(int(round(a / h)), int(round(b / h)), idx) for a, b, idx in sched.segments_in(T)]
 
 
 def _closure(protocol: str, lap: np.ndarray, p: AlgorithmParams):
@@ -289,102 +271,68 @@ def _rk4_affine(a: np.ndarray, e: np.ndarray, h: float):
     return incr, q0, qh, (h / 6.0) * e
 
 
-def _block_run(protocol, topology, inputs: InputSet, p: AlgorithmParams,
-               y0: np.ndarray, h: float, T: float):
-    """Step a continuous protocol one switching segment at a time, in blocks
-    of SWEEP_BLOCK steps.  A block evaluates the inputs once on its stage
-    times and reads avg_u and ||Pi_N u_dot|| off them at the stored times.
-    On the affine path (``_is_affine``) the block then writes
-    c_j = Q0 f_j + Qh f_{j+1/2} + Q1 f_{j+1} into its state rows
-    (``_forcing``) and steps them in place by y_{k+1} = y_k + N_sigma y_k + c_k
-    (``_sweep``); its divergence check reads the block's largest and
-    smallest entries and locates the first bad row only when one of them
-    fails.  Otherwise it RK4-steps its rows with the digraph's ``dc*_rhs``
-    closure, each stage fed its own sample, keeps every stage-1 command,
-    and checks each row as it is stepped, so a ThetaGain that leaves its
-    bounds later in the block cannot pre-empt a divergence.  Returns (times,
-    states, avg_u, pi_udot, commands), the x rows of the stage-1 slopes or
-    None on the affine path; a divergence's partial trajectory carries the
-    input statistics as far as it reaches."""
-    switching = isinstance(topology, SwitchingSchedule)
-    if not switching and not isinstance(topology, WeightedDigraph):
-        raise TypeError("topology must be a WeightedDigraph or a SwitchingSchedule")
-    graphs = topology.graphs if switching else (topology,)
-    times = _grid(h, T)
-    if switching:
-        check_switches_on_grid(topology, h, T)
-    pieces = _step_pieces(topology, h, T) if switching else [(0, times.size - 1, 0)]
-    affine = _is_affine(protocol, p)
+class _Affine(NamedTuple):
+    """y_{k+1} = y_k + N y_k + c_k on the first N.shape[0] columns: N^T,
+    N_s^T (``_power_increment``), ``forcing(k0, k1)``, which writes c_k into
+    row k + 1 for k0 <= k < k1, and ``publish(k0, k1)``, which finishes rows
+    k0 + 1..k1 and returns the part that the divergence check reads."""
+
+    n_t: np.ndarray
+    ns_t: np.ndarray
+    forcing: Callable
+    publish: Callable
+
+
+def _block_run(build, graphs, pieces, times, out: np.ndarray):
+    """Step the rows of out, the states at the stored times, from row 0:
+    each (k_start, k_end, digraph index) piece in blocks of SWEEP_BLOCK
+    steps, with the stepper that ``build`` makes from the digraph's
+    Laplacian, once per digraph.  An ``_Affine`` block is forced, then
+    stepped in place by ``_sweep``, and published and checked once the next
+    block's forcing is in, since a forcing may read samples that publishing
+    overwrites.  Any other stepper steps and checks its rows itself."""
     built = {}
-
-    def stepper(idx):
-        """Digraph idx's (N^T, N_s^T, Q0^T, Qh^T, Q1^T), or its closure, built once."""
-        if idx not in built:
-            lap = laplacian(graphs[idx])
-            if affine:
-                incr, q0, qh, q1 = _rk4_affine(*_affine_system(protocol, lap, p), h)
-                built[idx] = (incr.T, _power_increment(incr, SWEEP_SUBSTEPS).T, q0.T, qh.T, q1.T)
-            else:
-                built[idx] = _closure(protocol, lap, p)
-        return built[idx]
-
-    n = graphs[0].n
-    out = np.empty((times.size, y0.size))
-    avg_u, pi_udot = np.empty(times.size), np.empty(times.size)
-    commands = None if affine else np.empty((times.size, n))
-    # the (u, du) stage samples of a block, refilled by every block: freeing
-    # them before the next block's are allocated let glibc trim the top of
-    # the heap and fault it in again (2 000 more minor faults on case1)
-    samples = np.empty((2, 2 * min(SWEEP_BLOCK, times.size - 1) + 1, n))
-    out[0] = y0
+    pending = None  # (publish, k0, k1) of the block stepped last
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
         for k_start, k_end, idx in pieces:
-            step = stepper(idx)
+            if idx not in built:
+                built[idx] = build(laplacian(graphs[idx]))
+            step = built[idx]
             for k0 in range(k_start, k_end, SWEEP_BLOCK):
                 k1 = min(k0 + SWEEP_BLOCK, k_end)
-                u, du = samples[:, :2 * (k1 - k0) + 1]
-                inputs.eval_all(_half_steps(times[k0:k1 + 1], h), out=(u, du))
-                # the even stage rows are the stored times k0..k1
-                avg_u[k0:k1 + 1] = u[::2].mean(axis=1)
-                pi_udot[k0:k1 + 1] = pi_norms(du[::2])
-                if affine:
-                    n_t, ns_t, q0_t, qh_t, q1_t = step
-                    f = np.add(du, np.multiply(u, p.alpha, out=u), out=u)  # u is spent
-                    block = _forcing(out[k0 + 1:k1 + 1],
-                                     (f[0:-1:2], q0_t), (f[1::2], qh_t), (f[2::2], q1_t))
-                    _sweep(n_t, ns_t, out, k0, k1)
-                    # NaN fails both comparisons
-                    if not (block.max() <= DIVERGENCE_LIMIT and -block.min() <= DIVERGENCE_LIMIT):
-                        peak = np.abs(block).max(axis=1)
-                        bad = np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))[0]
-                        raise _divergence(peak[bad], times, out, k0 + 1 + bad, avg_u, pi_udot)
+                if not isinstance(step, _Affine):
+                    step(k0, k1)
                     continue
-                for j in range(k0, k1):
-                    i = 2 * (j - k0)  # the samples at t_j, its midpoint and t_j + h
-                    y, k = _rk4_step(step, times[j], out[j], h, *zip(u[i:i + 3], du[i:i + 3]))
-                    commands[j] = k[:n]
-                    out[j + 1] = y
-                    peak = np.max(np.abs(y))
-                    if not peak <= DIVERGENCE_LIMIT:  # NaN fails it
-                        raise _divergence(peak, times, out, j + 1, avg_u, pi_udot)
-        if not affine:
-            # the last stored point's command takes the digraph active there
-            # and the last block's final sample, at T
-            final = stepper(graph_at(topology, T) if switching else 0)
-            commands[-1] = final(times[-1], out[-1], u[-1], du[-1])[:n]
-    return times, out, avg_u, pi_udot, commands
+                step.forcing(k0, k1)
+                if pending:
+                    _check(times, out, *pending)
+                _sweep(step.n_t, step.ns_t, out[:, :len(step.n_t)], k0, k1)
+                pending = (step.publish, k0, k1)
+        if pending:
+            _check(times, out, *pending)
 
 
-def _forcing(out: np.ndarray, *terms) -> np.ndarray:
-    """Write the sum of a @ b over the (a, b) terms into out and return it,
-    a few rows at a time, each product below BLAS_THREADED_SIZE."""
+def _check(times, out, publish, k0: int, k1: int):
+    """Publish rows k0 + 1..k1 and raise at the first that leaves the trust
+    region, located only when the block's extremes, taken per column (a
+    whole-array max of a strided block is buffered), fail, as NaN does."""
+    block = publish(k0, k1)
+    if not (block.max(axis=0).max() <= DIVERGENCE_LIMIT
+            and -block.min(axis=0).min() <= DIVERGENCE_LIMIT):
+        peak = np.abs(block).max(axis=1)
+        bad = np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))[0]
+        raise _divergence(peak[bad], times, out, k0 + 1 + bad)
+
+
+def _forcing(out: np.ndarray, *terms):
+    """Write the sum of a @ b over the (a, b) terms into out, a few rows at
+    a time, each product below BLAS_THREADED_SIZE."""
     rows = max(1, (BLAS_THREADED_SIZE - 1) // max(a.shape[1] * b.shape[1] for a, b in terms))
     (a0, b0), *rest = terms
     for r in range(0, len(out), rows):
         part = np.matmul(a0[r:r + rows], b0, out=out[r:r + rows])
         for a, b in rest:
             part += a[r:r + rows] @ b
-    return out
 
 
 def _advance(y: np.ndarray, n_t: np.ndarray, g: np.ndarray, out: np.ndarray):
@@ -436,37 +384,79 @@ def _sweep(n_t: np.ndarray, ns_t: np.ndarray, ys: np.ndarray, k0: int, k1: int):
 
 def simulate_protocol(protocol: str, topology, inputs: InputSet, p: AlgorithmParams,
                       state0: AgentState, h: float, T: float) -> Trajectory:
-    """Run one continuous protocol and package the stored grid.
-
-    Every protocol steps through ``_block_run``: dc1, and dc2 with a
-    ``ThetaGain.constant`` gain, as an affine recurrence, the others by RK4
-    on their ``dc*_rhs`` closures, fed the inputs that each block samples
-    once on its half-step grid.
-    """
+    """Run one continuous protocol through ``_block_run`` and package the
+    stored grid.  A block evaluates the inputs once on its half-step grid
+    and reads avg_u and ||Pi_N u_dot|| off the stored times' samples.  dc1,
+    and dc2 with a ``ThetaGain.constant`` gain, are affine: a block writes
+    c_j = Q0 f_j + Qh f_{j+1/2} + Q1 f_{j+1}, f = du + alpha u, into its
+    rows.  The others RK4-step each row with the digraph's ``dc*_rhs``
+    closure and check it, so a ThetaGain that leaves its bounds later in
+    the block cannot pre-empt a divergence."""
     n = state0.n
     has_z = protocol in Z_STATE_PROTOCOLS
     if has_z and state0.z is None:
         raise ValueError(f"protocol {protocol} needs an initial z state")
-    y0 = state0.pack() if has_z else np.concatenate((state0.x, state0.v))
+    times = _grid(h, T)
+    switching = isinstance(topology, SwitchingSchedule)
+    if switching:
+        check_switches_on_grid(topology, h, T)
+    elif not isinstance(topology, WeightedDigraph):
+        raise TypeError("topology must be a WeightedDigraph or a SwitchingSchedule")
+    out = np.empty((times.size, 3 * n if has_z else 2 * n))
+    out[0] = state0.pack() if has_z else np.concatenate((state0.x, state0.v))
+    avg_u, pi_udot = np.empty(times.size), np.empty(times.size)
+    # the (u, du) stage samples of a block, refilled by every block: freeing
+    # them before the next block's are allocated let glibc trim the top of
+    # the heap and fault it in again (2 000 more minor faults on case1)
+    samples = np.empty((2, 2 * min(SWEEP_BLOCK, times.size - 1) + 1, n))
+
+    def sample(k0, k1):
+        # the RK4 stage times of steps k0..k1 - 1: each stored time, whose
+        # rows give the statistics, and its step's midpoint
+        grid = np.repeat(times[k0:k1 + 1], 2)[:-1]
+        grid[1::2] += 0.5 * h
+        u, du = samples[:, :grid.size]
+        inputs.eval_all(grid, out=(u, du))
+        avg_u[k0:k1 + 1] = u[::2].mean(axis=1)
+        pi_udot[k0:k1 + 1] = pi_norms(du[::2])
+        return u, du
+
+    def affine(lap):
+        incr, q0, qh, q1 = _rk4_affine(*_affine_system(protocol, lap, p), h)
+
+        def forcing(k0, k1):
+            u, du = sample(k0, k1)
+            f = np.add(du, np.multiply(u, p.alpha, out=u), out=u)  # u is spent
+            _forcing(out[k0 + 1:k1 + 1], (f[0:-1:2], q0.T), (f[1::2], qh.T), (f[2::2], q1.T))
+
+        return _Affine(incr.T, _power_increment(incr, SWEEP_SUBSTEPS).T, forcing,
+                       lambda k0, k1: out[k0 + 1:k1 + 1])
+
+    def rk4(rhs, k0, k1):
+        u, du = sample(k0, k1)
+        for j in range(k0, k1):
+            i = 2 * (j - k0)  # the samples at t_j, its midpoint and t_j + h
+            out[j + 1] = _rk4_step(rhs, times[j], out[j], h, *zip(u[i:i + 3], du[i:i + 3]))[0]
+            peak = np.max(np.abs(out[j + 1]))
+            if not peak <= DIVERGENCE_LIMIT:  # NaN fails it
+                raise _divergence(peak, times, out, j + 1)
+
+    build = affine if _is_affine(protocol, p) else lambda lap: partial(rk4, _closure(protocol, lap, p))
+    pieces = ([(round(a / h), round(b / h), idx) for a, b, idx in topology.segments_in(T)]
+              if switching else [(0, times.size - 1, 0)])
     try:
-        times, ys, avg_u, pi_udot, commands = _block_run(protocol, topology, inputs, p, y0, h, T)
+        _block_run(build, topology.graphs if switching else (topology,), pieces, times, out)
     except DivergenceError as err:
-        err.partial = _package(protocol, *err.partial[:2], n, has_z, p, *err.partial[2:])
+        k = len(err.partial[0])  # the partial trajectory keeps the input statistics
+        err.partial = _package(protocol, p, n, times[:k], out[:k], avg_u[:k], pi_udot=pi_udot[:k])
         raise
-    return _package(protocol, times, ys, n, has_z, p, avg_u, pi_udot, commands)
+    return _package(protocol, p, n, times, out, avg_u, pi_udot=pi_udot)
 
 
-def _package(protocol, times, ys, n, has_z, p, avg_u, pi_udot, commands=None) -> Trajectory:
-    traj = Trajectory(
-        times=times,
-        x=ys[:, :n],
-        v=ys[:, n:2 * n],
-        avg_u=avg_u,
-        protocol=protocol,
-        pi_udot=pi_udot,
-        z=ys[:, 2 * n:] if has_z else None,
-        commands=commands,
-    )
+def _package(protocol, p, n, times, ys, avg_u, **fields) -> Trajectory:
+    """The trajectory of the stored rows ys, (x, v) or (x, v, z)."""
+    traj = Trajectory(times=times, x=ys[:, :n], v=ys[:, n:2 * n], avg_u=avg_u, protocol=protocol,
+                      z=ys[:, 2 * n:] if ys.shape[1] > 2 * n else None, **fields)
     if protocol == "dc3":
         # one call on every stored time; a constant mask may return one number
         psi = np.broadcast_to(p.psi(times) if p.psi is not None else 0.0, times.shape)
@@ -476,20 +466,19 @@ def _package(protocol, times, ys, n, has_z, p, avg_u, pi_udot, commands=None) ->
 
 def simulate_discrete(g: WeightedDigraph, inputs: InputSet, p: AlgorithmParams,
                       z0, v0, delta: float, num_steps: int) -> Trajectory:
-    """Iterate the discrete tracker for num_steps samples of stepsize delta.
-    One (num_steps + 1, 3n) buffer holds the rows (z_k, v_k, u(k delta)):
-    the u columns are filled by one input evaluation.  With
-    M = [N | M_u] (``dcdisc_system``), a step is y + y N^T + u_k M_u^T, so
-    the iterates are stepped in place, SWEEP_BLOCK rows at a time, by
-    writing the forcing u_k M_u^T into row k + 1 (``_forcing``) and
-    sweeping the block (``_sweep``).  The rows agree with repeated
-    ``dcdisc_step`` calls to roundoff.  The u samples also give avg_u and
-    meta["gamma"], sup_k ||Pi_N (u(k+1) - u(k))||; the published outputs
-    x = z + u then overwrite them.  Each block is checked once stepped, and
-    a divergence's partial trajectory is cut after the first row past the
-    limit.  meta also holds delta and ``max_stepsize``'s bound, which is
-    sufficient, not necessary: a delta at or above it still runs, and
-    ``dacsim run`` says so on stderr.  A nonpositive delta raises."""
+    """Iterate the discrete tracker for num_steps samples of stepsize delta
+    through ``_block_run``, stepping (x, v), x = z + u the published output,
+    by y_{k+1} = y_k + N y_k + E (u_{k+1} - (1 - delta alpha) u_k), with
+    N = delta A (``dcdisc_system``) and E = [I; 0].  Its v increment
+    delta alpha beta L x_k is one Laplacian product of the near-consensus
+    x, so sum(v) is conserved as in the literal update, where stepping
+    (z, v) cancelled L z against L u.  The rows (x_k, v_k, z_k) are one
+    buffer; the run's one input evaluation fills the z columns with u,
+    which gives avg_u and meta["gamma"], sup_k ||Pi_N (u(k+1) - u(k))||,
+    and a block once stepped turns them into z = x - u before its
+    divergence check reads (v, z).  meta also holds delta and
+    ``max_stepsize``'s bound, which is sufficient, not necessary: a larger
+    delta still runs, and ``dacsim run`` says so on stderr."""
     if delta <= 0:
         raise ValueError("stepsize must be positive")
     bound = max_stepsize(p.alpha, p.beta, float(g.out_degrees.max()))
@@ -499,28 +488,47 @@ def simulate_discrete(g: WeightedDigraph, inputs: InputSet, p: AlgorithmParams,
     ks = np.arange(num_steps + 1)
     times = ks * delta
     rows = np.empty((num_steps + 1, 3 * n))
-    inputs.values(times, out=rows[:, 2 * n:])
-    meta = {"delta": delta, "bound": bound, "gamma": sampled_gamma(rows[:, 2 * n:])}
-    m = dcdisc_system(laplacian(g), p.alpha, p.beta, delta)
-    n_t, mu_t = m[:, :2 * n].T, m[:, 2 * n:].T
-    ys = rows[:, :2 * n]  # the iterates (z_k, v_k)
-    rows[0, :n], rows[0, n:2 * n] = z0, v0
-    with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
-        ns_t = _power_increment(m[:, :2 * n], SWEEP_SUBSTEPS).T
-        for k0 in range(0, num_steps, SWEEP_BLOCK):
-            k1 = min(k0 + SWEEP_BLOCK, num_steps)
-            block = _forcing(ys[k0 + 1:k1 + 1], (rows[k0:k1, 2 * n:], mu_t))
-            _sweep(n_t, ns_t, ys, k0, k1)
-            peak = np.maximum(block.max(axis=1), -block.min(axis=1))  # max |.|, no copy
-            bad = np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))
-            if bad.size:
-                k = k0 + 1 + int(bad[0])
-                raise DivergenceError(
-                    f"discrete state magnitude {peak[bad[0]]:.3g} at k={k}; stepsize "
-                    f"{delta} (bound {bound:.6g}) is too aggressive",
-                    t=k * delta,
-                    partial=_published(rows[:k + 1], ks[:k + 1], times[:k + 1], n, meta))
-    return _published(rows, ks, times, n, meta)
+    x, v, u = rows[:, :n], rows[:, n:2 * n], rows[:, 2 * n:]  # u: the z columns, until published
+    inputs.values(times, out=u)
+    meta = {"delta": delta, "bound": bound, "gamma": sampled_gamma(u)}
+    avg_u = u.mean(axis=1)
+    x[0], v[0] = z0 + u[0], v0
+    keep = 1.0 - delta * p.alpha
+
+    # one column at a time: numpy routes a 2-D operation between two views
+    # of one buffer through a temporary copy, a column one does not
+    def forcing(k0, k1):
+        for i in range(n):
+            np.multiply(u[k0:k1, i], -keep, out=x[k0 + 1:k1 + 1, i])
+            x[k0 + 1:k1 + 1, i] += u[k0 + 1:k1 + 1, i]
+        v[k0 + 1:k1 + 1] = 0.0
+
+    def publish(k0, k1):
+        # x = z + u, as the literal update publishes it: x - u + u alone
+        # differs from the stepped x in the last bit in about 2% of cells
+        for i in range(n):
+            z = x[k0 + 1:k1 + 1, i] - u[k0 + 1:k1 + 1, i]
+            np.add(z, u[k0 + 1:k1 + 1, i], out=x[k0 + 1:k1 + 1, i])
+            u[k0 + 1:k1 + 1, i] = z
+        return rows[k0 + 1:k1 + 1, n:]
+
+    def trajectory(k):
+        u[0] = z0  # row 0's z columns held u(0) for the first step
+        return _package("dcdisc", p, n, times[:k], rows[:k], avg_u[:k], k_index=ks[:k], meta=meta)
+
+    def build(lap):
+        incr = dcdisc_system(lap, p.alpha, p.beta, delta)[:, :2 * n].copy()
+        return _Affine(incr.T, _power_increment(incr, SWEEP_SUBSTEPS).T, forcing, publish)
+
+    try:
+        _block_run(build, (g,), [(0, num_steps, 0)], times, rows)
+    except DivergenceError as err:
+        k = len(err.partial[0]) - 1
+        raise DivergenceError(
+            f"discrete state magnitude {np.abs(rows[k, n:]).max():.3g} at k={k}; stepsize "
+            f"{delta} (bound {bound:.6g}) is too aggressive",
+            t=err.t, partial=trajectory(k + 1)) from None
+    return trajectory(num_steps + 1)
 
 
 def _power_increment(incr: np.ndarray, s: int) -> np.ndarray:
@@ -537,19 +545,6 @@ def _power_increment(incr: np.ndarray, s: int) -> np.ndarray:
         nd += square
         s //= 2
     return nd
-
-
-def _published(rows, ks, times, n, meta) -> Trajectory:
-    """The dcdisc trajectory of buffer rows (z_k, v_k, u_k): avg_u from the
-    u columns, which then take the published outputs x = z + u in place.
-    The add goes one column at a time: numpy routes a 2-D add between two
-    views of one buffer through a temporary copy, a column add does not."""
-    xs = rows[:, 2 * n:]
-    avg = xs.mean(axis=1)
-    for i in range(n):
-        xs[:, i] += rows[:, i]
-    return Trajectory(times=times, x=xs, v=rows[:, n:2 * n], avg_u=avg, protocol="dcdisc",
-                      z=rows[:, :n], k_index=ks, meta=meta)
 
 
 def fit_decay_rate(times: np.ndarray, err: np.ndarray) -> float:

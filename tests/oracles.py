@@ -125,3 +125,13 @@ def zero_error_class_check(inputs, alpha, grid, delta=None, tol=1e-3, h_dd=1e-4)
     holds_b, span_b = _spread_verdict(spread_b, tol)
     return ZeroErrorCheck(holds_a=holds_a, holds_b=holds_b,
                           spread_a=span_a, spread_b=span_b, tol=tol)
+
+
+def stage1_commands(rhs, traj, inputs):
+    """The x-velocity command that a closure run applies at each stored
+    row, the x rows of its stage-1 slope rhs(t_k, y_k, u(t_k), du/dt(t_k))
+    (clamped, for the saturated protocols), from the stored states on a
+    fixed digraph."""
+    u, du = inputs.eval_all(traj.times)
+    ys = np.hstack([traj.x, traj.v] + ([traj.z] if traj.z is not None else []))
+    return np.array([rhs(t, y, a, b)[:traj.n] for t, y, a, b in zip(traj.times, ys, u, du)])

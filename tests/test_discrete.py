@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dacsim.cli import main
@@ -301,6 +301,8 @@ class TestFusedStep:
            alpha=st.floats(0.1, 5.0), beta=st.floats(0.1, 5.0),
            fraction=st.one_of(st.floats(0.01, 0.99), st.floats(1.01, 3.0)),
            num_steps=st.sampled_from(SEAM_STEPS))
+    @example(seed=105, n=10, alpha=1.05, beta=2.8764746292722427, fraction=0.9249957730837303,
+             num_steps=4133)
     def test_run_matches_hand_iteration(self, seed, n, alpha, beta, fraction, num_steps):
         rng = np.random.default_rng(seed)
         g = random_balanced_strongly_connected(rng, n)

@@ -384,7 +384,6 @@ def assert_paths_agree(protocol, topology, inputs, p, x0, v0, h, T, z0=None):
     scale = max(1.0, float(np.abs(closure).max()))
     gap = float(np.abs(affine - closure).max())
     assert gap <= 1e-12 * scale, (gap, scale)
-    assert traj.commands is None  # no output reads it on the affine path
     # the affine x-row command A_sigma y_k + f(t_k), f = du + alpha u (E's x
     # rows are I), with the digraph the closure ran from t_k
     n = len(x0)
@@ -820,8 +819,8 @@ class TestRunStatistics:
         # path, where holding the previous block's arrays while evaluating
         # the next gave 1.22 and 2.05, and a whole-run input table 4.51 on
         # sat.  dcdisc steps its 4000 rows (two SWEEP_BLOCK blocks) in place
-        # in sub-blocks, so only the metrics' per-column arrays are left
-        # (measured 0.67)
+        # in sub-blocks and derives z = x - u a column at a time, so only the
+        # metrics' per-column arrays are left (measured 0.67)
         raw = json.loads((SCENARIOS / fname).read_text())
         raw.update(horizon=horizon, tail_start=0.75 * horizon)
         if raw["protocol"] == "dcdisc":
@@ -832,13 +831,12 @@ class TestRunStatistics:
     @pytest.mark.parametrize("fname", ["case1.json", "static.json"])
     def test_affine_run_keeps_only_what_it_prints(self, fname):
         # the state matrix, the times and input statistics, and the curves
-        # that own their values: the stage-1 commands (rows x n) are not
-        # kept, and the constant ultimate bound is a broadcast number
+        # that own their values: no run keeps the stage-1 commands
+        # (rows x n), and the constant ultimate bound is a broadcast number
         raw = json.loads((SCENARIOS / fname).read_text())
         raw.update(horizon=20.0, tail_start=15.0)
         cfg = validate_scenario(raw, name=fname)
         (traj, _, curves), kept, _ = traced(lambda: run_scenario(cfg))
-        assert traj.commands is None
         arrays = [traj.x.base, traj.times, traj.avg_u, traj.pi_udot]
         arrays += [c.values for c in curves.values() if c.values.strides != (0,)]
         assert len(arrays) == (6 if fname == "static.json" else 4)
@@ -847,9 +845,10 @@ class TestRunStatistics:
         assert kept <= sum(a.nbytes for a in arrays) + 2 ** 16, kept
 
     def test_discrete_run_keeps_one_buffer(self):
-        # the (z, v, u) rows are the trajectory's storage: the inputs are
-        # evaluated into them and x = z + u overwrites u, so only blocks of
-        # the gamma differences are left (measured 0.34 arrays; 0.515 with
+        # the (x, v, z) rows are the trajectory's storage: the inputs are
+        # evaluated into the z columns and z = x - u overwrites u, so only
+        # blocks of the gamma differences and the sweep's stacks are left
+        # (measured 0.44 arrays, as when (z, v) was stepped; 0.515 with
         # separate z, v and u arrays and a whole-block |.| in the check)
         rng = np.random.default_rng(5)
         n = 30
@@ -864,7 +863,8 @@ class TestRunStatistics:
         raw = json.loads((SCENARIOS / "sampled_bias.json").read_text())
         raw.update(horizon=400.0, tail_start=300.0)
         cfg = validate_scenario(raw, name="sampled_bias.json")
-        # run_scenario adds the metrics' per-column transients (1.19; 1.49 before)
+        # run_scenario adds the metrics' per-column transients (0.83; 0.81
+        # when (z, v) was stepped, 1.49 before)
         assert transient_arrays(lambda: run_scenario(cfg)) <= 1.5
 
 

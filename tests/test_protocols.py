@@ -15,6 +15,7 @@ from dacsim.protocols import (
 )
 from dacsim.signals import InputSet, make_signal, preset_scenario
 from conftest import random_balanced_strongly_connected, ring_run, two_node_pair
+from oracles import stage1_commands
 
 
 def constants(values):
@@ -143,7 +144,8 @@ class TestSaturation:
         p = AlgorithmParams(alpha=10.0, beta=15.0, sat_limits=limits)
         state0 = AgentState(x=inputs.values(0.0), v=np.zeros(6))
         traj = simulate_protocol("dc1_sat", g, inputs, p, state0, h=1e-3, T=2.0)
-        assert np.max(np.abs(traj.commands)) <= 15.0
+        commands = stage1_commands(dc1_rhs(laplacian(g), p, saturate=True), traj, inputs)
+        assert np.max(np.abs(commands)) <= 15.0
 
 
 def initial_run(n, init, alpha=1.0, protocol="dc1"):
