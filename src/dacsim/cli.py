@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, load_scenario, validate_scenario
+from .config import ConfigError, ScenarioConfig, load_scenario, read_scenario, validate_scenario
 from .discrete import max_stepsize, pdelta_spectrum_check
 from .engine import DivergenceError, run_scenario, write_trajectory_csv
 from .graphs import WeightedDigraph, is_strongly_connected, is_weight_balanced, spectral_summary
@@ -29,18 +29,15 @@ EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO = 0, 1, 2, 3
 
 
 def _load_with_overrides(path, seed=None, step=None):
-    cfg = load_scenario(path)
-    if step is not None and cfg.protocol == "dcdisc":
-        raise ConfigError([f"--step {step:g} does not apply to dcdisc, which steps by "
-                           '"params.delta"; set "params.delta" in the config instead'])
-    if seed is None and step is None:
-        return cfg
-    data = dict(cfg.raw)
-    if seed is not None:
-        data["seed"] = seed
-    if step is not None:
-        data["step"] = step
-    return validate_scenario(data, name=cfg.name)
+    """The scenario file with the overrides set in its JSON, validated once."""
+    data, name = read_scenario(path)
+    if isinstance(data, dict):
+        if step is not None and data.get("protocol") == "dcdisc":
+            raise ConfigError([f"--step {step:g} does not apply to dcdisc, which steps by "
+                               '"params.delta"; set "params.delta" in the config instead'])
+        data.update((key, value) for key, value in (("seed", seed), ("step", step))
+                    if value is not None)
+    return validate_scenario(data, name=name)
 
 
 def _metrics_payload(cfg, traj, report):

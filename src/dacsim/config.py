@@ -22,7 +22,7 @@ from .protocols import PROTOCOL_IDS, PROTOCOL_KEYS, AlgorithmParams, ThetaGain
 from .signals import SCENARIO_PRESETS, InputSet, preset_scenario, read_params, signal_from_json
 from .switching import schedule_from_json, validate_admissible
 
-__all__ = ["ScenarioConfig", "ConfigError", "load_scenario", "validate_scenario"]
+__all__ = ["ScenarioConfig", "ConfigError", "load_scenario", "read_scenario", "validate_scenario"]
 
 TOP_KEYS = {
     "name", "description", "graph", "schedule", "protocol", "params", "inputs",
@@ -38,7 +38,7 @@ OUTPUT_SUFFIXES = {"csv": ".csv", "metrics": "_metrics.json", "svg": ".svg"}
 DEFAULT_STEP = 1e-3
 # Largest stored state of a run, in float64 cells: the rows of its time grid
 # times its state columns per agent (x and v, and z where the protocol keeps
-# one, which is where it reads "init.z0"; dcdisc's (z, v, u) buffer is three),
+# one, which is where it reads "init.z0"; dcdisc's (x, v, z) buffer is three),
 # checked before any per-step work or allocation.
 STATE_BUDGET = 10 ** 8
 STATE_WIDTH = {p: 3 if "init.z0" in optional else 2 for p, (_, optional) in PROTOCOL_KEYS.items()}
@@ -298,6 +298,8 @@ def validate_scenario(data: dict, name: str = "scenario") -> ScenarioConfig:
         problems.extend(f'protocol {protocol} requires "{key}"' for key in required if key not in given)
         for key in sorted(given & PROTOCOL_SPECIFIC_KEYS - set(required + optional)):
             problems.append(f'protocol {protocol} does not read "{key}"')
+        if protocol == "dcdisc" and {"init.x0", "init.z0"} <= given:
+            problems.append('protocol dcdisc does not read "init.x0" beside "init.z0", which it starts from')
         if has_graph:  # only a schedule's bounds read kappa and lambda_hat_sigma
             for key in sorted(given & {"params.kappa", "params.lambda_hat_sigma"}):
                 problems.append(f'protocol {protocol} does not read "{key}" on a fixed digraph, '
@@ -440,6 +442,11 @@ def _topology_problems(topology, horizon, problems):
 
 def load_scenario(path) -> ScenarioConfig:
     """Read and fully validate a scenario JSON file."""
+    return validate_scenario(*read_scenario(path))
+
+
+def read_scenario(path):
+    """The parsed JSON of a scenario file and its default name, the file's stem."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -449,4 +456,4 @@ def load_scenario(path) -> ScenarioConfig:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"{path} is not valid JSON: {exc}"]) from exc
-    return validate_scenario(data, name=path.stem)
+    return data, path.stem

@@ -667,6 +667,24 @@ def test_validate_scans_the_schedule_once(waived, tmp_path, capsys, monkeypatch)
     assert "admissible=True" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("override", [{"seed": 3}, {"step": 0.01}])
+def test_run_override_validates_once(override, monkeypatch):
+    """``dacsim run --seed`` or ``--step`` sets the override in the parsed
+    JSON and validates once, so a schedule is scanned once."""
+    from dacsim import switching
+
+    calls = []
+
+    def counted(sched, horizon):
+        calls.append(horizon)
+        return switching.validate_admissible(sched, horizon)
+
+    monkeypatch.setattr(config, "validate_admissible", counted)
+    cfg = cli._load_with_overrides(SCENARIOS / "case1.json", **override)
+    assert len(calls) == 1
+    assert [cfg.raw[key] for key in override] == list(override.values())
+
+
 RING_EDGES = [[k, k % 6 + 1, 1.0] for k in range(1, 7)]
 
 
@@ -765,9 +783,11 @@ def bundled(fname, params=(), **top):
     (bundled("static.json", {"sat_limits": 5.0}), 'protocol dc1 does not read "params.sat_limits"'),
     (bundled("static.json", init={"z0": "zeros"}), 'protocol dc1 does not read "init.z0"'),
     (bundled("sampled_bias.json", step=0.01), 'protocol dcdisc does not read "step"'),
+    (bundled("sampled_bias.json", init={"x0": "zeros", "z0": "zeros"}),
+     'protocol dcdisc does not read "init.x0" beside "init.z0"'),
     (bundled("static.json", {"kappa": 5.0, "lambda_hat_sigma": 0.01}),
      'protocol dc1 does not read "params.kappa" on a fixed digraph'),
-], ids=["psi", "theta", "sat_limits", "z0", "step", "kappa"])
+], ids=["psi", "theta", "sat_limits", "z0", "step", "x0_beside_z0", "kappa"])
 def test_key_the_protocol_does_not_read(data, message, tmp_path, capsys):
     """A key that the scenario's protocol, on its topology, never reads is a
     config error that names the key and the protocol, not a silent no-op."""
@@ -834,10 +854,25 @@ def test_readme_kind_table_is_the_kind_table():
     assert f"`{json.dumps({'name': 'sine', **config.THETA_SINE})}`" in readme
 
 
+def config_problems(data):
+    """The problems that validating data reports, none when it is valid."""
+    try:
+        validate_scenario(data)
+    except ConfigError as exc:
+        return exc.problems
+    return []
+
+
 def test_readme_names_the_protocols_that_read_each_key():
     rows = readme_rows("### Which protocols read which keys")
     for key in config.PROTOCOL_SPECIFIC_KEYS:
         readers = [p for p, (required, optional) in PROTOCOL_KEYS.items() if key in required + optional]
         (required,) = {key in PROTOCOL_KEYS[p][0] for p in readers}
         assert rows[key] == ", ".join(f"`{p}`" for p in readers) + (", required" if required else "")
-    assert set(rows) == config.PROTOCOL_SPECIFIC_KEYS
+    # every protocol reads init.x0; the row names those that reject it beside init.z0
+    beside = [p for p in PROTOCOL_IDS
+              if 'does not read "init.x0"' in str(config_problems(tiny_scenario(
+                  protocol=p, init={"x0": "zeros", "z0": "zeros"})))]
+    assert rows["init.x0"] == ("every protocol; " + ", ".join(f"`{p}`" for p in beside)
+                               + " only without `init.z0`")
+    assert set(rows) == config.PROTOCOL_SPECIFIC_KEYS | {"init.x0"}
