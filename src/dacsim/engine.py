@@ -21,6 +21,7 @@ import numpy as np
 from . import bounds as bnd
 from .discrete import dcdisc_system, max_stepsize, zero_system_matrix
 from .graphs import WeightedDigraph, laplacian, symmetric_spectrum
+# dc2_rhs is bound here with the others, though no run calls it, for perfbench's tracer
 from .protocols import Z_STATE_PROTOCOLS, AgentState, AlgorithmParams, dc1_rhs, dc2_rhs, dc3_rhs
 from .signals import InputSet, pi_norms, pi_udot_series, sampled_gamma
 from .switching import SwitchingSchedule
@@ -59,6 +60,9 @@ BLAS_THREADED_SIZE = 2 ** 19
 SWEEP_SUBSTEPS = 32
 SWEEP_SUBBLOCKS = 64
 SWEEP_BLOCK = SWEEP_SUBSTEPS * SWEEP_SUBBLOCKS
+# steps of the stage slopes that dc2_sat's motion phase tests for clipping
+# at a time
+CLIP_WINDOW = 256
 # cells per format_g12 block; 2 ** 14 and 2 ** 15 wrote no faster and raised
 # discrete_wide's peak memory by 1.5 and 4.6 MB
 CSV_CELLS = 2 ** 13
@@ -79,8 +83,9 @@ class DivergenceError(RuntimeError):
 @dataclass(eq=False)
 class Trajectory:
     """Uniformly sampled run: states per stored time, and for masked runs the
-    transmitted payloads.  x, v and z are column views of the run's one
-    state buffer; dcdisc steps (x, v) and derives z = x - u per block.
+    transmitted payloads.  x, v and z are column views of the run's state
+    buffer, x one of its own for dc2 and dc2_sat; dcdisc steps (x, v) and
+    derives z = x - u per block.
     ``avg_u`` and ``pi_udot`` (||Pi_N u_dot||, None for dcdisc) are the
     input statistics at the stored times, taken from the samples the run
     stepped on."""
@@ -215,45 +220,6 @@ def integrate(rhs, s0, h: float, T: float, events=()):
     return times, out, stage1
 
 
-def _closure(protocol: str, lap: np.ndarray, p: AlgorithmParams):
-    """The protocol's right-hand side f(t, y, u, du) on Laplacian lap.  The
-    factories are looked up in this module at call time, so rebinding
-    ``engine.dc*_rhs`` takes effect."""
-    if protocol in ("dc1", "dc1_sat"):
-        return dc1_rhs(lap, p, saturate=protocol == "dc1_sat")
-    if protocol in ("dc2", "dc2_sat"):
-        return dc2_rhs(lap, p, saturate=protocol == "dc2_sat")
-    if protocol == "dc3":
-        return dc3_rhs(lap, p)
-    raise ValueError(f"unknown continuous protocol {protocol!r}")
-
-
-def _is_affine(protocol: str, p: AlgorithmParams) -> bool:
-    """dc1, and dc2 with a constant gain theta, are dy/dt = A_sigma y + b(t).
-    A gain with equal bounds but its own callable stays on the closure path,
-    which checks every value the callable returns against the bounds."""
-    if protocol == "dc1":
-        return True
-    return protocol == "dc2" and p.theta is not None and p.theta.is_constant
-
-
-def _affine_system(protocol: str, lap: np.ndarray, p: AlgorithmParams):
-    """(A, E) of dy/dt = A y + E (du + alpha u): y = (x, v) for dc1, where E
-    feeds the x rows, and y = (x, v, z) for dc2, where E feeds x and z."""
-    n = lap.shape[0]
-    a = zero_system_matrix(lap, p.alpha, p.beta)
-    eye, zero = np.eye(n), np.zeros((n, n))
-    if protocol == "dc1":
-        return a, np.vstack((eye, zero))
-    theta = np.diag(np.broadcast_to(p.theta.at(0.0), (n,)))  # a scalar gain serves every agent
-    info = a[:n, :n]  # -alpha I - beta L
-    # dz = du + alpha u + info z - v;  dv = alpha beta L z;  dx = -theta (x - z) + dz
-    a = np.block([[-theta, -eye, theta + info],
-                  [zero, zero, a[n:, :n]],
-                  [zero, -eye, info]])
-    return a, np.vstack((eye, zero, eye))
-
-
 def _rk4_affine(a: np.ndarray, e: np.ndarray, h: float):
     """Classical RK4 on dy/dt = A y + E f(t) is exactly
     y_{k+1} = y_k + N y_k + Q0 f(t_k) + Qh f(t_k + h/2) + Q1 f(t_k + h),
@@ -275,7 +241,8 @@ class _Affine(NamedTuple):
     """y_{k+1} = y_k + N y_k + c_k on the first N.shape[0] columns: N^T,
     N_s^T (``_power_increment``), ``forcing(k0, k1)``, which writes c_k into
     row k + 1 for k0 <= k < k1, and ``publish(k0, k1)``, which finishes rows
-    k0 + 1..k1 and returns the part that the divergence check reads."""
+    k0 + 1..k1 and returns the arrays of them that the divergence check
+    reads, cut after an earlier row if its own check found it bad."""
 
     n_t: np.ndarray
     ns_t: np.ndarray
@@ -287,12 +254,11 @@ def _block_run(build, graphs, pieces, times, out: np.ndarray):
     """Step the rows of out, the states at the stored times, from row 0:
     each (k_start, k_end, digraph index) piece in blocks of SWEEP_BLOCK
     steps, with the stepper that ``build`` makes from the digraph's
-    Laplacian, once per digraph.  An ``_Affine`` block is forced, then
-    stepped in place by ``_sweep``, and published and checked once the next
-    block's forcing is in, since a forcing may read samples that publishing
-    overwrites.  Any other stepper steps and checks its rows itself."""
+    Laplacian, once per digraph.  An ``_Affine`` block is forced, stepped
+    in place by ``_sweep``, then published and checked before the next
+    block is forced, so publishing may read the block's forcing samples.
+    Any other stepper steps and checks its rows itself."""
     built = {}
-    pending = None  # (publish, k0, k1) of the block stepped last
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
         for k_start, k_end, idx in pieces:
             if idx not in built:
@@ -304,24 +270,26 @@ def _block_run(build, graphs, pieces, times, out: np.ndarray):
                     step(k0, k1)
                     continue
                 step.forcing(k0, k1)
-                if pending:
-                    _check(times, out, *pending)
                 _sweep(step.n_t, step.ns_t, out[:, :len(step.n_t)], k0, k1)
-                pending = (step.publish, k0, k1)
-        if pending:
-            _check(times, out, *pending)
+                blocks = step.publish(k0, k1)
+                bad = min(_first_bad(b) for b in blocks)
+                if bad < len(blocks[0]):
+                    peak = np.max([np.abs(b[bad]).max() for b in blocks])  # NaN propagates
+                    raise _divergence(peak, times, out, k0 + 1 + bad)
 
 
-def _check(times, out, publish, k0: int, k1: int):
-    """Publish rows k0 + 1..k1 and raise at the first that leaves the trust
-    region, located only when the block's extremes, taken per column (a
-    whole-array max of a strided block is buffered), fail, as NaN does."""
-    block = publish(k0, k1)
-    if not (block.max(axis=0).max() <= DIVERGENCE_LIMIT
-            and -block.min(axis=0).min() <= DIVERGENCE_LIMIT):
-        peak = np.abs(block).max(axis=1)
-        bad = np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))[0]
-        raise _divergence(peak[bad], times, out, k0 + 1 + bad)
+def _first_bad(block: np.ndarray) -> int:
+    """The index of the first row of block that leaves the trust region, or
+    len(block), located only when the block's extremes fail, as NaN does.
+    A strided block's extremes are taken per column: numpy buffers a
+    whole-array reduction of it."""
+    if block.flags.c_contiguous:
+        top, bottom = block.max(), block.min()
+    else:
+        top, bottom = block.max(axis=0).max(), block.min(axis=0).min()
+    if top <= DIVERGENCE_LIMIT and -bottom <= DIVERGENCE_LIMIT:
+        return len(block)
+    return int(np.flatnonzero(~(np.abs(block).max(axis=1) <= DIVERGENCE_LIMIT))[0])
 
 
 def _forcing(out: np.ndarray, *terms):
@@ -387,34 +355,52 @@ def simulate_protocol(protocol: str, topology, inputs: InputSet, p: AlgorithmPar
     """Run one continuous protocol through ``_block_run`` and package the
     stored grid.  A block evaluates the inputs once on its half-step grid
     and reads avg_u and ||Pi_N u_dot|| off the stored times' samples.  dc1,
-    and dc2 with a ``ThetaGain.constant`` gain, are affine: a block writes
-    c_j = Q0 f_j + Qh f_{j+1/2} + Q1 f_{j+1}, f = du + alpha u, into its
-    rows.  The others RK4-step each row with the digraph's ``dc*_rhs``
-    closure and check it, so a ThetaGain that leaves its bounds later in
-    the block cannot pre-empt a divergence."""
+    and the information phase (z, v) of dc2 and dc2_sat, which is dc1 on
+    (z, v), are affine: a block writes c_j = Q0 f_j + Qh f_{j+1/2} + Q1 f_{j+1},
+    f = du + alpha u, into its rows.  dc2 and dc2_sat then step x per agent
+    (``_motion``), reading a theta that is not constant only up to the
+    block's first row past the limit.  dc1_sat and dc3 RK4-step each row
+    with the digraph's ``dc*_rhs`` closure and check it, so a ThetaGain that
+    leaves its bounds later in the block cannot pre-empt a divergence."""
     n = state0.n
-    has_z = protocol in Z_STATE_PROTOCOLS
-    if has_z and state0.z is None:
+    if protocol not in ("dc1", "dc1_sat", "dc2", "dc2_sat", "dc3"):
+        raise ValueError(f"unknown continuous protocol {protocol!r}")
+    if protocol in Z_STATE_PROTOCOLS and state0.z is None:
         raise ValueError(f"protocol {protocol} needs an initial z state")
+    motion = protocol in ("dc2", "dc2_sat")
+    limits = p.sat_limits if protocol == "dc2_sat" else None
+    if motion and (p.theta is None or protocol == "dc2_sat" and limits is None):
+        raise ValueError(f"protocol {protocol} needs a theta gain and, if saturated, sat_limits")
     times = _grid(h, T)
     switching = isinstance(topology, SwitchingSchedule)
     if switching:
         check_switches_on_grid(topology, h, T)
     elif not isinstance(topology, WeightedDigraph):
         raise TypeError("topology must be a WeightedDigraph or a SwitchingSchedule")
-    out = np.empty((times.size, 3 * n if has_z else 2 * n))
-    out[0] = state0.pack() if has_z else np.concatenate((state0.x, state0.v))
+    # dc2 and dc2_sat step (z, v) in the buffer where dc1 steps (x, v), and
+    # x in one of its own
+    out = np.empty((times.size, 3 * n if protocol == "dc3" else 2 * n))
+    out[0] = (state0.pack() if protocol == "dc3"
+              else np.concatenate((state0.z if motion else state0.x, state0.v)))
     avg_u, pi_udot = np.empty(times.size), np.empty(times.size)
     # the (u, du) stage samples of a block, refilled by every block: freeing
     # them before the next block's are allocated let glibc trim the top of
     # the heap and fault it in again (2 000 more minor faults on case1)
     samples = np.empty((2, 2 * min(SWEEP_BLOCK, times.size - 1) + 1, n))
+    if motion:
+        xs = np.empty((times.size, n))
+        xs[0] = state0.x
+        fixed = _rk4_gains(-p.theta.at(0.0), h) if p.theta.is_constant else None
 
-    def sample(k0, k1):
+    def half_steps(k0, k1):
         # the RK4 stage times of steps k0..k1 - 1: each stored time, whose
         # rows give the statistics, and its step's midpoint
         grid = np.repeat(times[k0:k1 + 1], 2)[:-1]
         grid[1::2] += 0.5 * h
+        return grid
+
+    def sample(k0, k1):
+        grid = half_steps(k0, k1)
         u, du = samples[:, :grid.size]
         inputs.eval_all(grid, out=(u, du))
         avg_u[k0:k1 + 1] = u[::2].mean(axis=1)
@@ -422,15 +408,27 @@ def simulate_protocol(protocol: str, topology, inputs: InputSet, p: AlgorithmPar
         return u, du
 
     def affine(lap):
-        incr, q0, qh, q1 = _rk4_affine(*_affine_system(protocol, lap, p), h)
+        a = zero_system_matrix(lap, p.alpha, p.beta)
+        incr, q0, qh, q1 = _rk4_affine(a, np.vstack((np.eye(n), np.zeros((n, n)))), h)
 
         def forcing(k0, k1):
             u, du = sample(k0, k1)
             f = np.add(du, np.multiply(u, p.alpha, out=u), out=u)  # u is spent
             _forcing(out[k0 + 1:k1 + 1], (f[0:-1:2], q0.T), (f[1::2], qh.T), (f[2::2], q1.T))
 
-        return _Affine(incr.T, _power_increment(incr, SWEEP_SUBSTEPS).T, forcing,
-                       lambda k0, k1: out[k0 + 1:k1 + 1])
+        def publish(k0, k1):
+            if motion:
+                # x, and theta, are read only up to the first (z, v) row past the limit
+                k1 = k0 + min(k1 - k0, _first_bad(out[k0 + 1:k1 + 1]) + 1)
+                gains = fixed
+                if gains is None:
+                    lam = -np.array([p.theta.at(t) for t in half_steps(k0, k1)])
+                    gains = _rk4_gains((lam[0:-1:2], lam[1::2], lam[2::2]), h)
+                _motion(out[k0:k1 + 1], xs[k0:k1 + 1], gains, samples[0], a.T, h, limits)
+                return out[k0 + 1:k1 + 1], xs[k0 + 1:k1 + 1]
+            return out[k0 + 1:k1 + 1],
+
+        return _Affine(incr.T, _power_increment(incr, SWEEP_SUBSTEPS).T, forcing, publish)
 
     def rk4(rhs, k0, k1):
         u, du = sample(k0, k1)
@@ -441,22 +439,107 @@ def simulate_protocol(protocol: str, topology, inputs: InputSet, p: AlgorithmPar
             if not peak <= DIVERGENCE_LIMIT:  # NaN fails it
                 raise _divergence(peak, times, out, j + 1)
 
-    build = affine if _is_affine(protocol, p) else lambda lap: partial(rk4, _closure(protocol, lap, p))
+    def trajectory(k):
+        cols = [out[:k, i:i + n] for i in range(0, out.shape[1], n)]
+        return _package(protocol, p, times[:k], avg_u[:k], pi_udot=pi_udot[:k],
+                        **(dict(x=xs[:k], z=cols[0], v=cols[1]) if motion
+                           else dict(zip(("x", "v", "z"), cols))))
+
+    def closure(lap):  # looked up at call time, so rebinding engine.dc*_rhs takes effect
+        return partial(rk4, dc3_rhs(lap, p) if protocol == "dc3" else dc1_rhs(lap, p, saturate=True))
+
+    build = closure if protocol in ("dc1_sat", "dc3") else affine
     pieces = ([(round(a / h), round(b / h), idx) for a, b, idx in topology.segments_in(T)]
               if switching else [(0, times.size - 1, 0)])
     try:
         _block_run(build, topology.graphs if switching else (topology,), pieces, times, out)
     except DivergenceError as err:
-        k = len(err.partial[0])  # the partial trajectory keeps the input statistics
-        err.partial = _package(protocol, p, n, times[:k], out[:k], avg_u[:k], pi_udot=pi_udot[:k])
+        err.partial = trajectory(len(err.partial[0]))  # it keeps the input statistics
         raise
-    return _package(protocol, p, n, times, out, avg_u, pi_udot=pi_udot)
+    return trajectory(times.size)
 
 
-def _package(protocol, p, n, times, ys, avg_u, **fields) -> Trajectory:
-    """The trajectory of the stored rows ys, (x, v) or (x, v, z)."""
-    traj = Trajectory(times=times, x=ys[:, :n], v=ys[:, n:2 * n], avg_u=avg_u, protocol=protocol,
-                      z=ys[:, 2 * n:] if ys.shape[1] > 2 * n else None, **fields)
+def _rk4_gains(lam, h: float):
+    """RK4 on de/dt = lam(t) e, lam per agent or a (start, midpoint, end)
+    triple per step: lam at the four stages, e's factor g at the four stage
+    arguments, and e's factor r over the step."""
+    la, lb, lc = lam if isinstance(lam, tuple) else (lam, lam, lam)
+    g2 = 1.0 + 0.5 * h * la
+    g3 = 1.0 + 0.5 * h * lb * g2
+    g4 = 1.0 + h * lb * g3
+    return (la, lb, lb, lc), (1.0, g2, g3, g4), 1.0 + h / 6.0 * (la + 2.0 * lb * (g2 + g3) + lc * g4)
+
+
+def _motion(zv: np.ndarray, x: np.ndarray, gains, f: np.ndarray, a_t: np.ndarray, h: float,
+            limits):
+    """Step x over stored rows 0..m from (z, v) rows zv, x's row 0 given.
+    RK4 on dx = clip(lam (x - z) + dz), lam = -theta, reads the stage
+    arguments of (z, v), so e = x - z obeys RK4 on de = clip(lam e + dz) - dz,
+    dz the z rows of the (z, v) stage slopes (A^T = a_t, f = du + alpha u on
+    the half-step grid).  Unclamped, e is a running product of
+    ``_rk4_gains``' r.  With limits, CLIP_WINDOW steps at a time form the
+    stage commands lam g e + dz; from the first that clips, e goes one
+    clamped step at a time until a step clips nothing.  e restarts from
+    x - z each block, so one that decays below z's rounding is 0 there."""
+    m, n = len(x) - 1, x.shape[1]
+    lams, gs, r = gains
+    e = np.empty((m + 1, n))
+    np.subtract(x[0], zv[0, :n], out=e[0])
+
+    def slopes(j, j2):
+        # the z rows of the (z, v) stage slopes of steps j..j2 - 1, stage by stage
+        s, fj = zv[j:j2], f[2 * j:2 * j2 + 1]
+        slope, arg, stage = np.empty_like(s), np.empty_like(s), s
+        for fs, step in ((fj[0:-1:2], 0.5 * h), (fj[1::2], 0.5 * h), (fj[1::2], h), (fj[2::2], 0.0)):
+            _forcing(slope, (stage, a_t))
+            slope[:, :n] += fs
+            yield slope[:, :n]
+            stage = np.multiply(slope, step, out=arg)
+            stage += s
+
+    if limits is not None:  # the factors of e in the four stage commands
+        coefs = [np.broadcast_to(lj * g, (m, n)) for lj, g in zip(lams, gs)]
+
+    def first_clip(j):
+        for w in range(j, m, CLIP_WINDOW):
+            w2 = min(w + CLIP_WINDOW, m)
+            clips = np.zeros(w2 - w, dtype=bool)
+            for c, dz in zip(coefs, slopes(w, w2)):
+                cmd = np.multiply(c[w:w2], e[w:w2])
+                cmd += dz
+                clips |= (np.abs(cmd, out=cmd) > limits).any(axis=1)
+            if clips.any():
+                return w + int(clips.argmax())
+        return m
+
+    def clamped_step(j):
+        # one RK4 step of e from row j; whether a stage clipped
+        arg, ds, hit = e[j], [], False
+        for lj, (dz,), step in zip((c if c.ndim == 1 else c[j] for c in lams),
+                                   slopes(j, j + 1), (0.5 * h, 0.5 * h, h, 0.0)):
+            cmd = lj * arg + dz
+            hit = hit or bool((np.abs(cmd) > limits).any())
+            ds.append(np.clip(cmd, -limits, limits) - dz)
+            arg = e[j] + step * ds[-1]
+        e[j + 1] = e[j] + h / 6.0 * (ds[0] + 2.0 * (ds[1] + ds[2]) + ds[3])
+        return hit
+
+    j = 0
+    while j < m:
+        e[j + 1:] = r if r.ndim == 1 else r[j:]
+        np.multiply.accumulate(e[j:], axis=0, out=e[j:])
+        j = m if limits is None else first_clip(j)
+        while j < m:
+            j += 1
+            if not clamped_step(j - 1):
+                break
+    np.add(zv[1:, :n], e[1:], out=x[1:])
+
+
+def _package(protocol, p, times, avg_u, **fields) -> Trajectory:
+    """The trajectory of the stored times, with the x, v and z column views
+    in fields."""
+    traj = Trajectory(times=times, avg_u=avg_u, protocol=protocol, **fields)
     if protocol == "dc3":
         # one call on every stored time; a constant mask may return one number
         psi = np.broadcast_to(p.psi(times) if p.psi is not None else 0.0, times.shape)
@@ -495,26 +578,31 @@ def simulate_discrete(g: WeightedDigraph, inputs: InputSet, p: AlgorithmParams,
     x[0], v[0] = z0 + u[0], v0
     keep = 1.0 - delta * p.alpha
 
+    last = u[0].copy()  # u at the block's start row, which publishing overwrites with z
+
     # one column at a time: numpy routes a 2-D operation between two views
     # of one buffer through a temporary copy, a column one does not
     def forcing(k0, k1):
+        np.multiply(last, -keep, out=x[k0 + 1])
         for i in range(n):
-            np.multiply(u[k0:k1, i], -keep, out=x[k0 + 1:k1 + 1, i])
+            np.multiply(u[k0 + 1:k1, i], -keep, out=x[k0 + 2:k1 + 1, i])
             x[k0 + 1:k1 + 1, i] += u[k0 + 1:k1 + 1, i]
         v[k0 + 1:k1 + 1] = 0.0
 
     def publish(k0, k1):
         # x = z + u, as the literal update publishes it: x - u + u alone
         # differs from the stepped x in the last bit in about 2% of cells
+        last[:] = u[k1]
         for i in range(n):
             z = x[k0 + 1:k1 + 1, i] - u[k0 + 1:k1 + 1, i]
             np.add(z, u[k0 + 1:k1 + 1, i], out=x[k0 + 1:k1 + 1, i])
             u[k0 + 1:k1 + 1, i] = z
-        return rows[k0 + 1:k1 + 1, n:]
+        return rows[k0 + 1:k1 + 1, n:],
 
     def trajectory(k):
         u[0] = z0  # row 0's z columns held u(0) for the first step
-        return _package("dcdisc", p, n, times[:k], rows[:k], avg_u[:k], k_index=ks[:k], meta=meta)
+        return _package("dcdisc", p, times[:k], avg_u[:k], x=x[:k], v=v[:k], z=u[:k],
+                        k_index=ks[:k], meta=meta)
 
     def build(lap):
         incr = dcdisc_system(lap, p.alpha, p.beta, delta)[:, :2 * n].copy()

@@ -421,15 +421,16 @@ def test_z_state_protocols_named_once(protocol):
 class TestStateBudget:
     @pytest.mark.parametrize("fname", ALL_PRESETS)
     def test_width_is_the_run_storage(self, fname):
-        # the budget counts the columns of the array that a run stores its
-        # state in: (x, v), (x, v, z), or dcdisc's (z, v, u); twenty steps
-        # of each bundled scenario show it
+        # the budget counts the columns of the arrays that a run stores its
+        # state in: (x, v), (x, v, z), dcdisc's (z, v, u), or dc2's (z, v)
+        # and x; twenty steps of each bundled scenario show it
         data = json.loads((SCENARIOS / fname).read_text())
         unit = data["params"].get("delta") or data.get("step", config.DEFAULT_STEP)
         data.update(horizon=20 * unit, tail_start=15 * unit)
         cfg = validate_scenario(data)
         traj, _, _ = run_scenario(cfg)
-        assert STATE_WIDTH[cfg.protocol] * cfg.n == traj.x.base.shape[1]
+        storage = {id(a.base): a.base.shape[1] for a in (traj.x, traj.v, traj.z) if a is not None}
+        assert STATE_WIDTH[cfg.protocol] * cfg.n == sum(storage.values())
 
     def test_long_horizon_rejected_before_the_admissibility_scan(self, tmp_path, capsys):
         # 1e9 rows of 12 states; the schedule scan alone took ~20 s.  Every
