@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bounds as bnd
 from .discrete import dcdisc_system, max_stepsize, zero_system_matrix
-from .graphs import WeightedDigraph, laplacian, symmetric_spectrum
+from .graphs import BALANCE_TOL, WeightedDigraph, laplacian, symmetric_spectrum
 # dc2_rhs is bound here with the others, though no run calls it, for perfbench's tracer
 from .protocols import Z_STATE_PROTOCOLS, AgentState, AlgorithmParams, dc1_rhs, dc2_rhs, dc3_rhs
 from .signals import InputSet, pi_norms, pi_udot_series, sampled_gamma
@@ -241,8 +241,9 @@ class _Affine(NamedTuple):
     """y_{k+1} = y_k + N y_k + c_k on the first N.shape[0] columns: N^T,
     N_s^T (``_power_increment``), ``forcing(k0, k1)``, which writes c_k into
     row k + 1 for k0 <= k < k1, and ``publish(k0, k1)``, which finishes rows
-    k0 + 1..k1 and returns the arrays of them that the divergence check
-    reads, cut after an earlier row if its own check found it bad."""
+    k0 + 1..k1 and checks them: it returns the index i among them of the
+    first past the trust region (``_first_bad``), or k1 - k0, and the
+    arrays it checked, whose rows i hold the peak."""
 
     n_t: np.ndarray
     ns_t: np.ndarray
@@ -271,9 +272,8 @@ def _block_run(build, graphs, pieces, times, out: np.ndarray):
                     continue
                 step.forcing(k0, k1)
                 _sweep(step.n_t, step.ns_t, out[:, :len(step.n_t)], k0, k1)
-                blocks = step.publish(k0, k1)
-                bad = min(_first_bad(b) for b in blocks)
-                if bad < len(blocks[0]):
+                bad, blocks = step.publish(k0, k1)
+                if bad < k1 - k0:
                     peak = np.max([np.abs(b[bad]).max() for b in blocks])  # NaN propagates
                     raise _divergence(peak, times, out, k0 + 1 + bad)
 
@@ -281,13 +281,9 @@ def _block_run(build, graphs, pieces, times, out: np.ndarray):
 def _first_bad(block: np.ndarray) -> int:
     """The index of the first row of block that leaves the trust region, or
     len(block), located only when the block's extremes fail, as NaN does.
-    A strided block's extremes are taken per column: numpy buffers a
-    whole-array reduction of it."""
-    if block.flags.c_contiguous:
-        top, bottom = block.max(), block.min()
-    else:
-        top, bottom = block.max(axis=0).max(), block.min(axis=0).min()
-    if top <= DIVERGENCE_LIMIT and -bottom <= DIVERGENCE_LIMIT:
+    The extremes are taken per column: numpy buffers a whole-array
+    reduction of a strided block."""
+    if block.max(axis=0).max() <= DIVERGENCE_LIMIT and -block.min(axis=0).min() <= DIVERGENCE_LIMIT:
         return len(block)
     return int(np.flatnonzero(~(np.abs(block).max(axis=1) <= DIVERGENCE_LIMIT))[0])
 
@@ -358,9 +354,10 @@ def simulate_protocol(protocol: str, topology, inputs: InputSet, p: AlgorithmPar
     and the information phase (z, v) of dc2 and dc2_sat, which is dc1 on
     (z, v), are affine: a block writes c_j = Q0 f_j + Qh f_{j+1/2} + Q1 f_{j+1},
     f = du + alpha u, into its rows.  dc2 and dc2_sat then step x per agent
-    (``_motion``), reading a theta that is not constant only up to the
-    block's first row past the limit.  dc1_sat and dc3 RK4-step each row
-    with the digraph's ``dc*_rhs`` closure and check it, so a ThetaGain that
+    (``_motion``) up to the block's first (z, v) row past the limit, and
+    check theta's bounds only at the steps before the first bad row of
+    (z, v) or x.  dc1_sat and dc3 RK4-step each row with the digraph's
+    ``dc*_rhs`` closure and check it.  So on either path a ThetaGain that
     leaves its bounds later in the block cannot pre-empt a divergence."""
     n = state0.n
     if protocol not in ("dc1", "dc1_sat", "dc2", "dc2_sat", "dc3"):
@@ -390,7 +387,7 @@ def simulate_protocol(protocol: str, topology, inputs: InputSet, p: AlgorithmPar
     if motion:
         xs = np.empty((times.size, n))
         xs[0] = state0.x
-        fixed = _rk4_gains(-p.theta.at(0.0), h) if p.theta.is_constant else None
+        fixed = _rk4_gains(*[-p.theta.at(0.0)] * 3, h) if p.theta.is_constant else None
 
     def half_steps(k0, k1):
         # the RK4 stage times of steps k0..k1 - 1: each stored time, whose
@@ -410,6 +407,7 @@ def simulate_protocol(protocol: str, topology, inputs: InputSet, p: AlgorithmPar
     def affine(lap):
         a = zero_system_matrix(lap, p.alpha, p.beta)
         incr, q0, qh, q1 = _rk4_affine(a, np.vstack((np.eye(n), np.zeros((n, n)))), h)
+        incr = _zero_v_sums(incr, lap)
 
         def forcing(k0, k1):
             u, du = sample(k0, k1)
@@ -417,18 +415,26 @@ def simulate_protocol(protocol: str, topology, inputs: InputSet, p: AlgorithmPar
             _forcing(out[k0 + 1:k1 + 1], (f[0:-1:2], q0.T), (f[1::2], qh.T), (f[2::2], q1.T))
 
         def publish(k0, k1):
-            if motion:
-                # x, and theta, are read only up to the first (z, v) row past the limit
-                k1 = k0 + min(k1 - k0, _first_bad(out[k0 + 1:k1 + 1]) + 1)
-                gains = fixed
-                if gains is None:
-                    lam = -np.array([p.theta.at(t) for t in half_steps(k0, k1)])
-                    gains = _rk4_gains((lam[0:-1:2], lam[1::2], lam[2::2]), h)
-                _motion(out[k0:k1 + 1], xs[k0:k1 + 1], gains, samples[0], a.T, h, limits)
-                return out[k0 + 1:k1 + 1], xs[k0 + 1:k1 + 1]
-            return out[k0 + 1:k1 + 1],
+            zv = out[k0 + 1:k1 + 1]
+            bad = _first_bad(zv)
+            if not motion:
+                return bad, (zv,)
+            # x is stepped up to the first (z, v) row past the limit, and theta
+            # checked, as the closure reads it, up to the first bad row's step
+            k1 = k0 + min(bad + 1, k1 - k0)
+            grid, gains = half_steps(k0, k1), fixed
+            if gains is None:
+                th = np.array([np.atleast_1d(p.theta.fn(t)) for t in grid], dtype=float)
+                gains = _rk4_gains(-th[0:-1:2], -th[1::2], -th[2::2], h)
+            _motion(out[k0:k1 + 1], xs[k0:k1 + 1], gains, samples[0], a.T, h, limits)
+            bad = min(bad, _first_bad(xs[k0 + 1:k1 + 1]))
+            if fixed is None:
+                cut = 2 * min(bad + 1, k1 - k0) + 1
+                p.theta.check(grid[:cut], th[:cut])
+            return bad, (zv, xs[k0 + 1:k1 + 1])
 
-        return _Affine(incr.T, _power_increment(incr, SWEEP_SUBSTEPS).T, forcing, publish)
+        ns = _zero_v_sums(_power_increment(incr, SWEEP_SUBSTEPS), lap)
+        return _Affine(incr.T, ns.T, forcing, publish)
 
     def rk4(rhs, k0, k1):
         u, du = sample(k0, k1)
@@ -440,10 +446,10 @@ def simulate_protocol(protocol: str, topology, inputs: InputSet, p: AlgorithmPar
                 raise _divergence(peak, times, out, j + 1)
 
     def trajectory(k):
-        cols = [out[:k, i:i + n] for i in range(0, out.shape[1], n)]
+        first = out[:k, :n]
+        z = first if motion else out[:k, 2 * n:] if protocol == "dc3" else None
         return _package(protocol, p, times[:k], avg_u[:k], pi_udot=pi_udot[:k],
-                        **(dict(x=xs[:k], z=cols[0], v=cols[1]) if motion
-                           else dict(zip(("x", "v", "z"), cols))))
+                        x=xs[:k] if motion else first, v=out[:k, n:2 * n], z=z)
 
     def closure(lap):  # looked up at call time, so rebinding engine.dc*_rhs takes effect
         return partial(rk4, dc3_rhs(lap, p) if protocol == "dc3" else dc1_rhs(lap, p, saturate=True))
@@ -459,11 +465,10 @@ def simulate_protocol(protocol: str, topology, inputs: InputSet, p: AlgorithmPar
     return trajectory(times.size)
 
 
-def _rk4_gains(lam, h: float):
-    """RK4 on de/dt = lam(t) e, lam per agent or a (start, midpoint, end)
-    triple per step: lam at the four stages, e's factor g at the four stage
-    arguments, and e's factor r over the step."""
-    la, lb, lc = lam if isinstance(lam, tuple) else (lam, lam, lam)
+def _rk4_gains(la, lb, lc, h: float):
+    """RK4 on de/dt = lam(t) e, lam per agent at a step's start, midpoint
+    and end, or per step and agent: lam at the four stages, e's factor g at
+    the four stage arguments, and e's factor r over the step."""
     g2 = 1.0 + 0.5 * h * la
     g3 = 1.0 + 0.5 * h * lb * g2
     g4 = 1.0 + h * lb * g3
@@ -597,7 +602,8 @@ def simulate_discrete(g: WeightedDigraph, inputs: InputSet, p: AlgorithmParams,
             z = x[k0 + 1:k1 + 1, i] - u[k0 + 1:k1 + 1, i]
             np.add(z, u[k0 + 1:k1 + 1, i], out=x[k0 + 1:k1 + 1, i])
             u[k0 + 1:k1 + 1, i] = z
-        return rows[k0 + 1:k1 + 1, n:],
+        block = rows[k0 + 1:k1 + 1, n:]
+        return _first_bad(block), (block,)
 
     def trajectory(k):
         u[0] = z0  # row 0's z columns held u(0) for the first step
@@ -617,6 +623,20 @@ def simulate_discrete(g: WeightedDigraph, inputs: InputSet, p: AlgorithmParams,
             f"{delta} (bound {bound:.6g}) is too aggressive",
             t=err.t, partial=trajectory(k + 1)) from None
     return trajectory(num_steps + 1)
+
+
+def _zero_v_sums(m: np.ndarray, lap: np.ndarray) -> np.ndarray:
+    """m, whose rows n.. step the integral states v, with each column of
+    those rows made to sum to zero, to within half an ulp of its largest
+    entry, which takes the correction, when lap's digraph is weight-balanced.
+    There 1^T L = 0 makes sum(v) invariant and these sums zero in exact
+    arithmetic; rounded (up to 3e-17 on sat.json), they drifted sum(v) by
+    1e-11 over its 39 900 steps, against 7e-13 once corrected."""
+    n = len(lap)
+    if np.abs(lap.sum(axis=0)).max() <= BALANCE_TOL:
+        sums = [math.fsum(col) for col in m[n:].T]
+        m[n + np.abs(m[n:]).argmax(axis=0), np.arange(m.shape[1])] -= sums
+    return m
 
 
 def _power_increment(incr: np.ndarray, s: int) -> np.ndarray:

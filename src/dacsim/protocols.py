@@ -121,9 +121,15 @@ class ThetaGain:
 
     def at(self, t: float) -> np.ndarray:
         th = np.atleast_1d(np.asarray(self.fn(t), dtype=float))
-        if np.any(th < self.lower - 1e-12) or np.any(th > self.upper + 1e-12):
-            raise ValueError(f"theta(t={t}) leaves its declared bounds")
+        self.check([t], th[None])
         return th
+
+    def check(self, times, values: np.ndarray):
+        """Raise ValueError at the first of times whose row of fn's values
+        leaves the declared bounds."""
+        out = ((values < self.lower - 1e-12) | (values > self.upper + 1e-12)).any(axis=1)
+        if out.any():
+            raise ValueError(f"theta(t={times[int(out.argmax())]}) leaves its declared bounds")
 
 
 class _ConstantGain:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from decimal import Decimal
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,7 @@ from dacsim.engine import (
     _power_increment,
     _rk4_affine,
     _sweep,
+    _zero_v_sums,
 )
 from dacsim.discrete import zero_system_matrix
 from dacsim.graphs import laplacian, topology_preset
@@ -466,7 +468,8 @@ class TestAffinePath:
                                        "rate.json", "static.json"])
     def test_bundled_runs_keep_the_increment_form(self, fname):
         # stepping by the increment keeps sum(v) to roundoff of the
-        # increments over the whole run (measured at most 3.0e-13); N_s
+        # increments over the whole run (measured at most 1.9e-13, on case2,
+        # and 3.0e-13 before the v rows of N and N_s summed to zero); N_s
         # taken as a matrix power of I + N drifts by 1.1e-12 on rate
         _, report, _ = run_scenario(load_scenario(SCENARIOS / fname))
         assert report.conservation_residual <= 1e-12
@@ -739,6 +742,54 @@ class TestMotionPhase:
         np.testing.assert_allclose(np.hstack((last.x, last.v, last.z)),
                                    np.hstack((closure.partial.x, closure.partial.v,
                                               closure.partial.z)), rtol=1e-9)
+
+    @pytest.mark.parametrize("leaves", [1.5, 0.5])
+    def test_theta_check_in_a_motion_phase_divergence(self, leaves):
+        # the run above with a theta that leaves its bounds at t = leaves:
+        # after x passed the limit at t = 0.87, in the same block, the
+        # divergence comes first, as on the closure path; before it, the
+        # theta check does
+        theta = ThetaGain(fn=lambda t: np.full(6, 300.0 if t < leaves else 600.0),
+                          lower=np.ones(6), upper=np.full(6, 300.0))
+        p = AlgorithmParams(3.0, 1.0, theta=theta)
+        state = AgentState(x=np.ones(6), v=np.zeros(6), z=np.zeros(6))
+        for protocol in ("dc2", "dc3"):
+            run = partial(simulate_protocol, protocol, topology_preset("fig1a"),
+                          preset_scenario("case2"), p, state, h=0.01, T=2.0)
+            if leaves > 0.87:
+                with pytest.raises(DivergenceError) as err:
+                    run()
+                assert err.value.t == pytest.approx(0.87)
+                assert len(err.value.partial.times) == 88
+            else:
+                with pytest.raises(ValueError, match=r"theta\(t=0\.5\d*\) leaves its declared bounds"):
+                    run()
+
+    def test_sum_of_v_held_on_large_states(self, monkeypatch):
+        # sat.json's |v| reaches 160.  The step-at-a-time closure drifts
+        # sum(v) by 9.6e-13 over its 39 900 steps; with the v rows of the
+        # stepping matrices summing to their rounding, the sweep drifted 1.04e-11
+        cfg = load_scenario(SCENARIOS / "sat.json")
+        assert run_scenario(cfg)[1].conservation_residual <= 1.5e-12
+        monkeypatch.setattr(dacsim.engine, "_zero_v_sums", lambda m, lap: m)
+        assert run_scenario(cfg)[1].conservation_residual > 5e-12
+
+    @pytest.mark.parametrize("balanced", [True, False])
+    def test_v_rows_sum_to_zero_on_balanced_digraphs(self, balanced):
+        rng = np.random.default_rng(5)
+        lap = laplacian(random_balanced_strongly_connected(rng, 7)).copy()
+        if not balanced:
+            lap[0, 1] -= 0.25
+            lap[0, 0] += 0.25
+        incr = _rk4_affine(zero_system_matrix(lap, 2.0, 3.0), np.eye(14, 7), 0.01)[0]
+        for m in (incr, _power_increment(incr, SWEEP_SUBSTEPS)):
+            zeroed = _zero_v_sums(m.copy(), lap)
+            sums = np.array([math.fsum(col) for col in zeroed[7:].T])
+            if balanced:
+                assert (np.abs(sums) <= 0.5 * np.spacing(np.abs(zeroed[7:]).max(axis=0))).all()
+                np.testing.assert_allclose(zeroed, m, rtol=0, atol=1e-15 * np.abs(m).max())
+            else:
+                np.testing.assert_array_equal(zeroed, m)
 
 
 # ---------------------------------------------------------------------------
