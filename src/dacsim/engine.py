@@ -278,14 +278,16 @@ def _block_run(build, graphs, pieces, times, out: np.ndarray):
                     raise _divergence(peak, times, out, k0 + 1 + bad)
 
 
-def _first_bad(block: np.ndarray) -> int:
-    """The index of the first row of block that leaves the trust region, or
-    len(block), located only when the block's extremes fail, as NaN does.
-    The extremes are taken per column: numpy buffers a whole-array
-    reduction of a strided block."""
-    if block.max(axis=0).max() <= DIVERGENCE_LIMIT and -block.min(axis=0).min() <= DIVERGENCE_LIMIT:
-        return len(block)
-    return int(np.flatnonzero(~(np.abs(block).max(axis=1) <= DIVERGENCE_LIMIT))[0])
+def _first_bad(rows: np.ndarray, cols=slice(None)) -> int:
+    """The index of the first of the contiguous rows whose columns cols
+    leave the trust region, or len(rows), located only when the extremes of
+    the whole rows fail, as NaN does.  Those take 5 us on 2048 x 12 rows,
+    where extremes per column take 80 us and those of a strided view go
+    through a 64 KB buffer."""
+    if rows.max() <= DIVERGENCE_LIMIT and -rows.min() <= DIVERGENCE_LIMIT:
+        return len(rows)
+    bad = np.flatnonzero(~(np.abs(rows[:, cols]).max(axis=1) <= DIVERGENCE_LIMIT))
+    return int(bad[0]) if bad.size else len(rows)
 
 
 def _forcing(out: np.ndarray, *terms):
@@ -602,8 +604,7 @@ def simulate_discrete(g: WeightedDigraph, inputs: InputSet, p: AlgorithmParams,
             z = x[k0 + 1:k1 + 1, i] - u[k0 + 1:k1 + 1, i]
             np.add(z, u[k0 + 1:k1 + 1, i], out=x[k0 + 1:k1 + 1, i])
             u[k0 + 1:k1 + 1, i] = z
-        block = rows[k0 + 1:k1 + 1, n:]
-        return _first_bad(block), (block,)
+        return _first_bad(rows[k0 + 1:k1 + 1], np.s_[n:]), (rows[k0 + 1:k1 + 1, n:],)
 
     def trajectory(k):
         u[0] = z0  # row 0's z columns held u(0) for the first step

@@ -361,6 +361,15 @@ class TestFusedStep:
                                  1e10, num_steps=SWEEP_BLOCK + 1)
         assert not np.any(traj.z) and not np.any(traj.v)
 
+    def test_large_inputs_alone_are_no_divergence(self):
+        # the check takes the extremes of whole (x, v, z) rows but reads
+        # (v, z): equal inputs of 5e12 put x past the limit while z and v
+        # stay near rest, as in the literal update
+        traj = simulate_discrete(topology_preset("fig1a"), constants([5e12] * 6),
+                                 AlgorithmParams(1.0, 1.0), np.zeros(6), np.zeros(6),
+                                 0.1, num_steps=SWEEP_BLOCK + 1)
+        assert np.abs(traj.x).min() > 1e12 > 1.0 > np.abs(np.hstack((traj.z, traj.v))).max()
+
     def test_partial_trajectory_is_cut_after_the_bad_row(self):
         g, inputs, p = topology_preset("fig1a"), preset_scenario("case2"), AlgorithmParams(1.0, 1.0)
         with pytest.raises(DivergenceError) as err:
