@@ -417,10 +417,10 @@ def simulate_protocol(protocol: str, topology, inputs: InputSet, p: AlgorithmPar
             _forcing(out[k0 + 1:k1 + 1], (f[0:-1:2], q0.T), (f[1::2], qh.T), (f[2::2], q1.T))
 
         def publish(k0, k1):
-            zv = out[k0 + 1:k1 + 1]
-            bad = _first_bad(zv)
+            ys = out[k0 + 1:k1 + 1]  # (x, v), or (z, v) for the motion phase
+            bad = _first_bad(ys)
             if not motion:
-                return bad, (zv,)
+                return bad, (ys,)
             # x is stepped up to the first (z, v) row past the limit, and theta
             # checked, as the closure reads it, up to the first bad row's step
             k1 = k0 + min(bad + 1, k1 - k0)
@@ -433,7 +433,7 @@ def simulate_protocol(protocol: str, topology, inputs: InputSet, p: AlgorithmPar
             if fixed is None:
                 cut = 2 * min(bad + 1, k1 - k0) + 1
                 p.theta.check(grid[:cut], th[:cut])
-            return bad, (zv, xs[k0 + 1:k1 + 1])
+            return bad, (ys, xs[k0 + 1:k1 + 1])
 
         ns = _zero_v_sums(_power_increment(incr, SWEEP_SUBSTEPS), lap)
         return _Affine(incr.T, ns.T, forcing, publish)
