@@ -12,7 +12,8 @@ get wrong through ``%``.  It lays every cell out as four little-endian
 ``0.``-``0.000`` prefix, or zero's ``0``), two mantissa words of four
 4-byte slots, one per 3-digit group of the mantissa with the decimal point
 and the ``%g`` cut of trailing zeros already in place, and the tail (the
-exponent, written only in ``d.ddde±XX`` notation, and the separator).
+exponent, whose text only the ``d.ddde±XX`` decades have, and the
+separator).
 Bytes a cell does not use are NUL, and dropping them leaves ``%``'s text.
 It is a module of its own, imported by the CSV writer on its first call
 and by ``svgplot``, which only a ``--svg`` run imports: compiled as part of
@@ -30,6 +31,9 @@ __all__ = ["format_g12"]
 
 
 _EXP_MIN = -330  # decades _EXP_MIN..-_EXP_MIN have scale, layout and exponent entries
+# s = |x| 10^(11 - E) < 2^40 lies within 2^-53 1e12 (the rounded scale) +
+# 2^-14 (half an ulp of s) = 1.72e-4 of the exact product
+_TIE_MARGIN = 2e-4
 
 
 def _slot_map(code):
@@ -51,14 +55,14 @@ def _tables():
       binade's lower end, less ``_EXP_MIN``: a decade index;
     - by decade index: ``scale``, the correctly rounded 10^(11 - E);
       ``layouts``, the first template key of decade E's layout; ``exps``,
-      the tail word "e%+03d" of decade E;
+      the tail word "e%+03d" of a d.ddde+XX decade E, 0 for the decades of
+      fixed notation;
     - ``ends``: for each of the four places of a group in the mantissa, the
       mantissa's last nonzero digit that the group gives (0 for a zero group);
     - by template key: ``heads``, the head word; ``codes``, for each of the
       four groups, the offset 1000 * (4 * point + kept) of its slots, where
       the point follows the group's digit ``point - 1`` (none for 0) and
-      the group keeps ``kept`` digits; ``masks``, all ones where the tail
-      holds the exponent, else 0;
+      the group keeps ``kept`` digits;
     - ``slots``: the 4-byte slot of group value g at its code's offset + g.
 
     Template (sign * 18 + layout) * 12 + end is a cell whose last nonzero
@@ -70,7 +74,8 @@ def _tables():
     es = range(_EXP_MIN, 1 - _EXP_MIN)
     scale = np.array([float(f"1e{11 - e}") for e in es])
     layouts = np.array([12 * (e + 4 if -4 <= e < 12 else 16) for e in es], dtype=np.intp)
-    exps = np.frombuffer(b"".join((b"e%+03d" % e).ljust(8, b"\0") for e in es), dtype="<u8")
+    exps = np.frombuffer(b"".join((b"" if -4 <= e < 12 else b"e%+03d" % e).ljust(8, b"\0") for e in es),
+                         dtype="<u8")
     # each group's last nonzero digit, placed; a zero group (g = 0) has none
     last = np.array([len((b"%03d" % g).rstrip(b"0")) - 1 for g in range(1000)], dtype=np.intp)
     ends = 3 * np.arange(4, dtype=np.intp)[:, None] + last
@@ -83,7 +88,7 @@ def _tables():
         text.take(starts + _slot_map(code), out=slots[code], mode="clip")
     slots = slots.view("<u4").ravel()
 
-    heads, codes, masks = [], [], []
+    heads, codes = [], []
     for sign in (0, 1):
         for layout in range(18):
             e = layout - 4
@@ -99,14 +104,12 @@ def _tables():
                 else:
                     head += b"0." + b"0" * (-e - 1)
                 heads.append(head.ljust(8, b"\0"))
-                masks.append(-(layout == 16))
                 for first in (0, 3, 6, 9):
                     at = point - first + 1 if point is not None and 0 <= point - first < 3 else 0
                     codes.append(1000 * (4 * at + min(max(kept + 1 - first, 0), 3)))
     heads = np.frombuffer(b"".join(heads), dtype="<u8")
     codes = np.array(codes, dtype=np.intp).reshape(-1, 4).T.copy()
-    masks = np.array(masks, dtype=np.int64).view("<u8")
-    return decade, scale, layouts, exps, ends, heads, codes, masks, slots
+    return decade, scale, layouts, exps, ends, heads, codes, slots
 
 
 def format_g12(block: np.ndarray) -> bytes:
@@ -119,29 +122,30 @@ def format_g12(block: np.ndarray) -> bytes:
     |x| 10^(11 - E0) >= 1e12.  The 12-digit mantissa m = rint(s),
     s = |x| 10^(11 - E), comes from one multiply by a table of correctly
     rounded powers of ten, and E moves once more where m rounds up to
-    1e12.  s carries two roundings, within 3e-4 of the exact product, so
-    rint(s) is the correctly rounded mantissa unless frac(s) lies within
-    1e-3 of 0.5.  Those near ties, non-finite values and |x| outside the
+    1e12.  s carries two roundings, the scale's and the product's, within
+    2^-53 1e12 + 2^-14 = 1.72e-4 of the exact product, so rint(s) is the
+    correctly rounded mantissa unless frac(s) lies within ``_TIE_MARGIN``
+    = 2e-4 of 0.5.  Those near ties, non-finite values and |x| outside the
     range are formatted by Python; zeros have templates of their own.
 
     A cell's words are looked up by its template key, its decade and its
     four 3-digit groups, then the NUL bytes are dropped."""
-    decade, scale, layouts, exps, ends, heads, codes, masks, slots = _tables()
+    decade, scale, layouts, exps, ends, heads, codes, slots = _tables()
     rows, cols = block.shape
     x = np.asarray(block, dtype=np.float64).ravel()
     n = x.size
     # Every per-cell array is a row of one work array, which is most of the
     # memory a call takes.  glibc's malloc raises its heap trim threshold to
-    # twice the largest chunk it has unmapped, so with one dominant
-    # allocation the heap stays mapped from one block to the next; ~40
-    # separate arrays let it trim and refault the heap on every block
-    # (~400 minor page faults a block, against ~5).
+    # twice the largest chunk it has unmapped, so once the first block frees
+    # this 1 MB mmapped array the heap stays mapped from one block to the
+    # next; ~40 separate arrays let it trim and refault the heap on every
+    # block (~400 minor page faults a block, against ~5).
     work = np.empty((16, n), dtype=np.int64)
     words = work[:4].reshape(n, 4).view("<u8")
     a, s, m, high = work[4:8].view(np.float64)
     groups = work[8:12]
     d, key, t, u = work[12:]
-    t8, u8, u4 = t.view("<u8"), u.view("<u8"), u.view("<u4")[:n]
+    t8, u4 = t.view("<u8"), u.view("<u4")[:n]
 
     np.abs(x, out=a)
     zero = a == 0
@@ -154,7 +158,7 @@ def format_g12(block: np.ndarray) -> bytes:
     np.multiply(a, scale.take(d, out=s, mode="clip"), out=s)
     np.rint(s, out=m)
     s -= m
-    fast &= np.abs(s, out=s) <= 0.5 - 1e-3  # |s - m| = 0.5 - |frac(s) - 0.5|
+    fast &= np.abs(s, out=s) <= 0.5 - _TIE_MARGIN  # |s - m| = 0.5 - |frac(s) - 0.5|
     up = m >= 1e12
     d += up
     m[up] = 1e11
@@ -179,7 +183,6 @@ def format_g12(block: np.ndarray) -> bytes:
         g += codes[place].take(key, out=t, mode="clip")
         slot[:, 2 + place] = slots.take(g, out=u4, mode="clip")
     exps.take(d, out=t8, mode="clip")
-    t8 &= masks.take(key, out=u8, mode="clip")
     sep = np.full(cols, ord(",") << 56, dtype="<u8")
     sep[-1] = ord("\n") << 56
     np.bitwise_or(t8.reshape(rows, cols), sep, out=words[:, 3].reshape(rows, cols))

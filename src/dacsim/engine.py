@@ -66,7 +66,6 @@ CLIP_WINDOW = 256
 # cells per format_g12 block; 2 ** 14 and 2 ** 15 wrote no faster and raised
 # discrete_wide's peak memory by 1.5 and 4.6 MB
 CSV_CELLS = 2 ** 13
-CSV_HEAP_PRIME = 2 ** 22  # bytes the writer allocates and frees before its blocks
 
 
 class DivergenceError(RuntimeError):
@@ -822,15 +821,6 @@ def write_trajectory_csv(path, traj: Trajectory, curves=None):
     rows = len(traj.times)
     block = max(1, CSV_CELLS // len(header))
     cells = np.empty((min(block, rows), len(header)))
-    # glibc's malloc gives the free top of the heap back to the system once
-    # it exceeds the trim threshold, and raises that threshold (to twice the
-    # chunk) only when it frees a chunk it had mmapped.  Left at its initial
-    # 128 KB, it trims format_g12's per-block temporaries (about 1.4 MB)
-    # away, and they fault in again on the next block: 2 400 minor faults in
-    # static's writer against 35.  Whether some earlier free raised it
-    # depends on the whole run, so the writer frees one mmapped chunk
-    # first.  np.empty touches none of its pages.
-    np.empty(CSV_HEAP_PRIME // 8)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for a in range(0, rows, block):

@@ -1243,6 +1243,8 @@ class TestBlockwiseCsv:
         # A run is one fresh interpreter.  Where the writer's blocks leave
         # glibc's malloc trimming the heap between blocks, every block
         # faults its pages in again: ~400 minor faults a block against ~5.
+        # Nothing but the writer frees a large chunk here, so only
+        # format_g12's own work array can raise malloc's trim threshold.
         code = """if True:
             import json, resource, sys
             import numpy as np
@@ -1278,11 +1280,13 @@ class TestBlockwiseCsv:
         assert result["blocks"] >= 150
         assert result["faults"] <= 20 * result["blocks"], result
 
-    def test_fresh_run_writes_without_heap_churn(self, tmp_path):
-        # The same bound in a whole `dacsim run` of static.json, whose
-        # allocations left malloc's trim threshold at its initial 128 KB:
-        # before the writer freed a mmapped chunk of its own, its 79 blocks
-        # faulted about 4 900 times (62 a block).
+    @pytest.mark.parametrize("fname", ["static.json", "case1.json"])
+    def test_fresh_run_writes_without_heap_churn(self, fname, tmp_path):
+        # The same bound in a whole `dacsim run`: static.json (79 blocks)
+        # and the switching case1.json (98 blocks), whose writer faults the
+        # most of the bundled runs.  Whatever the run allocated before, the
+        # first block's free of format_g12's 1 MB work array raises malloc's
+        # trim threshold above a block's temporaries.
         code = """if True:
             import json, resource, sys
             from dacsim import cli, engine
@@ -1302,7 +1306,7 @@ class TestBlockwiseCsv:
         """
         env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
                "PYTHONPATH": str(Path(dacsim.__file__).parents[1])}
-        proc = subprocess.run([sys.executable, "-c", code, str(SCENARIOS / "static.json"),
+        proc = subprocess.run([sys.executable, "-c", code, str(SCENARIOS / fname),
                                str(tmp_path)], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -1334,6 +1338,20 @@ G12_EDGES = [
     99999999999.95, 9.999999999995e-5, 999999999999.5, 999999999999.4, 0.5, 0.1, 1 / 3,
     math.pi * 1e-7, math.e * 1e13, 123456789012.0, 1e-300, 1e-310,
 ]
+
+
+NEAR_TIE_DELTAS = ("0", "1e-5", "-1e-5", "1e-4", "-1e-4", "2e-4", "-2e-4", "3e-4", "-3e-4",
+                   "1e-3", "-1e-3")
+
+
+def near_tie_values(m, e, negative):
+    """m + 1/2 + delta at decade e, so that its 12-digit mantissa lies delta
+    off a tie, for each of NEAR_TIE_DELTAS, with the nextafter neighbours
+    of each: the cells at and around format_g12's near-tie margin."""
+    sign = -1.0 if negative else 1.0
+    ties = np.array([sign * float((m + Decimal("0.5") + Decimal(delta)).scaleb(e - 11))
+                     for delta in NEAR_TIE_DELTAS])
+    return np.concatenate((ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf)))
 
 
 def g12_template(text):
@@ -1378,6 +1396,24 @@ class TestFormatG12:
         bits = np.array([(sign << 63) | (exp << 52) | frac for sign, exp, frac in fields],
                         dtype=np.uint64)
         assert_kernel_exact(bits.view(np.float64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(10 ** 11, 10 ** 12 - 1), st.integers(-290, 299), st.booleans())
+    def test_near_ties(self, m, e, negative):
+        # uniform bit patterns almost never put frac(s) within the margin
+        # of 0.5; these put it at, inside and outside the margin
+        assert_kernel_exact(near_tie_values(m, e, negative))
+
+    def test_near_tie_margin_is_needed(self, monkeypatch):
+        # s lies up to 1.72e-4 from the exact product, so with a margin of
+        # 1e-4 some of these cells round to the wrong side of their tie
+        rng = np.random.default_rng(23)
+        draws = zip(rng.integers(10 ** 11, 10 ** 12, 2000).tolist(),
+                    rng.integers(-290, 300, 2000).tolist(), rng.integers(0, 2, 2000).tolist())
+        block = np.array([near_tie_values(m, e, negative) for m, e, negative in draws])
+        assert format_g12(block) == percent_g12(block)
+        monkeypatch.setattr(csvformat, "_TIE_MARGIN", 1e-4)
+        assert format_g12(block) != percent_g12(block)
 
     def test_decade_guess_brackets_every_binade(self):
         # E0 <= floor(log10 |x|) <= E0 + 1 at both ends of every normal
@@ -1484,15 +1520,16 @@ class TestGridAlignment:
 
 def loop_tables():
     """csvformat's lookup tables built one entry at a time from decimal
-    and byte strings: the reference for the array construction.  The head,
-    group codes and exponent mask of each template come from the %.12g text
-    of a value with that template."""
+    and byte strings: the reference for the array construction.  The head
+    and group codes of each template come from the %.12g text of a value
+    with that template; only the d.ddde+XX decades have exponent text."""
     es = range(csvformat._EXP_MIN, 1 - csvformat._EXP_MIN)
     decade = np.array([(Decimal(2) ** (b - 1023)).adjusted() - csvformat._EXP_MIN
                        for b in range(2048)], dtype=np.intp)
     scale = np.array([float(Decimal(10) ** (11 - e)) for e in es])
     layouts = np.array([12 * (e + 4 if -4 <= e < 12 else 16) for e in es], dtype=np.intp)
-    exps = np.frombuffer(b"".join((b"e%+03d" % e).ljust(8, b"\0") for e in es), dtype="<u8")
+    exps = np.frombuffer(b"".join((b"e%+03d" % e if e < -4 or e >= 12 else b"").ljust(8, b"\0")
+                                  for e in es), dtype="<u8")
     ends = np.array([[3 * place + len((b"%03d" % g).rstrip(b"0")) - 1 if g else 0
                       for g in range(1000)] for place in range(4)], dtype=np.intp)
 
@@ -1504,13 +1541,13 @@ def loop_tables():
                           dtype="<u4")
 
     digits = "123456789123"
-    heads, codes, masks = [], [[], [], [], []], []
+    heads, codes = [], [[], [], [], []]
     for sign in ("", "-"):
         for layout in range(18):
             for end in range(12):
                 e = layout - 4 if layout < 16 else 20
                 text = sign + "0" if layout == 17 else "%.12g" % float(f"{sign}{digits[:end + 1]}e{e - end}")
-                mantissa, exponent, _ = text.partition("e")
+                mantissa = text.partition("e")[0]
                 head = re.match(r"-?(0\.0*|0$)?", mantissa).group()
                 groups = [b"", b"", b"", b""]
                 count = 0
@@ -1521,17 +1558,15 @@ def loop_tables():
                         groups[count // 3] += bytes([char])
                         count += 1
                 heads.append(head.encode().ljust(8, b"\0"))
-                masks.append(-1 if exponent else 0)
                 for place, group in enumerate(groups):
                     point = group.index(b".") if b"." in group else 0
                     codes[place].append(1000 * (4 * point + len(group.replace(b".", b""))))
     heads = np.frombuffer(b"".join(heads), dtype="<u8")
-    masks = np.array(masks, dtype=np.int64).view("<u8")
-    return decade, scale, layouts, exps, ends, heads, np.array(codes, dtype=np.intp), masks, slots
+    return decade, scale, layouts, exps, ends, heads, np.array(codes, dtype=np.intp), slots
 
 
 def test_tables_match_the_loop_construction():
-    names = ("decade", "scale", "layouts", "exps", "ends", "heads", "codes", "masks", "slots")
+    names = ("decade", "scale", "layouts", "exps", "ends", "heads", "codes", "slots")
     for name, got, want in zip(names, csvformat._tables(), loop_tables(), strict=True):
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name

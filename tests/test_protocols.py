@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dacsim.engine import integrate, simulate_protocol
 from dacsim.graphs import build_digraph, laplacian, topology_preset
@@ -14,6 +16,7 @@ from dacsim.protocols import (
     dc3_rhs,
 )
 from dacsim.signals import InputSet, make_signal, preset_scenario
+from dacsim.switching import SwitchingSchedule
 from conftest import random_balanced_strongly_connected, ring_run, two_node_pair
 from oracles import stage1_commands
 
@@ -231,6 +234,64 @@ class TestTrajectoryProperties:
         d3 = rhs_at(dc3_rhs, st, 0.0, g, inputs,
                     params(alpha=alpha, beta=0.9, theta=theta, psi=math.cos))
         assert max(np.abs(part).max() for part in d3) <= 1e-12
+
+
+class TestInputPrivacy:
+    """dc1 "preserves the privacy of the local input of each agent" (Kia,
+    Cortes & Martinez, arXiv:1401.6463): runs whose inputs differ can send
+    the same x.  Shift agent i's input by a + b e^{-alpha t} and its v(0)
+    by alpha a: du_i + alpha u_i gains -alpha b e^{-alpha t} + alpha a +
+    alpha b e^{-alpha t} = alpha a, which the shifted v_i cancels, and
+    dv = alpha beta L x never reads u.  So x is unchanged while avg(u)
+    moves by (a + b e^{-alpha t}) / n."""
+
+    @staticmethod
+    def runs(seed, agent, a, b, rate, switching):
+        """The unshifted and the shifted dc1 run of a drawn balanced,
+        strongly connected digraph (or schedule of three), the shift's
+        exponential decaying at ``rate`` times alpha, and alpha."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 8))
+        i = agent % n
+        if switching:
+            topology = SwitchingSchedule(
+                graphs=tuple(random_balanced_strongly_connected(rng, n) for _ in range(3)),
+                period=1.5, segments=((0.0, 0), (0.5, 1), (1.0, 2)))
+        else:
+            topology = random_balanced_strongly_connected(rng, n)
+        p = params(*(float(v) for v in rng.uniform(0.5, 3.0, 2)))
+        terms = [[make_signal("sine", amplitude=float(rng.uniform(0.1, 3.0)),
+                              frequency=float(rng.uniform(0.1, 2.0))),
+                  make_signal("constant", value=float(rng.uniform(-2.0, 2.0)))] for _ in range(n)]
+        x0, v0 = rng.uniform(-3.0, 3.0, (2, n))
+        shifted_terms = list(terms)
+        shifted_terms[i] = terms[i] + [
+            make_signal("constant", value=a),
+            make_signal("exponential-decay", coefficient=b, rate=rate * p.alpha)]
+        shifted_v0 = v0.copy()
+        shifted_v0[i] += p.alpha * a
+
+        def run(inputs, v_start):
+            signals = tuple(make_signal("sum-of-terms", terms=t) for t in inputs)
+            return simulate_protocol("dc1", topology, InputSet(signals=signals), p,
+                                     AgentState(x=x0, v=v_start), h=0.01, T=4.0)
+
+        return run(terms, v0), run(shifted_terms, shifted_v0), p.alpha
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 6), st.floats(-10.0, 10.0),
+           st.floats(0.5, 10.0), st.booleans(), st.booleans())
+    def test_shifted_input_sends_the_same_x(self, seed, agent, a, b, negative, switching):
+        b = -b if negative else b
+        base, shifted, alpha = self.runs(seed, agent, a, b, 1.0, switching)
+        # measured up to 5.1e-15 over 200 draws
+        assert np.abs(shifted.x - base.x).max() <= 1e-13
+        moved = (a + b * np.exp(-alpha * base.times)) / base.n
+        assert np.abs(shifted.avg_u - base.avg_u - moved).max() <= 1e-13
+        # negative control: b e^{-2 alpha t} is not cancelled; over 200
+        # draws it moved x by at least 0.052 |b|
+        base, shifted, _ = self.runs(seed, agent, a, b, 2.0, switching)
+        assert np.abs(shifted.x - base.x).max() >= 1e-3 * abs(b)
 
 
 class TestScalarSaturatedTracking:
