@@ -18,22 +18,34 @@ Bytes a cell does not use are NUL, and dropping them leaves ``%``'s text.
 It is a module of its own, imported by the CSV writer on its first call
 and by ``svgplot``, which only a ``--svg`` run imports: compiled as part of
 ``engine`` at import, it raised the peak memory of a whole run by 0.5 MB.
+It also holds the writer's ``BlockHelper``, a forked process that formats
+every other block of a long table, so that its compile is not part of the
+set-up of every run either.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import sys
 
 import numpy as np
 
-__all__ = ["format_g12"]
+__all__ = ["format_g12", "helper_allowed", "BlockHelper"]
 
 
 _EXP_MIN = -330  # decades _EXP_MIN..-_EXP_MIN have scale, layout and exponent entries
 # s = |x| 10^(11 - E) < 2^40 lies within 2^-53 1e12 (the rounded scale) +
 # 2^-14 (half an ulp of s) = 1.72e-4 of the exact product
 _TIE_MARGIN = 2e-4
+# a table of fewer blocks is written by one process: fork, reap and
+# OpenBLAS's at-fork pool shutdown took 2.8-3.5 ms in a discrete_wide-sized
+# process, against about 0.7 ms a block, and two processes first wrote
+# faster at 14 blocks
+FORK_BLOCKS = 16
+# bytes of the helper's pipe: room to run a few blocks ahead of the parent
+PIPE_BYTES = 2 ** 20
 
 
 def _slot_map(code):
@@ -192,3 +204,78 @@ def format_g12(block: np.ndarray) -> bytes:
         text = b"".join(("%.12g" % v).encode().ljust(31, b"\0") for v in x[slow].tolist())
         words.view(np.uint8).reshape(n, 32)[slow, :31] = np.frombuffer(text, dtype=np.uint8).reshape(slow.size, -1)
     return words.tobytes().translate(None, b"\0")
+
+
+def helper_allowed(blocks):
+    """Whether ``engine.write_trajectory_csv`` forks a BlockHelper for a
+    table of ``blocks`` blocks: a table of FORK_BLOCKS or more, on a
+    platform with os.fork and os.splice, where this process may run on two
+    CPUs and is not a worker of a multiprocessing pool, as ``dacsim
+    batch``'s are, whose workers already keep the CPUs busy.  Python 3.12
+    and later deprecate fork in a process with more than one thread, which
+    a run is once OpenBLAS has started its pool, so those versions keep one
+    process."""
+    pool = sys.modules.get("multiprocessing")  # imported by every pool worker
+    return (blocks >= FORK_BLOCKS and sys.version_info < (3, 12)
+            and hasattr(os, "fork") and hasattr(os, "splice")
+            and len(os.sched_getaffinity(0)) > 1
+            and (pool is None or pool.parent_process() is None))
+
+
+class BlockHelper:
+    """A forked process that formats the blocks at ``starts`` with ``text``
+    and writes each to a pipe behind its 8-byte length, for the parent to
+    move into its file in turn.  The helper runs only element-wise numpy
+    and os calls, no BLAS or LAPACK, and leaves by os._exit alone: it runs
+    no exit handler and flushes no buffer it shares with the parent."""
+
+    def __init__(self, text, starts):
+        import fcntl  # not on every platform; only a long table needs it
+
+        self.pipe, end = os.pipe()
+        try:
+            # room for the helper to run blocks ahead of the parent
+            fcntl.fcntl(self.pipe, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+        except OSError:  # over the user's pipe quota: the pipe keeps its size
+            pass
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(self.pipe)
+            os.close(end)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(self.pipe)
+                with open(end, "wb") as out:
+                    for a in starts:
+                        data = text(a)
+                        out.write(len(data).to_bytes(8, "little"))
+                        out.write(data)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(end)
+
+    def splice_to(self, fd):
+        """Move the helper's next block into ``fd`` by os.splice: its bytes
+        never enter this process's memory."""
+        head = os.read(self.pipe, 8)
+        size = int.from_bytes(head, "little") if len(head) == 8 else -1
+        while size > 0:
+            moved = os.splice(self.pipe, fd, size)
+            size = size - moved if moved else -1
+        if size < 0:
+            raise OSError(self.close() or "the CSV writer's helper process ended early")
+
+    def close(self):
+        """Close the pipe, which ends a helper still writing to it, and reap
+        the helper: None, or how it failed."""
+        if self.pid is None:
+            return None
+        os.close(self.pipe)
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = None
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        return f"the CSV writer's helper process {how}" if code else None

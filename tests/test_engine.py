@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -1221,23 +1222,124 @@ def per_cell_csv(traj, curves):
     return "\n".join(lines) + "\n"
 
 
+def special_table(rows):
+    """A dcdisc-shaped table of 17 columns with the special values in x:
+    signed zeros and infinities, nan, 1e+-300 and a 12-digit integer."""
+    rng = np.random.default_rng(3)
+    special = np.array([-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, np.inf, np.nan, -np.inf,
+                        0.1, 123456789012.0])
+    x = rng.normal(0.0, 1e3, (rows, 3))
+    x[:special.size, 0] = special
+    x[-special.size:, 2] = special[::-1]
+    traj = Trajectory(times=np.arange(rows) * 0.01, x=x, v=rng.normal(size=(rows, 3)),
+                      z=rng.normal(size=(rows, 3)), avg_u=rng.normal(size=rows),
+                      protocol="dcdisc", k_index=np.arange(rows))
+    curves = {"bound_ultimate": BoundCurve(values=np.full(rows, 1e-300)),
+              "bound_s": BoundCurve(values=np.abs(rng.normal(size=rows)))}
+    return traj, curves
+
+
 class TestBlockwiseCsv:
     def test_matches_per_cell_formatting(self, tmp_path):
-        from dacsim.bounds import BoundCurve
-        rng = np.random.default_rng(3)
-        rows = 4999
-        special = np.array([-0.0, 1e-300, 1e300, np.inf, np.nan, -np.inf, 0.1, 123456789012.0])
-        x = rng.normal(0.0, 1e3, (rows, 3))
-        x[:special.size, 0] = special
-        x[-special.size:, 2] = special[::-1]
-        traj = Trajectory(times=np.arange(rows) * 0.01, x=x, v=rng.normal(size=(rows, 3)),
-                          z=rng.normal(size=(rows, 3)), avg_u=rng.normal(size=rows),
-                          protocol="dcdisc", k_index=np.arange(rows))
-        curves = {"bound_ultimate": BoundCurve(values=np.full(rows, 1e-300)),
-                  "bound_s": BoundCurve(values=np.abs(rng.normal(size=rows)))}
+        traj, curves = special_table(4999)
         path = tmp_path / "w.csv"
         write_trajectory_csv(path, traj, curves)
         assert path.read_text() == per_cell_csv(traj, curves)  # 4999 rows: eleven blocks
+
+    @pytest.mark.parametrize("blocks", [csvformat.FORK_BLOCKS - 1, csvformat.FORK_BLOCKS,
+                                        csvformat.FORK_BLOCKS + 1])
+    def test_two_processes_match_per_cell_formatting(self, blocks, tmp_path, monkeypatch):
+        # 17 columns; the last block is short.  Around the fork threshold,
+        # with the helper's blocks odd in number and even
+        traj, curves = special_table((blocks - 1) * (dacsim.engine.CSV_CELLS // 17) + 100)
+        helper = csvformat.helper_allowed(blocks)
+        assert helper == (blocks >= csvformat.FORK_BLOCKS
+                          and csvformat.helper_allowed(csvformat.FORK_BLOCKS))
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        write_trajectory_csv(tmp_path / "two.csv", traj, curves)
+        text = (tmp_path / "two.csv").read_bytes()
+        assert text.decode() == per_cell_csv(traj, curves)
+        assert len(forks) == helper
+        monkeypatch.delattr(os, "fork")  # the one-process path
+        write_trajectory_csv(tmp_path / "one.csv", traj, curves)
+        assert (tmp_path / "one.csv").read_bytes() == text
+        assert len(forks) == helper
+
+    def test_pool_workers_write_in_one_process(self, monkeypatch):
+        import multiprocessing
+
+        allowed = csvformat.helper_allowed(10 ** 6)
+        monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+        assert not csvformat.helper_allowed(10 ** 6)
+        monkeypatch.delitem(sys.modules, "multiprocessing")
+        assert csvformat.helper_allowed(10 ** 6) == allowed
+
+    @pytest.mark.parametrize("failure, reported", [
+        ("raises", "exited with status 1"), ("killed", "was killed by signal 9"),
+        ("ends early", "ended early"), ("fails at its exit", "exited with status 3")])
+    def test_helper_failure_is_an_io_error(self, failure, reported, tmp_path, monkeypatch,
+                                           capfd):
+        # static.json writes 79 blocks; the helper formats the odd ones
+        if not csvformat.helper_allowed(79):
+            pytest.skip("this platform writes in one process")
+        parent = os.getpid()
+        format_g12, exit = csvformat.format_g12, os._exit
+
+        def failing(block):
+            if os.getpid() != parent:
+                if failure == "raises":
+                    raise RuntimeError("a fault in the helper")
+                if failure == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                if failure == "ends early":
+                    exit(0)
+            return format_g12(block)
+
+        monkeypatch.setattr(csvformat, "format_g12", failing)
+        if failure == "fails at its exit":  # after sending every block
+            monkeypatch.setattr(os, "_exit", lambda code: exit(3))
+        code, line = dacsim.cli.execute(load_scenario(SCENARIOS / "static.json"), tmp_path,
+                                        quiet=True)
+        assert code == dacsim.cli.EXIT_IO
+        assert line == f"static: failed to write outputs: the CSV writer's helper process {reported}"
+        assert capfd.readouterr().err == ""  # no traceback from either process
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # the helper was reaped
+
+    def test_fork_failure_is_an_io_error(self, tmp_path, monkeypatch):
+        if not csvformat.helper_allowed(79):
+            pytest.skip("this platform writes in one process")
+
+        def fork():
+            raise BlockingIOError(11, "no process to spare")
+
+        monkeypatch.setattr(os, "fork", fork)
+        fds = len(os.listdir("/proc/self/fd"))
+        code, line = dacsim.cli.execute(load_scenario(SCENARIOS / "static.json"), tmp_path,
+                                        quiet=True)
+        assert code == dacsim.cli.EXIT_IO and "no process to spare" in line
+        assert len(os.listdir("/proc/self/fd")) == fds  # the pipe is closed
+
+    def test_parent_failure_reaps_the_helper(self, tmp_path, monkeypatch):
+        traj, curves = special_table(4 * csvformat.FORK_BLOCKS * (dacsim.engine.CSV_CELLS // 17))
+        if not csvformat.helper_allowed(4 * csvformat.FORK_BLOCKS):
+            pytest.skip("this platform writes in one process")
+        parent, calls = os.getpid(), []
+        format_g12 = csvformat.format_g12
+
+        def failing(block):
+            calls.append(os.getpid())
+            if calls.count(parent) == 3:
+                raise RuntimeError("a fault in the parent")
+            return format_g12(block)
+
+        monkeypatch.setattr(csvformat, "format_g12", failing)
+        with pytest.raises(RuntimeError, match="in the parent"):
+            write_trajectory_csv(tmp_path / "w.csv", traj, curves)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_fresh_process_writes_without_heap_churn(self, tmp_path):
         # A run is one fresh interpreter.  Where the writer's blocks leave
