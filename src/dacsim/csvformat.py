@@ -261,7 +261,11 @@ class BlockHelper:
     def splice_to(self, fd):
         """Move the helper's next block into ``fd`` by os.splice: its bytes
         never enter this process's memory."""
-        head = os.read(self.pipe, 8)
+        # a short last block leaves the helper's buffer in one write with
+        # its length, which a pipe may take in parts past PIPE_BUF bytes
+        head = b""
+        while len(head) < 8 and (part := os.read(self.pipe, 8 - len(head))):
+            head += part
         size = int.from_bytes(head, "little") if len(head) == 8 else -1
         while size > 0:
             moved = os.splice(self.pipe, fd, size)

@@ -1322,6 +1322,30 @@ class TestBlockwiseCsv:
         assert code == dacsim.cli.EXIT_IO and "no process to spare" in line
         assert len(os.listdir("/proc/self/fd")) == fds  # the pipe is closed
 
+    def test_a_length_split_across_reads(self, tmp_path):
+        # a short last block and its length reach the pipe in one write,
+        # which the pipe may take in parts, the first ending inside the length
+        if not hasattr(os, "splice"):
+            pytest.skip("no os.splice")
+        import threading
+
+        r, w = os.pipe()
+        helper = object.__new__(csvformat.BlockHelper)
+        helper.pipe, helper.pid = r, None
+        data = b"1,2\n" * 1000
+        head = len(data).to_bytes(8, "little")
+        os.write(w, head[:3])
+        rest = threading.Timer(0.05, os.write, (w, head[3:] + data))
+        rest.start()
+        try:
+            with open(tmp_path / "w.csv", "wb") as fh:
+                helper.splice_to(fh.fileno())
+        finally:
+            rest.join()
+            os.close(r)
+            os.close(w)
+        assert (tmp_path / "w.csv").read_bytes() == data
+
     def test_parent_failure_reaps_the_helper(self, tmp_path, monkeypatch):
         traj, curves = special_table(4 * csvformat.FORK_BLOCKS * (dacsim.engine.CSV_CELLS // 17))
         if not csvformat.helper_allowed(4 * csvformat.FORK_BLOCKS):
