@@ -234,7 +234,6 @@ class BlockHelper:
 
         self.pipe, end = os.pipe()
         try:
-            # room for the helper to run blocks ahead of the parent
             fcntl.fcntl(self.pipe, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
         except OSError:  # over the user's pipe quota: the pipe keeps its size
             pass
