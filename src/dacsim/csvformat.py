@@ -19,7 +19,7 @@ It is a module of its own, imported by the CSV writer on its first call
 and by ``svgplot``, which only a ``--svg`` run imports: compiled as part of
 ``engine`` at import, it raised the peak memory of a whole run by 0.5 MB.
 It also holds the writer's ``BlockHelper``, a forked process that formats
-every other block of a long table, so that its compile is not part of the
+the second half of a long table, so that its compile is not part of the
 set-up of every run either.
 """
 
@@ -28,7 +28,9 @@ from __future__ import annotations
 import functools
 import math
 import os
+import signal
 import sys
+import tempfile
 
 import numpy as np
 
@@ -41,11 +43,9 @@ _EXP_MIN = -330  # decades _EXP_MIN..-_EXP_MIN have scale, layout and exponent e
 _TIE_MARGIN = 2e-4
 # a table of fewer blocks is written by one process: fork, reap and
 # OpenBLAS's at-fork pool shutdown took 2.8-3.5 ms in a discrete_wide-sized
-# process, against about 0.7 ms a block, and two processes first wrote
-# faster at 14 blocks
+# process, against about 0.7 ms a block; with the table split in halves,
+# two processes wrote slower at 12 blocks and about as fast at 16 and 20
 FORK_BLOCKS = 16
-# bytes of the helper's pipe: room to run a few blocks ahead of the parent
-PIPE_BYTES = 2 ** 20
 
 
 def _slot_map(code):
@@ -209,76 +209,71 @@ def format_g12(block: np.ndarray) -> bytes:
 def helper_allowed(blocks):
     """Whether ``engine.write_trajectory_csv`` forks a BlockHelper for a
     table of ``blocks`` blocks: a table of FORK_BLOCKS or more, on a
-    platform with os.fork and os.splice, where this process may run on two
-    CPUs and is not a worker of a multiprocessing pool, as ``dacsim
-    batch``'s are, whose workers already keep the CPUs busy.  Python 3.12
-    and later deprecate fork in a process with more than one thread, which
-    a run is once OpenBLAS has started its pool, so those versions keep one
-    process."""
+    platform with os.fork and os.copy_file_range (Linux), where this
+    process may run on two CPUs and is not a worker of a multiprocessing
+    pool, as ``dacsim batch``'s are, whose workers already keep the CPUs
+    busy.  Python 3.12 and later deprecate fork in a process with more than
+    one thread, which a run is once OpenBLAS has started its pool, so those
+    versions keep one process."""
     pool = sys.modules.get("multiprocessing")  # imported by every pool worker
     return (blocks >= FORK_BLOCKS and sys.version_info < (3, 12)
-            and hasattr(os, "fork") and hasattr(os, "splice")
+            and hasattr(os, "fork") and hasattr(os, "copy_file_range")
             and len(os.sched_getaffinity(0)) > 1
             and (pool is None or pool.parent_process() is None))
 
 
 class BlockHelper:
     """A forked process that formats the blocks at ``starts`` with ``text``
-    and writes each to a pipe behind its 8-byte length, for the parent to
-    move into its file in turn.  The helper runs only element-wise numpy
-    and os calls, no BLAS or LAPACK, and leaves by os._exit alone: it runs
-    no exit handler and flushes no buffer it shares with the parent."""
+    into an unnamed file beside ``path`` and ends it with the 8-byte count
+    of the bytes before it, for the parent to append to its own file once
+    its blocks are written.  The helper runs only element-wise numpy and os
+    calls, no BLAS or LAPACK, and leaves by os._exit alone: it runs no exit
+    handler and flushes no buffer it shares with the parent."""
 
-    def __init__(self, text, starts):
-        import fcntl  # not on every platform; only a long table needs it
-
-        self.pipe, end = os.pipe()
-        try:
-            fcntl.fcntl(self.pipe, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
-        except OSError:  # over the user's pipe quota: the pipe keeps its size
-            pass
+    def __init__(self, text, starts, path):
+        # on the CSV's filesystem, so that the copy stays inside it
+        self.file = tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path)))
         try:
             self.pid = os.fork()
         except OSError:
-            os.close(self.pipe)
-            os.close(end)
+            self.file.close()
             raise
         if self.pid == 0:
             code = 1
             try:
-                os.close(self.pipe)
-                with open(end, "wb") as out:
-                    for a in starts:
-                        data = text(a)
-                        out.write(len(data).to_bytes(8, "little"))
-                        out.write(data)
+                for a in starts:
+                    self.file.write(text(a))
+                self.file.write(self.file.tell().to_bytes(8, "little"))
+                self.file.flush()
                 code = 0
             finally:
                 os._exit(code)
-        os.close(end)
 
-    def splice_to(self, fd):
-        """Move the helper's next block into ``fd`` by os.splice: its bytes
-        never enter this process's memory."""
-        # a short last block leaves the helper's buffer in one write with
-        # its length, which a pipe may take in parts past PIPE_BUF bytes
-        head = b""
-        while len(head) < 8 and (part := os.read(self.pipe, 8 - len(head))):
-            head += part
-        size = int.from_bytes(head, "little") if len(head) == 8 else -1
-        while size > 0:
-            moved = os.splice(self.pipe, fd, size)
-            size = size - moved if moved else -1
-        if size < 0:
-            raise OSError(self.close() or "the CSV writer's helper process ended early")
-
-    def close(self):
-        """Close the pipe, which ends a helper still writing to it, and reap
-        the helper: None, or how it failed."""
-        if self.pid is None:
-            return None
-        os.close(self.pipe)
+    def append_to(self, fd):
+        """Wait for the helper and append its bytes to ``fd`` by
+        os.copy_file_range: they never enter this process's memory.  Raise
+        OSError if the helper failed or its count is missing or wrong."""
         code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         self.pid = None
-        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        return f"the CSV writer's helper process {how}" if code else None
+        if code:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise OSError(f"the CSV writer's helper process {how}")
+        src = self.file.fileno()
+        size = os.fstat(src).st_size - 8
+        if size < 0 or int.from_bytes(os.pread(src, 8, size), "little") != size:
+            raise OSError("the CSV writer's helper process ended early")
+        done = 0
+        while done < size:
+            moved = os.copy_file_range(src, fd, size - done, done)
+            if not moved:
+                raise OSError("the CSV writer's helper process ended early")
+            done += moved
+
+    def close(self):
+        """Kill the helper if it still runs (this process failed before
+        append_to), reap it, and close its file."""
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        self.file.close()

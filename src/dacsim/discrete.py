@@ -124,8 +124,11 @@ class SemiConvergenceReport:
 
 def pdelta_spectrum_check(g: WeightedDigraph, alpha: float, beta: float,
                           delta: float) -> SemiConvergenceReport:
-    """Build P = I + delta A for the zero system and classify its spectrum.
+    """Classify the spectrum of P = I + delta A for the zero system.
 
+    Every block of A is a polynomial in L, so P's eigenvalues are 1 - delta
+    alpha (n times) and 1 - delta beta lambda_i(L), taken from the n x n L:
+    a solver on P splits the Jordan pair that alpha = beta lambda_i gives A.
     Moduli within 1e-9 of 1 count as on the unit circle.  The strong
     connectivity / weight balance hypotheses are reported, not enforced.
     """
@@ -136,8 +139,8 @@ def pdelta_spectrum_check(g: WeightedDigraph, alpha: float, beta: float,
         violation = "digraph is not weight-balanced"
     elif not is_strongly_connected(g):
         violation = "digraph is not strongly connected"
-    p_delta = np.eye(2 * g.n) + delta * zero_system_matrix(laplacian(g), alpha, beta)
-    eig = np.linalg.eigvals(p_delta)
+    lam = np.linalg.eigvals(laplacian(g))
+    eig = 1.0 - delta * np.concatenate((np.full(g.n, alpha), beta * lam))
     moduli = np.abs(eig)
     on_circle = np.abs(moduli - 1.0) <= UNIT_CIRCLE_TOL
     others = moduli[~on_circle]

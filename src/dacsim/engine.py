@@ -796,9 +796,9 @@ def write_trajectory_csv(path, traj: Trajectory, curves=None):
 
     A table of ``csvformat.FORK_BLOCKS`` blocks or more is written by two
     processes where two CPUs are free (``csvformat.helper_allowed``): a
-    forked ``csvformat.BlockHelper`` formats the odd blocks, this process
-    the even ones, and it moves the helper's blocks from their pipe into
-    the file in order.  A helper that fails makes the write raise OSError."""
+    forked ``csvformat.BlockHelper`` formats the second half of the blocks
+    into a file that this process appends after writing the first half.  A
+    helper that fails makes the write raise OSError."""
     # imported here, not with the package: without cached bytecode its
     # compile would lengthen the set-up of every run, not only of those
     # that write a CSV
@@ -839,16 +839,14 @@ def write_trajectory_csv(path, traj: Trajectory, curves=None):
 
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        fh.flush()  # the helper's copy of fh must hold nothing to write
-        helper = BlockHelper(text, starts[1::2]) if helper_allowed(len(starts)) else None
+        half = len(starts) // 2 if helper_allowed(len(starts)) else len(starts)
+        helper = BlockHelper(text, starts[half:], path) if half < len(starts) else None
         try:
-            for i, a in enumerate(starts):
-                if helper is None or i % 2 == 0:
-                    fh.write(text(a))
-                else:
-                    fh.flush()
-                    helper.splice_to(fh.fileno())
+            for a in starts[:half]:
+                fh.write(text(a))
+            if helper:
+                fh.flush()
+                helper.append_to(fh.fileno())
         finally:
-            failure = helper and helper.close()
-        if failure:
-            raise OSError(failure)
+            if helper:
+                helper.close()

@@ -1,7 +1,8 @@
 """Independent oracles: the step-at-a-time forms that dacsim's vectorised
 kernels replaced, kept word for word so the tests can hold the kernels to
 them, and reference computations that the tests use and no run does: the
-homogeneous (zero-system) dynamics and the zero-error input-class check."""
+homogeneous (zero-system) dynamics, the one-step matrix's spectrum and the
+zero-error input-class check."""
 
 import math
 from dataclasses import dataclass
@@ -57,6 +58,18 @@ def simulate_zero_system(g, alpha, beta, y0, w0, h, T):
         s = s + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         out[m + 1] = s
     return np.arange(steps + 1) * h, out[:, :n], out[:, n:]
+
+
+def pdelta_eigenvalues(g, alpha, beta, delta):
+    """Eigenvalues of the one-step matrix P = I + delta A, built whole at
+    size 2n x 2n with A = [[-alpha I - beta L, -I], [alpha beta L, 0]] and
+    handed to the general eigensolver."""
+    weights = np.asarray(g.weights, dtype=float)
+    n = weights.shape[0]
+    lap = np.diag(weights.sum(axis=1)) - weights
+    eye = np.eye(n)
+    a = np.block([[-alpha * eye - beta * lap, -eye], [alpha * beta * lap, np.zeros((n, n))]])
+    return np.linalg.eigvals(np.eye(2 * n) + delta * a)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dacsim.cli import main
@@ -24,6 +24,7 @@ from dacsim.graphs import build_digraph, laplacian, topology_preset
 from dacsim.protocols import AlgorithmParams
 from dacsim.signals import InputSet, make_signal, preset_scenario
 from conftest import random_balanced_strongly_connected, two_node_pair
+from oracles import pdelta_eigenvalues
 
 
 def constants(values):
@@ -183,6 +184,35 @@ class TestPdeltaSpectrum:
                                          rng.uniform(0.05, 0.9) * bound).semi_convergent
             for factor in (2.0, 3.5):   # anywhere at or past twice the bound
                 assert not pdelta_spectrum_check(g, alpha, beta, factor * bound).semi_convergent
+
+    def test_jordan_pair_semi_convergent(self):
+        # alpha = beta lambda for lambda = 2 of fig1a's L gives A a Jordan
+        # pair at -2, which the 2n x 2n eigensolver splits past the circle
+        # (1.0000000204); the exact moduli but the structural 1 are at most
+        # |1 - delta (1 + sqrt(3) i) / 2| = 1 - 1.25e-9
+        rep = pdelta_spectrum_check(topology_preset("fig1a"), 2.0, 1.0, 1.0 - 2.5e-9)
+        assert rep.semi_convergent
+        assert rep.unit_eigenvalue_count == 1
+        assert abs(rep.max_other_modulus - (1.0 - 1.25e-9)) <= 1e-13
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 9), st.floats(0.3, 3.0),
+           st.floats(0.3, 3.0), st.floats(0.05, 3.5))
+    def test_closed_form_matches_the_whole_matrix(self, seed, n, alpha, beta, fraction):
+        g = random_balanced_strongly_connected(np.random.default_rng(seed), n)
+        lam = np.linalg.eigvals(laplacian(g))
+        assume(np.abs(alpha - beta * lam).min() >= 0.05 * alpha)  # no Jordan pair
+        delta = fraction * max_stepsize(alpha, beta, float(g.out_degrees.max()))
+        rep = pdelta_spectrum_check(g, alpha, beta, delta)
+        full = pdelta_eigenvalues(g, alpha, beta, delta)
+        gap = np.abs(rep.eigenvalues[:, None] - full[None, :])
+        assert gap.min(axis=1).max() <= 1e-9 and gap.min(axis=0).max() <= 1e-9
+        moduli = np.sort(np.abs(full))
+        assert np.abs(np.sort(np.abs(rep.eigenvalues)) - moduli).max() <= 1e-9
+        # the whole matrix's verdict, where no other modulus is near the circle
+        others = np.delete(moduli, np.abs(moduli - 1.0).argmin())
+        if np.abs(others - 1.0).min() > 1e-6:
+            assert rep.semi_convergent == (others.max() < 1.0)
 
 
 class TestTrajectories:

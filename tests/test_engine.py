@@ -5,6 +5,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from decimal import Decimal
 from functools import partial
@@ -583,7 +584,7 @@ class TestAffinePath:
         assert lines[0].startswith("t,x1") and 2 < len(lines) < 42
         with pytest.raises(DivergenceError) as err:
             run_scenario(load_scenario(path))
-        assert text == per_cell_csv(err.value.partial, {})  # its last row is past 1e12
+        assert_same_text(text, per_cell_csv(err.value.partial, {}))  # its last row is past 1e12
 
     def test_closure_path_takes_the_pieces_of_the_affine_path(self):
         # fmod(0.42, 0.37) = 0.04999999999999999, so graph_at puts the step
@@ -1222,6 +1223,19 @@ def per_cell_csv(traj, curves):
     return "\n".join(lines) + "\n"
 
 
+def assert_same_text(got, expected):
+    """Fail unless two CSV texts (str or bytes) are byte for byte equal,
+    naming their lengths and their first differing line: pytest's own diff
+    of texts of a few MB runs for minutes."""
+    got, expected = (t.encode() if isinstance(t, str) else t for t in (got, expected))
+    if got != expected:
+        a, b = got.split(b"\n"), expected.split(b"\n")
+        line = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        pytest.fail(f"{len(got)} bytes, {len(expected)} expected; line {line + 1} reads "
+                    f"{a[line][:200] if line < len(a) else 'nothing'!r}, expected "
+                    f"{b[line][:200] if line < len(b) else 'nothing'!r}", pytrace=False)
+
+
 def special_table(rows):
     """A dcdisc-shaped table of 17 columns with the special values in x:
     signed zeros and infinities, nan, 1e+-300 and a 12-digit integer."""
@@ -1244,7 +1258,7 @@ class TestBlockwiseCsv:
         traj, curves = special_table(4999)
         path = tmp_path / "w.csv"
         write_trajectory_csv(path, traj, curves)
-        assert path.read_text() == per_cell_csv(traj, curves)  # 4999 rows: eleven blocks
+        assert_same_text(path.read_bytes(), per_cell_csv(traj, curves))  # 4999 rows: eleven blocks
 
     @pytest.mark.parametrize("blocks", [csvformat.FORK_BLOCKS - 1, csvformat.FORK_BLOCKS,
                                         csvformat.FORK_BLOCKS + 1])
@@ -1260,12 +1274,13 @@ class TestBlockwiseCsv:
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         write_trajectory_csv(tmp_path / "two.csv", traj, curves)
         text = (tmp_path / "two.csv").read_bytes()
-        assert text.decode() == per_cell_csv(traj, curves)
+        assert_same_text(text, per_cell_csv(traj, curves))
         assert len(forks) == helper
         monkeypatch.delattr(os, "fork")  # the one-process path
         write_trajectory_csv(tmp_path / "one.csv", traj, curves)
-        assert (tmp_path / "one.csv").read_bytes() == text
+        assert_same_text((tmp_path / "one.csv").read_bytes(), text)
         assert len(forks) == helper
+        assert sorted(os.listdir(tmp_path)) == ["one.csv", "two.csv"]
 
     def test_pool_workers_write_in_one_process(self, monkeypatch):
         import multiprocessing
@@ -1281,7 +1296,7 @@ class TestBlockwiseCsv:
         ("ends early", "ended early"), ("fails at its exit", "exited with status 3")])
     def test_helper_failure_is_an_io_error(self, failure, reported, tmp_path, monkeypatch,
                                            capfd):
-        # static.json writes 79 blocks; the helper formats the odd ones
+        # static.json writes 79 blocks; the helper formats the last 40
         if not csvformat.helper_allowed(79):
             pytest.skip("this platform writes in one process")
         parent = os.getpid()
@@ -1320,31 +1335,7 @@ class TestBlockwiseCsv:
         code, line = dacsim.cli.execute(load_scenario(SCENARIOS / "static.json"), tmp_path,
                                         quiet=True)
         assert code == dacsim.cli.EXIT_IO and "no process to spare" in line
-        assert len(os.listdir("/proc/self/fd")) == fds  # the pipe is closed
-
-    def test_a_length_split_across_reads(self, tmp_path):
-        # a short last block and its length reach the pipe in one write,
-        # which the pipe may take in parts, the first ending inside the length
-        if not hasattr(os, "splice"):
-            pytest.skip("no os.splice")
-        import threading
-
-        r, w = os.pipe()
-        helper = object.__new__(csvformat.BlockHelper)
-        helper.pipe, helper.pid = r, None
-        data = b"1,2\n" * 1000
-        head = len(data).to_bytes(8, "little")
-        os.write(w, head[:3])
-        rest = threading.Timer(0.05, os.write, (w, head[3:] + data))
-        rest.start()
-        try:
-            with open(tmp_path / "w.csv", "wb") as fh:
-                helper.splice_to(fh.fileno())
-        finally:
-            rest.join()
-            os.close(r)
-            os.close(w)
-        assert (tmp_path / "w.csv").read_bytes() == data
+        assert len(os.listdir("/proc/self/fd")) == fds  # the helper's file is closed
 
     def test_parent_failure_reaps_the_helper(self, tmp_path, monkeypatch):
         traj, curves = special_table(4 * csvformat.FORK_BLOCKS * (dacsim.engine.CSV_CELLS // 17))
@@ -1364,6 +1355,32 @@ class TestBlockwiseCsv:
             write_trajectory_csv(tmp_path / "w.csv", traj, curves)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_parent_failure_kills_the_helper(self, tmp_path, monkeypatch):
+        # the helper stalls 20 s on its first block; the parent fails on its
+        # own first block and ends the helper instead of waiting for it
+        traj, curves = special_table(4 * csvformat.FORK_BLOCKS * (dacsim.engine.CSV_CELLS // 17))
+        if not csvformat.helper_allowed(4 * csvformat.FORK_BLOCKS):
+            pytest.skip("this platform writes in one process")
+        parent, calls = os.getpid(), []
+        format_g12 = csvformat.format_g12
+
+        def failing(block):
+            if os.getpid() == parent:
+                raise RuntimeError("a fault in the parent")
+            calls.append(1)
+            if len(calls) == 1:
+                time.sleep(20.0)
+            return format_g12(block)
+
+        monkeypatch.setattr(csvformat, "format_g12", failing)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="in the parent"):
+            write_trajectory_csv(tmp_path / "w.csv", traj, curves)
+        assert time.monotonic() - start < 10.0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert os.listdir(tmp_path) == ["w.csv"]  # the helper's file has no name left
 
     def test_fresh_process_writes_without_heap_churn(self, tmp_path):
         # A run is one fresh interpreter.  Where the writer's blocks leave
@@ -1607,7 +1624,7 @@ class TestFormatG12:
         traj, _, curves = run_scenario(validate_scenario(raw, name=fname))
         path = tmp_path / "out.csv"
         write_trajectory_csv(path, traj, curves)
-        assert path.read_text() == per_cell_csv(traj, curves)
+        assert_same_text(path.read_bytes(), per_cell_csv(traj, curves))
 
 
 # ---------------------------------------------------------------------------

@@ -243,13 +243,15 @@ class TestInputPrivacy:
     by alpha a: du_i + alpha u_i gains -alpha b e^{-alpha t} + alpha a +
     alpha b e^{-alpha t} = alpha a, which the shifted v_i cancels, and
     dv = alpha beta L x never reads u.  So x is unchanged while avg(u)
-    moves by (a + b e^{-alpha t}) / n."""
+    moves by (a + b e^{-alpha t}) / n.  dc2 runs the same core on z, which
+    is what it sends, so the same shift leaves z unchanged."""
 
     @staticmethod
-    def runs(seed, agent, a, b, rate, switching):
-        """The unshifted and the shifted dc1 run of a drawn balanced,
-        strongly connected digraph (or schedule of three), the shift's
-        exponential decaying at ``rate`` times alpha, and alpha."""
+    def runs(seed, agent, a, b, rate, switching, protocol="dc1"):
+        """The unshifted and the shifted run of ``protocol`` on a drawn
+        balanced, strongly connected digraph (or schedule of three), the
+        shift's exponential decaying at ``rate`` times alpha, and alpha.
+        dc2 also draws a constant theta and z(0)."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 8))
         i = agent % n
@@ -259,11 +261,15 @@ class TestInputPrivacy:
                 period=1.5, segments=((0.0, 0), (0.5, 1), (1.0, 2)))
         else:
             topology = random_balanced_strongly_connected(rng, n)
-        p = params(*(float(v) for v in rng.uniform(0.5, 3.0, 2)))
+        alpha, beta = (float(v) for v in rng.uniform(0.5, 3.0, 2))
         terms = [[make_signal("sine", amplitude=float(rng.uniform(0.1, 3.0)),
                               frequency=float(rng.uniform(0.1, 2.0))),
                   make_signal("constant", value=float(rng.uniform(-2.0, 2.0)))] for _ in range(n)]
         x0, v0 = rng.uniform(-3.0, 3.0, (2, n))
+        p, z0 = params(alpha, beta), None
+        if protocol == "dc2":
+            p = params(alpha, beta, theta=ThetaGain.constant(rng.uniform(0.5, 3.0, n)))
+            z0 = rng.uniform(-3.0, 3.0, n)
         shifted_terms = list(terms)
         shifted_terms[i] = terms[i] + [
             make_signal("constant", value=a),
@@ -273,25 +279,82 @@ class TestInputPrivacy:
 
         def run(inputs, v_start):
             signals = tuple(make_signal("sum-of-terms", terms=t) for t in inputs)
-            return simulate_protocol("dc1", topology, InputSet(signals=signals), p,
-                                     AgentState(x=x0, v=v_start), h=0.01, T=4.0)
+            return simulate_protocol(protocol, topology, InputSet(signals=signals), p,
+                                     AgentState(x=x0, v=v_start, z=z0), h=0.01, T=4.0)
 
         return run(terms, v0), run(shifted_terms, shifted_v0), p.alpha
+
+    def check(self, protocol, sent, seed, agent, a, b, switching):
+        """The shifted run's transmissions ``sent`` ("x" or "z") equal the
+        unshifted run's while avg(u) moves, and a b e^{-2 alpha t} shift,
+        which v does not cancel, moves them by over 1e-3 |b|."""
+        base, shifted, alpha = self.runs(seed, agent, a, b, 1.0, switching, protocol)
+        assert np.abs(getattr(shifted, sent) - getattr(base, sent)).max() <= 1e-13
+        moved = (a + b * np.exp(-alpha * base.times)) / base.n
+        assert np.abs(shifted.avg_u - base.avg_u - moved).max() <= 1e-13
+        base, shifted, _ = self.runs(seed, agent, a, b, 2.0, switching, protocol)
+        assert np.abs(getattr(shifted, sent) - getattr(base, sent)).max() >= 1e-3 * abs(b)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 6), st.floats(-10.0, 10.0),
            st.floats(0.5, 10.0), st.booleans(), st.booleans())
     def test_shifted_input_sends_the_same_x(self, seed, agent, a, b, negative, switching):
-        b = -b if negative else b
-        base, shifted, alpha = self.runs(seed, agent, a, b, 1.0, switching)
-        # measured up to 5.1e-15 over 200 draws
-        assert np.abs(shifted.x - base.x).max() <= 1e-13
-        moved = (a + b * np.exp(-alpha * base.times)) / base.n
-        assert np.abs(shifted.avg_u - base.avg_u - moved).max() <= 1e-13
-        # negative control: b e^{-2 alpha t} is not cancelled; over 200
-        # draws it moved x by at least 0.052 |b|
-        base, shifted, _ = self.runs(seed, agent, a, b, 2.0, switching)
-        assert np.abs(shifted.x - base.x).max() >= 1e-3 * abs(b)
+        # over 200 draws: x up to 5.1e-15 apart; the control moved x by at
+        # least 0.052 |b|
+        self.check("dc1", "x", seed, agent, a, -b if negative else b, switching)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 6), st.floats(-10.0, 10.0),
+           st.floats(0.5, 10.0), st.booleans(), st.booleans())
+    def test_dc2_shifted_input_sends_the_same_z(self, seed, agent, a, b, negative, switching):
+        # over 200 draws: z up to 6.0e-15 apart; the control moved z by at
+        # least 0.068 |b|
+        self.check("dc2", "z", seed, agent, a, -b if negative else b, switching)
+
+
+class TestExternalPrivacy:
+    """dc3 keeps "the final agreement value" private "from ... external
+    adversaries" (arXiv:1401.6463): an eavesdropper who hears every message
+    z + psi(t), and knows the protocol, the digraph and the gains but not
+    the common mask psi, cannot tell runs apart whose agreement values
+    differ.  Shift every input, x(0) and z(0) by c and psi by -c: L has zero
+    row sums, so L (z + psi) and z - u are unchanged, z and x move by c at
+    every t, and the messages z + psi stay the same."""
+
+    @staticmethod
+    def run(seed, c, mask_shift):
+        """A dc3 run on a drawn balanced, strongly connected digraph with
+        drawn constant theta, sine-plus-constant inputs and the mask
+        psi(t) = m0 + m1 sin(w t); with c != 0, every input, x(0) and z(0)
+        moved by c and psi by mask_shift."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 8))
+        topology = random_balanced_strongly_connected(rng, n)
+        alpha, beta = (float(v) for v in rng.uniform(0.5, 3.0, 2))
+        m0, m1, w = (float(v) for v in rng.uniform(0.5, 5.0, 3))
+        p = params(alpha, beta, theta=ThetaGain.constant(rng.uniform(0.5, 3.0, n)),
+                   psi=lambda t: m0 + m1 * np.sin(w * np.asarray(t)) + mask_shift)
+        signals = tuple(make_signal("sum-of-terms", terms=[
+            make_signal("sine", amplitude=float(rng.uniform(0.1, 3.0)),
+                        frequency=float(rng.uniform(0.1, 2.0))),
+            make_signal("constant", value=float(rng.uniform(-2.0, 2.0)) + c)]) for _ in range(n))
+        x0, v0, z0 = rng.uniform(-3.0, 3.0, (3, n))
+        return simulate_protocol("dc3", topology, InputSet(signals=signals), p,
+                                 AgentState(x=x0 + c, v=v0, z=z0 + c), h=0.01, T=4.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(0.5, 10.0), st.booleans())
+    def test_shifted_run_sends_the_same_messages(self, seed, c, negative):
+        c = -c if negative else c
+        base, shifted = self.run(seed, 0.0, 0.0), self.run(seed, c, -c)
+        # over 200 draws, |c| <= 10: messages up to 1.2e-14 apart, x - c
+        # up to 2.0e-14 and the final mean of z up to 5.3e-15 off
+        assert np.abs(shifted.messages_sample - base.messages_sample).max() <= 1e-13
+        assert np.abs(shifted.x - base.x - c).max() <= 1e-13
+        assert abs(shifted.z[-1].mean() - base.z[-1].mean() - c) <= 1e-13
+        # negative control: a mask moved by -c/2 leaves the messages c/2 off
+        sent = self.run(seed, c, -c / 2.0).messages_sample - base.messages_sample
+        assert np.abs(sent - c / 2.0).max() <= 1e-13
 
 
 class TestScalarSaturatedTracking:
