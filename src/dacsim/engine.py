@@ -21,7 +21,7 @@ import numpy as np
 from . import bounds as bnd
 from .discrete import dcdisc_system, max_stepsize, zero_system_matrix
 from .graphs import BALANCE_TOL, WeightedDigraph, laplacian, symmetric_spectrum
-# dc2_rhs is bound here with the others, though no run calls it, for perfbench's tracer
+# dc2_rhs and dc3_rhs, which no run calls, stay bound here for perfbench's tracer
 from .protocols import Z_STATE_PROTOCOLS, AgentState, AlgorithmParams, dc1_rhs, dc2_rhs, dc3_rhs
 from .signals import InputSet, pi_norms, pi_udot_series, sampled_gamma
 from .switching import SwitchingSchedule
@@ -84,8 +84,8 @@ class DivergenceError(RuntimeError):
 class Trajectory:
     """Uniformly sampled run: states per stored time, and for masked runs the
     transmitted payloads.  x, v and z are column views of the run's state
-    buffer, x one of its own for dc2 and dc2_sat; dcdisc steps (x, v) and
-    derives z = x - u per block.
+    buffer, x one of its own for dc2, dc2_sat and dc3; dcdisc steps (x, v)
+    and derives z = x - u per block.
     ``avg_u`` and ``pi_udot`` (||Pi_N u_dot||, None for dcdisc) are the
     input statistics at the stored times, taken from the samples the run
     stepped on."""
@@ -353,20 +353,21 @@ def simulate_protocol(protocol: str, topology, inputs: InputSet, p: AlgorithmPar
     """Run one continuous protocol through ``_block_run`` and package the
     stored grid.  A block evaluates the inputs once on its half-step grid
     and reads avg_u and ||Pi_N u_dot|| off the stored times' samples.  dc1,
-    and the information phase (z, v) of dc2 and dc2_sat, which is dc1 on
-    (z, v), are affine: a block writes c_j = Q0 f_j + Qh f_{j+1/2} + Q1 f_{j+1},
-    f = du + alpha u, into its rows.  dc2 and dc2_sat then step x per agent
-    (``_motion``) up to the block's first (z, v) row past the limit, and
-    check theta's bounds only at the steps before the first bad row of
-    (z, v) or x.  dc1_sat and dc3 RK4-step each row with the digraph's
-    ``dc*_rhs`` closure and check it.  So on either path a ThetaGain that
+    and the information phase (z, v) of dc2, dc2_sat and dc3, which is dc1
+    on (z, v), are affine: a block writes c_j = Q0 f_j + Qh f_{j+1/2} + Q1 f_{j+1},
+    f = du + alpha u, into its rows.  dc3's common mask cancels, L (z + psi) =
+    L z, so only its messages read psi (``_package``).  The three then step
+    x per agent (``_motion``) up to the block's first (z, v) row past the
+    limit, and check theta's bounds only at the steps before the first bad
+    row of (z, v) or x.  dc1_sat RK4-steps each row with the digraph's
+    ``dc1_rhs`` closure and checks it.  So on either path a ThetaGain that
     leaves its bounds later in the block cannot pre-empt a divergence."""
     n = state0.n
     if protocol not in ("dc1", "dc1_sat", "dc2", "dc2_sat", "dc3"):
         raise ValueError(f"unknown continuous protocol {protocol!r}")
-    if protocol in Z_STATE_PROTOCOLS and state0.z is None:
+    motion = protocol in Z_STATE_PROTOCOLS
+    if motion and state0.z is None:
         raise ValueError(f"protocol {protocol} needs an initial z state")
-    motion = protocol in ("dc2", "dc2_sat")
     limits = p.sat_limits if protocol == "dc2_sat" else None
     if motion and (p.theta is None or protocol == "dc2_sat" and limits is None):
         raise ValueError(f"protocol {protocol} needs a theta gain and, if saturated, sat_limits")
@@ -376,11 +377,10 @@ def simulate_protocol(protocol: str, topology, inputs: InputSet, p: AlgorithmPar
         check_switches_on_grid(topology, h, T)
     elif not isinstance(topology, WeightedDigraph):
         raise TypeError("topology must be a WeightedDigraph or a SwitchingSchedule")
-    # dc2 and dc2_sat step (z, v) in the buffer where dc1 steps (x, v), and
-    # x in one of its own
-    out = np.empty((times.size, 3 * n if protocol == "dc3" else 2 * n))
-    out[0] = (state0.pack() if protocol == "dc3"
-              else np.concatenate((state0.z if motion else state0.x, state0.v)))
+    # the motion protocols step (z, v) in the buffer where dc1 steps (x, v),
+    # and x in one of its own
+    out = np.empty((times.size, 2 * n))
+    out[0] = np.concatenate((state0.z if motion else state0.x, state0.v))
     avg_u, pi_udot = np.empty(times.size), np.empty(times.size)
     # the (u, du) stage samples of a block, refilled by every block: freeing
     # them before the next block's are allocated let glibc trim the top of
@@ -449,14 +449,13 @@ def simulate_protocol(protocol: str, topology, inputs: InputSet, p: AlgorithmPar
 
     def trajectory(k):
         first = out[:k, :n]
-        z = first if motion else out[:k, 2 * n:] if protocol == "dc3" else None
         return _package(protocol, p, times[:k], avg_u[:k], pi_udot=pi_udot[:k],
-                        x=xs[:k] if motion else first, v=out[:k, n:2 * n], z=z)
+                        x=xs[:k] if motion else first, v=out[:k, n:], z=first if motion else None)
 
-    def closure(lap):  # looked up at call time, so rebinding engine.dc*_rhs takes effect
-        return partial(rk4, dc3_rhs(lap, p) if protocol == "dc3" else dc1_rhs(lap, p, saturate=True))
+    def closure(lap):  # looked up at call time, so rebinding engine.dc1_rhs takes effect
+        return partial(rk4, dc1_rhs(lap, p, saturate=True))
 
-    build = closure if protocol in ("dc1_sat", "dc3") else affine
+    build = closure if protocol == "dc1_sat" else affine
     pieces = ([(round(a / h), round(b / h), idx) for a, b, idx in topology.segments_in(T)]
               if switching else [(0, times.size - 1, 0)])
     try:

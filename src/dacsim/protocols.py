@@ -7,7 +7,7 @@ toward its own input while a Laplacian feedback pulls neighbors together:
 * dc2 -- adds a per-agent first-order motion filter with gain theta^i(t),
   states (x, v, z), so each agent picks its own approach rate;
 * dc3 -- dc2 communicating masked values z + psi(t); the common mask cancels
-  through the zero-row-sum Laplacian and leaves the dynamics untouched.
+  through the zero-row-sum Laplacian, so a run steps dc2's dynamics.
 
 Saturated variants clamp the applied velocity command: for dc2 only the
 motion command is clamped (the information phase runs free); for dc1 the
@@ -16,7 +16,7 @@ degraded behavior the saturated comparison runs expose.
 
 Input derivatives always come from the signal model, never from
 differentiating the trajectory.  The ``*_rhs`` factories return flat-vector
-closures for the RK4 stages.
+closures: a dc1_sat run RK4-steps dc1_rhs, and tests step all three.
 """
 
 from __future__ import annotations
@@ -228,5 +228,5 @@ def dc2_rhs(lap: np.ndarray, p: AlgorithmParams, saturate: bool = False,
 
 
 def dc3_rhs(lap: np.ndarray, p: AlgorithmParams):
-    """dc2 dynamics computed from the masked transmissions z + psi(t)."""
+    """dc2 dynamics from the messages z + psi(t), rounded as on the wire."""
     return dc2_rhs(lap, p, saturate=False, psi=p.psi if p.psi is not None else (lambda t: 0.0))

@@ -320,11 +320,11 @@ SEAM_STEPS = (1, SWEEP_SUBSTEPS - 1, SWEEP_SUBSTEPS, SWEEP_SUBSTEPS + 1,
 
 
 class TestFusedStep:
-    """simulate_discrete steps (z, v) in sub-blocks of SWEEP_SUBSTEPS rows
-    from anchors that follow one another through N_s = P^s - I.  The
-    literal update is its oracle across the sub-block and chunk seams: to
-    1e-12 of the state below the stepsize bound, and past it both must
-    diverge at the same row."""
+    """simulate_discrete steps (x, v), x = z + u, in sub-blocks of
+    SWEEP_SUBSTEPS rows from anchors that follow one another through
+    N_s = P^s - I.  The literal update of (z, v) is its oracle across the
+    sub-block and chunk seams: to 1e-12 of the state below the stepsize
+    bound, and past it both must diverge at the same row."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12),

@@ -55,6 +55,7 @@ from dacsim.protocols import (
     ThetaGain,
     dc1_rhs,
     dc2_rhs,
+    dc3_rhs,
 )
 from dacsim.signals import (
     InputSet,
@@ -362,14 +363,17 @@ class TestSwitchingIntegration:
 # ---------------------------------------------------------------------------
 
 def closure_run(protocol, topology, inputs, p, y0, h, T, clips=None):
-    """The RK4 closure path from the public pieces: dc1_rhs/dc2_rhs
-    integrated by ``integrate``, each stage fed ``InputSet.eval_all`` at its
-    own time, so it shares no input sampling with the run.  For dc2_sat a
-    ``clips`` list gets, stage by stage, which agents' x commands pass
-    their limits."""
+    """The RK4 closure path from the public pieces: dc1_rhs, dc2_rhs or
+    dc3_rhs integrated by ``integrate``, each stage fed ``InputSet.eval_all``
+    at its own time, so it shares no input sampling with the run.  dc3_rhs
+    forms its Laplacian terms from the messages z + psi(t), as the wire
+    carries them.  For dc2_sat a ``clips`` list gets, stage by stage, which
+    agents' x commands pass their limits."""
     def fed(lap):
         if protocol == "dc1":
             f = dc1_rhs(lap, p)
+        elif protocol == "dc3":
+            f = dc3_rhs(lap, p)
         else:
             f = dc2_rhs(lap, p, saturate=protocol == "dc2_sat")
             free = dc2_rhs(lap, p)
@@ -589,19 +593,19 @@ class TestAffinePath:
     def test_closure_path_takes_the_pieces_of_the_affine_path(self):
         # fmod(0.42, 0.37) = 0.04999999999999999, so graph_at puts the step
         # from t = 0.42 on digraph 0, where its piece (midpoint 0.425) runs 1.
-        # dc3 with psi = 0 is dc2 on the closure path
+        # dc1_sat with limits that no command reaches is dc1 on the closure path
         rng = np.random.default_rng(5)
         graphs = tuple(random_balanced_strongly_connected(rng, 4) for _ in range(3))
         topology = SwitchingSchedule(graphs=graphs, period=0.37,
                                      segments=((0.0, 0), (0.05, 1), (0.06, 2)))
         inputs = InputSet(signals=tuple(make_signal("sine", amplitude=1.0 + i, frequency=2.0)
                                         for i in range(4)))
-        p = AlgorithmParams(1.0, 2.0, theta=ThetaGain.constant(rng.uniform(0.5, 3.0, 4)))
+        p = AlgorithmParams(1.0, 2.0, sat_limits=1e300)
         x0, v0 = rng.uniform(-3.0, 3.0, (2, 4))
-        runs = [simulate_protocol(protocol, topology, inputs, p,
-                                  AgentState(x=x0, v=v0, z=x0.copy()), h=0.01, T=3.0)
-                for protocol in ("dc2", "dc3")]
-        affine, closure = (np.hstack((r.x, r.v, r.z)) for r in runs)
+        runs = [simulate_protocol(protocol, topology, inputs, p, AgentState(x=x0, v=v0),
+                                  h=0.01, T=3.0)
+                for protocol in ("dc1", "dc1_sat")]
+        affine, closure = (np.hstack((r.x, r.v)) for r in runs)
         scale = max(1.0, float(np.abs(closure).max()))
         assert float(np.abs(affine - closure).max()) <= 1e-12 * scale
 
@@ -724,48 +728,50 @@ class TestMotionPhase:
 
     def test_divergence_from_the_motion_phase_alone(self):
         # h theta = 3, past RK4's real stability limit of 2.785: e = x - z
-        # grows by R(-3) = 1.375 a step while (z, v) stays bounded.  dc3
-        # with psi = 0 runs dc2 on the closure path
+        # grows by R(-3) = 1.375 a step while (z, v) stays bounded.  The
+        # step-at-a-time closure run diverges at the same row
         inputs = preset_scenario("case2")
-        p = AlgorithmParams(3.0, 1.0, theta=ThetaGain.constant(300.0))
+        p = AlgorithmParams(3.0, 1.0, theta=ThetaGain.constant(300.0), psi=np.sin)
         state = AgentState(x=np.ones(6), v=np.zeros(6), z=np.zeros(6))
-        errs = []
         for protocol in ("dc2", "dc3"):
-            with pytest.raises(DivergenceError) as err:
+            with pytest.raises(DivergenceError) as motion:
                 simulate_protocol(protocol, topology_preset("fig1a"), inputs, p, state,
                                   h=0.01, T=2.0)
-            errs.append(err.value)
-        motion, closure = errs
-        assert motion.t == closure.t == pytest.approx(0.87)
-        assert len(motion.partial.times) == len(closure.partial.times) == 88
-        last = motion.partial
-        assert np.abs(last.x[-1]).max() > 1e12 >= np.abs(np.hstack((last.v, last.z))).max()
-        assert np.abs(last.x[:-1]).max() <= 1e12
-        np.testing.assert_allclose(np.hstack((last.x, last.v, last.z)),
-                                   np.hstack((closure.partial.x, closure.partial.v,
-                                              closure.partial.z)), rtol=1e-9)
+            with pytest.raises(DivergenceError) as closure:
+                closure_run(protocol, topology_preset("fig1a"), inputs, p, state.pack(), 0.01, 2.0)
+            times, states = closure.value.partial
+            assert motion.value.t == closure.value.t == pytest.approx(0.87)
+            last = motion.value.partial
+            assert len(last.times) == len(times) == 88
+            assert np.abs(last.x[-1]).max() > 1e12 >= np.abs(np.hstack((last.v, last.z))).max()
+            assert np.abs(last.x[:-1]).max() <= 1e12
+            np.testing.assert_allclose(np.hstack((last.x, last.v, last.z)), states, rtol=1e-9)
 
     @pytest.mark.parametrize("leaves", [1.5, 0.5])
     def test_theta_check_in_a_motion_phase_divergence(self, leaves):
         # the run above with a theta that leaves its bounds at t = leaves:
         # after x passed the limit at t = 0.87, in the same block, the
-        # divergence comes first, as on the closure path; before it, the
-        # theta check does
+        # divergence comes first, as in the closure run, which reads theta
+        # at every stage; before it, the theta check does
         theta = ThetaGain(fn=lambda t: np.full(6, 300.0 if t < leaves else 600.0),
                           lower=np.ones(6), upper=np.full(6, 300.0))
-        p = AlgorithmParams(3.0, 1.0, theta=theta)
+        p = AlgorithmParams(3.0, 1.0, theta=theta, psi=np.sin)
         state = AgentState(x=np.ones(6), v=np.zeros(6), z=np.zeros(6))
+        args = (topology_preset("fig1a"), preset_scenario("case2"), p)
         for protocol in ("dc2", "dc3"):
-            run = partial(simulate_protocol, protocol, topology_preset("fig1a"),
-                          preset_scenario("case2"), p, state, h=0.01, T=2.0)
+            run = partial(simulate_protocol, protocol, *args, state, h=0.01, T=2.0)
+            oracle = partial(closure_run, protocol, *args, state.pack(), 0.01, 2.0)
             if leaves > 0.87:
                 with pytest.raises(DivergenceError) as err:
                     run()
-                assert err.value.t == pytest.approx(0.87)
-                assert len(err.value.partial.times) == 88
+                with pytest.raises(DivergenceError) as closure:
+                    oracle()
+                assert err.value.t == closure.value.t == pytest.approx(0.87)
+                assert len(err.value.partial.times) == len(closure.value.partial[0]) == 88
             else:
-                with pytest.raises(ValueError, match=r"theta\(t=0\.5\d*\) leaves its declared bounds"):
-                    run()
+                for f in (run, oracle):
+                    with pytest.raises(ValueError, match=r"theta\(t=0\.5\d*\) leaves its declared bounds"):
+                        f()
 
     def test_sum_of_v_held_on_large_states(self, monkeypatch):
         # sat.json's |v| reaches 160.  The step-at-a-time closure drifts
@@ -792,6 +798,114 @@ class TestMotionPhase:
                 np.testing.assert_allclose(zeroed, m, rtol=0, atol=1e-15 * np.abs(m).max())
             else:
                 np.testing.assert_array_equal(zeroed, m)
+
+
+# ---------------------------------------------------------------------------
+# dc3 on dc2's path vs the wire arithmetic
+# ---------------------------------------------------------------------------
+
+class TestWireArithmetic:
+    """dc3 steps dc2's dynamics, since L (z + psi 1) = L z in exact
+    arithmetic, and forms its messages z + psi(t) only for output.  The
+    wire form, ``closure_run`` through dc3_rhs, takes its Laplacian terms
+    from the rounded fl(z + psi), so the two runs differ by that rounding
+    alone, which grows with the mask's magnitude."""
+
+    @pytest.mark.parametrize("c", [1e3, 1e6, 1e9])
+    def test_run_is_the_wire_arithmetic_to_its_rounding(self, c, ring6):
+        # masked.json's dynamics with psi = c + sin t over 5 s.  Each
+        # fl(z_i + psi) is off by at most half an ulp of max|z + psi|, and
+        # L, whose rows have absolute sums of 2 on the ring, turns that into
+        # a slope error of at most one ulp, which the stable (z, v) dynamics
+        # average out: the state gap measured 0.041-0.050 ulp at c = 1e3, 1e6
+        # and 1e9 (0.011-0.015 at h = 1e-3).  The bound is a quarter ulp.  A
+        # mask with a distinct offset c + i per agent, handed to the oracle
+        # alone, does not cancel through L: a gap of 3.2, 1e7-1e13 ulp
+        inputs = preset_scenario("case2")
+        u0 = inputs.values(0.0)
+        state = AgentState(x=u0, v=np.zeros(6), z=u0.copy())
+        theta = ThetaGain.constant(1.0)
+        h, T = 0.01, 5.0
+        traj = simulate_protocol("dc3", ring6, inputs,
+                                 AlgorithmParams(1.0, 1.0, theta=theta, psi=lambda t: c + np.sin(t)),
+                                 state, h=h, T=T)
+        run = np.hstack((traj.x, traj.v, traj.z))
+        bound = 0.25 * np.spacing(np.abs(traj.messages_sample).max())
+
+        def gap(psi):
+            p = AlgorithmParams(1.0, 1.0, theta=theta, psi=psi)
+            return float(np.abs(run - closure_run("dc3", ring6, inputs, p, state.pack(), h, T)[1]).max())
+
+        assert gap(lambda t: c + np.sin(t)) <= bound
+        assert gap(lambda t: c + np.arange(6.0) + np.sin(t)) > 1e6 * bound
+
+
+# ---------------------------------------------------------------------------
+# every smooth bundled protocol vs scipy's DOP853
+# ---------------------------------------------------------------------------
+
+def schedule_pieces(topology, T):
+    """(start, end, weights) of each constant stretch of [0, T], unrolled
+    from the schedule's own segments and period."""
+    if not isinstance(topology, SwitchingSchedule):
+        return [(0.0, T, topology.weights)]
+    period = topology.period or 0.0
+    starts = [(k * period + s, idx) for k in range(int(T // period) + 1 if period else 1)
+              for s, idx in topology.segments if k * period + s < T]
+    ends = [s for s, _ in starts[1:]] + [T]
+    return [(a, b, topology.graphs[idx].weights) for (a, idx), b in zip(starts, ends)]
+
+
+class TestIndependentIntegrator:
+    """The bundled runs of dc1, dc2 and dc3 against scipy's DOP853 on the
+    differential equations written out below, from the digraphs' weights,
+    integrated piece by piece between switches as criterion 5b does.  The
+    oracle shares the scenario's parsed inputs, gains and initial state with
+    the run, and nothing else: no Laplacian, stepping, forcing, motion phase
+    or schedule lookup.  dc3's
+    Laplacian terms read the messages z + psi(t).  sat.json and sat_dc1.json
+    are left out: a clipped command has kinks where it meets its limit, and
+    DOP853's error control assumes a smooth right-hand side.  sampled_bias.json
+    runs the discrete recurrence, which TestFusedStep checks."""
+
+    # horizons past case1's first period and case2's last switch, or a few
+    # time constants.  The gaps are RK4's truncation: measured 1.1e-9 of the
+    # state's scale on rate (h theta = 0.025), 6.6e-10 on case2 (beta = 10)
+    # and 1.2e-12 to 2.5e-12 on the others
+    @pytest.mark.parametrize("fname,horizon", [
+        ("case1.json", 10.0), ("case2.json", 12.0), ("static.json", 4.0),
+        ("offset_sines.json", 4.0), ("rate.json", 4.0), ("masked.json", 4.0)])
+    def test_bundled_scenarios(self, fname, horizon):
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        raw = json.loads((SCENARIOS / fname).read_text())
+        raw.update(horizon=horizon, tail_start=0.75 * horizon)
+        cfg = validate_scenario(raw, name=fname)
+        traj, _, _ = run_scenario(cfg)
+        inputs, p, n = cfg.build_inputs(), cfg.build_params(), cfg.n
+        motion = cfg.protocol != "dc1"
+
+        def rhs(t, y, lap):
+            u, du = inputs.eval_all(t)
+            info, v = (y[2 * n:] if motion else y[:n]), y[n:2 * n]
+            lz = lap @ (info + p.psi(t) if p.psi is not None else info)
+            dinfo = du - p.alpha * (info - u) - p.beta * lz - v
+            dv = p.alpha * p.beta * lz
+            if not motion:
+                return np.concatenate((dinfo, dv))
+            return np.concatenate((-p.theta.at(t) * (y[:n] - info) + dinfo, dv, dinfo))
+
+        h = cfg.step
+        states = np.empty((len(traj.times), (3 if motion else 2) * n))
+        states[0] = np.concatenate([cfg.x0, cfg.v0] + ([cfg.z0] if motion else []))
+        for a, b, w in schedule_pieces(cfg.build_topology(), horizon):
+            lap = np.diag(w.sum(axis=1)) - w
+            idx = np.arange(round(a / h) + 1, round(b / h) + 1)
+            sol = solve_ivp(rhs, (a, b), states[idx[0] - 1], method="DOP853", args=(lap,),
+                            rtol=1e-12, atol=1e-12, t_eval=traj.times[idx])
+            states[idx] = sol.y.T
+        run = np.hstack([traj.x, traj.v] + ([traj.z] if motion else []))
+        scale = max(1.0, float(np.abs(states).max()))
+        assert float(np.abs(run - states).max()) <= 1e-8 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -1013,14 +1127,18 @@ class TestRunStatistics:
     @pytest.mark.parametrize("protocol,alpha,beta,h,rows", [
         pytest.param("dc1", 3.0, 10.0, 0.25, (2, 400), id="dc1"),
         pytest.param("dc3", 3.0, 10.0, 0.25, (2, 400), id="dc3"),
-        pytest.param("dc3", 279.0, 0.1, 0.01, (SWEEP_BLOCK + 1, 4500), id="dc3_late")])
+        pytest.param("dc3", 279.0, 0.1, 0.01, (SWEEP_BLOCK + 1, 4500), id="dc3_late"),
+        pytest.param("dc1_sat", 3.0, 10.0, 0.25, (2, 400), id="dc1_sat"),
+        pytest.param("dc1_sat", 279.0, 0.1, 0.01, (SWEEP_BLOCK + 1, 4500), id="dc1_sat_late")])
     def test_partial_trajectory_keeps_them(self, protocol, alpha, beta, h, rows, ring6):
-        # affine (dc1) and closure (dc3) divergences inside the first block;
-        # at h alpha = 2.79, just past RK4's stability interval, the closure
-        # run's consensus mode grows by 0.7% a step and passes the limit in
-        # a later block
+        # affine (dc1), motion (dc3) and closure (dc1_sat, with limits that
+        # no command reaches) divergences inside the first block; at
+        # h alpha = 2.79, just past RK4's stability interval, the consensus
+        # mode of (x, v), or of (z, v), grows by 0.7% a step and passes the
+        # limit in a later block
         inputs = preset_scenario("case2")
-        p = AlgorithmParams(alpha, beta, theta=ThetaGain.constant(1.0), psi=np.cos)
+        p = AlgorithmParams(alpha, beta, theta=ThetaGain.constant(1.0), sat_limits=1e300,
+                            psi=np.cos)
         state = AgentState(x=np.zeros(6), v=np.zeros(6), z=np.zeros(6))
         with pytest.raises(DivergenceError) as err:
             simulate_protocol(protocol, ring6, inputs, p, state, h=h, T=100.0)
@@ -1281,6 +1399,21 @@ class TestBlockwiseCsv:
         assert_same_text((tmp_path / "one.csv").read_bytes(), text)
         assert len(forks) == helper
         assert sorted(os.listdir(tmp_path)) == ["one.csv", "two.csv"]
+
+    def test_a_whole_bundled_run_matches_per_cell_formatting(self, tmp_path, monkeypatch):
+        # masked.json at its own 20 s horizon: 20 001 rows of 27 columns in
+        # 67 blocks, so a forked helper writes the last 34
+        traj, _, curves = run_scenario(load_scenario(SCENARIOS / "masked.json"))
+        blocks = -(-len(traj.times) // (dacsim.engine.CSV_CELLS // 27))
+        assert blocks == 67 >= csvformat.FORK_BLOCKS
+        if not csvformat.helper_allowed(blocks):
+            pytest.skip("this platform writes in one process")
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        write_trajectory_csv(tmp_path / "masked.csv", traj, curves)
+        assert forks == [1]
+        assert_same_text((tmp_path / "masked.csv").read_bytes(), per_cell_csv(traj, curves))
 
     def test_pool_workers_write_in_one_process(self, monkeypatch):
         import multiprocessing
