@@ -19,7 +19,8 @@ import numpy as np
 from .engine import check_on_grid, check_switches_on_grid
 from .graphs import graph_from_json, is_strongly_connected, is_weight_balanced
 from .protocols import PROTOCOL_IDS, PROTOCOL_KEYS, AlgorithmParams, ThetaGain
-from .signals import SCENARIO_PRESETS, InputSet, preset_scenario, read_params, signal_from_json
+from .signals import (SCENARIO_PRESETS, InputSet, make_signal, preset_scenario, read_params,
+                      signal_from_json)
 from .switching import schedule_from_json, validate_admissible
 
 __all__ = ["ScenarioConfig", "ConfigError", "load_scenario", "read_scenario", "validate_scenario"]
@@ -115,8 +116,10 @@ def _build_theta(spec, n) -> ThetaGain:
         base, amp, freq = _per_agent(base, n), float(amp), float(freq)
         if not 0.0 <= amp < 1.0:
             raise ValueError("sine theta schedule needs 0 <= amplitude < 1")
-        return ThetaGain(fn=lambda t: base * (1.0 + amp * math.sin(freq * t)),
-                         lower=base * (1.0 - amp), upper=base * (1.0 + amp))
+        # 1 + amplitude sin(frequency t), added in that order
+        shape = make_signal("sum-of-terms", terms=[make_signal("constant", value=1.0),
+                                                   make_signal("sine", amplitude=amp, frequency=freq)])
+        return ThetaGain(base=base, shape=shape, lower=base * (1.0 - amp), upper=base * (1.0 + amp))
     raise ValueError(f'theta must be a number, a list, or the named schedule '
                      f'{{"name": "sine", ...}}, got {spec!r}')
 

@@ -358,8 +358,9 @@ def simulate_protocol(protocol: str, topology, inputs: InputSet, p: AlgorithmPar
     f = du + alpha u, into its rows.  dc3's common mask cancels, L (z + psi) =
     L z, so only its messages read psi (``_package``).  The three then step
     x per agent (``_motion``) up to the block's first (z, v) row past the
-    limit, and check theta's bounds only at the steps before the first bad
-    row of (z, v) or x.  dc1_sat RK4-steps each row with the digraph's
+    limit, on theta read once on those steps' half-step grid, and check
+    theta's bounds only at the steps before the first bad row of (z, v) or
+    x.  dc1_sat RK4-steps each row with the digraph's
     ``dc1_rhs`` closure and checks it.  So on either path a ThetaGain that
     leaves its bounds later in the block cannot pre-empt a divergence."""
     n = state0.n
@@ -389,7 +390,6 @@ def simulate_protocol(protocol: str, topology, inputs: InputSet, p: AlgorithmPar
     if motion:
         xs = np.empty((times.size, n))
         xs[0] = state0.x
-        fixed = _rk4_gains(*[-p.theta.at(0.0)] * 3, h) if p.theta.is_constant else None
 
     def half_steps(k0, k1):
         # the RK4 stage times of steps k0..k1 - 1: each stored time, whose
@@ -424,15 +424,15 @@ def simulate_protocol(protocol: str, topology, inputs: InputSet, p: AlgorithmPar
             # x is stepped up to the first (z, v) row past the limit, and theta
             # checked, as the closure reads it, up to the first bad row's step
             k1 = k0 + min(bad + 1, k1 - k0)
-            grid, gains = half_steps(k0, k1), fixed
-            if gains is None:
-                th = np.array([np.atleast_1d(p.theta.fn(t)) for t in grid], dtype=float)
-                gains = _rk4_gains(-th[0:-1:2], -th[1::2], -th[2::2], h)
+            grid = half_steps(k0, k1)
+            # a shape constant in t is read on the first step's grid: one row
+            # of gains then serves the block, and no per-step array is made
+            th = p.theta.values(grid[:3] if p.theta.shape.kind == "constant" else grid)
+            gains = _rk4_gains(-th[0:-1:2], -th[1::2], -th[2::2], h)
             _motion(out[k0:k1 + 1], xs[k0:k1 + 1], gains, samples[0], a.T, h, limits)
             bad = min(bad, _first_bad(xs[k0 + 1:k1 + 1]))
-            if fixed is None:
-                cut = 2 * min(bad + 1, k1 - k0) + 1
-                p.theta.check(grid[:cut], th[:cut])
+            cut = 2 * min(bad + 1, k1 - k0) + 1
+            p.theta.check(grid[:cut], th[:cut])
             return bad, (ys, xs[k0 + 1:k1 + 1])
 
         ns = _zero_v_sums(_power_increment(incr, SWEEP_SUBSTEPS), lap)
@@ -467,9 +467,10 @@ def simulate_protocol(protocol: str, topology, inputs: InputSet, p: AlgorithmPar
 
 
 def _rk4_gains(la, lb, lc, h: float):
-    """RK4 on de/dt = lam(t) e, lam per agent at a step's start, midpoint
-    and end, or per step and agent: lam at the four stages, e's factor g at
-    the four stage arguments, and e's factor r over the step."""
+    """RK4 on de/dt = lam(t) e, lam per agent at each step's start, midpoint
+    and end, in rows per step or one row for every step: lam at the four
+    stages, e's factor g at the four stage arguments, and e's factor r over
+    the step."""
     g2 = 1.0 + 0.5 * h * la
     g3 = 1.0 + 0.5 * h * lb * g2
     g4 = 1.0 + h * lb * g3
@@ -505,6 +506,7 @@ def _motion(zv: np.ndarray, x: np.ndarray, gains, f: np.ndarray, a_t: np.ndarray
 
     if limits is not None:  # the factors of e in the four stage commands
         coefs = [np.broadcast_to(lj * g, (m, n)) for lj, g in zip(lams, gs)]
+    lams, r = [np.broadcast_to(lj, (m, n)) for lj in lams], np.broadcast_to(r, (m, n))
 
     def first_clip(j):
         for w in range(j, m, CLIP_WINDOW):
@@ -521,8 +523,8 @@ def _motion(zv: np.ndarray, x: np.ndarray, gains, f: np.ndarray, a_t: np.ndarray
     def clamped_step(j):
         # one RK4 step of e from row j; whether a stage clipped
         arg, ds, hit = e[j], [], False
-        for lj, (dz,), step in zip((c if c.ndim == 1 else c[j] for c in lams),
-                                   slopes(j, j + 1), (0.5 * h, 0.5 * h, h, 0.0)):
+        for lj, (dz,), step in zip((c[j] for c in lams), slopes(j, j + 1),
+                                   (0.5 * h, 0.5 * h, h, 0.0)):
             cmd = lj * arg + dz
             hit = hit or bool((np.abs(cmd) > limits).any())
             ds.append(np.clip(cmd, -limits, limits) - dz)
@@ -532,7 +534,7 @@ def _motion(zv: np.ndarray, x: np.ndarray, gains, f: np.ndarray, a_t: np.ndarray
 
     j = 0
     while j < m:
-        e[j + 1:] = r if r.ndim == 1 else r[j:]
+        e[j + 1:] = r[j:]
         np.multiply.accumulate(e[j:], axis=0, out=e[j:])
         j = m if limits is None else first_clip(j)
         while j < m:

@@ -26,6 +26,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .signals import InputSignal, make_signal
+
 __all__ = [
     "AgentState",
     "AlgorithmParams",
@@ -89,20 +91,23 @@ class AgentState:
 
 @dataclass(eq=False)
 class ThetaGain:
-    """Per-agent motion-filter gain theta^i(t) with its declared bounds.
+    """Per-agent motion-filter gain theta^i(t) = base^i shape(t), with its
+    declared bounds.  ``shape`` is one signal of ``signals.KINDS`` for all
+    agents: ``constant`` 1.0 for a fixed gain.
 
     The bounds are a hypothesis of the rate/saturation guarantees, not
-    globally enforceable for an arbitrary callable, so they are checked
+    globally enforceable for an arbitrary shape, so they are checked
     lazily at each evaluation time.
     """
 
-    fn: Callable[[float], np.ndarray]
+    base: np.ndarray
+    shape: InputSignal
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        self.lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        self.upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        self.base, self.lower, self.upper = (np.atleast_1d(np.asarray(a, dtype=float))
+                                             for a in (self.base, self.lower, self.upper))
         if np.any(self.lower <= 0):
             raise ValueError("theta lower bounds must be positive")
         if np.any(self.upper < self.lower):
@@ -110,36 +115,23 @@ class ThetaGain:
 
     @classmethod
     def constant(cls, values) -> "ThetaGain":
-        vals = np.atleast_1d(np.asarray(values, dtype=float))
-        return cls(fn=_ConstantGain(vals), lower=vals, upper=vals)
+        return cls(base=values, shape=make_signal("constant", value=1.0), lower=values, upper=values)
 
-    @property
-    def is_constant(self) -> bool:
-        """True for a gain built by ``constant``: theta(t) is the same at
-        every t, so it can never leave its bounds."""
-        return isinstance(self.fn, _ConstantGain)
+    def values(self, times) -> np.ndarray:
+        """theta at each of the times, one row per time, in one call."""
+        return self.base * self.shape.value(times)[:, None]
 
     def at(self, t: float) -> np.ndarray:
-        th = np.atleast_1d(np.asarray(self.fn(t), dtype=float))
-        self.check([t], th[None])
-        return th
+        th = self.values([t])
+        self.check([t], th)
+        return th[0]
 
     def check(self, times, values: np.ndarray):
-        """Raise ValueError at the first of times whose row of fn's values
-        leaves the declared bounds."""
+        """Raise ValueError at the first of times whose row of theta's
+        values leaves the declared bounds."""
         out = ((values < self.lower - 1e-12) | (values > self.upper + 1e-12)).any(axis=1)
         if out.any():
             raise ValueError(f"theta(t={times[int(out.argmax())]}) leaves its declared bounds")
-
-
-class _ConstantGain:
-    """theta(t) = values for every t."""
-
-    def __init__(self, values: np.ndarray):
-        self.values = values
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self.values
 
 
 @dataclass(eq=False)
@@ -213,13 +205,12 @@ def dc2_rhs(lap: np.ndarray, p: AlgorithmParams, saturate: bool = False,
     if theta is None:
         raise ValueError("dc2/dc3 need a theta gain")
     limits = _require_limits(p) if saturate else None
-    fixed = theta.at(0.0) if theta.is_constant else None  # checked once, not per stage
 
     def f(t, y, u, du):
         x, v, z = y[:n], y[n:2 * n], y[2 * n:]
         lz = lap @ (z + psi(t)) if psi is not None else lap @ z
         dz = du - alpha * (z - u) - beta * lz - v
-        dx = -(fixed if fixed is not None else theta.at(t)) * (x - z) + dz
+        dx = -theta.at(t) * (x - z) + dz
         if limits is not None:
             dx = np.clip(dx, -limits, limits)
         return np.concatenate((dx, alpha * beta * lz, dz))

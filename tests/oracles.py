@@ -1,8 +1,8 @@
 """Independent oracles: the step-at-a-time forms that dacsim's vectorised
 kernels replaced, kept word for word so the tests can hold the kernels to
 them, and reference computations that the tests use and no run does: the
-homogeneous (zero-system) dynamics, the one-step matrix's spectrum and the
-zero-error input-class check."""
+homogeneous (zero-system) dynamics, the one-step matrix's spectrum, the
+named theta schedule and the zero-error input-class check."""
 
 import math
 from dataclasses import dataclass
@@ -58,6 +58,13 @@ def simulate_zero_system(g, alpha, beta, y0, w0, h, T):
         s = s + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         out[m + 1] = s
     return np.arange(steps + 1) * h, out[:, :n], out[:, n:]
+
+
+def sine_theta_schedule(base, amplitude, frequency, t):
+    """The named theta schedule {"name": "sine", ...} at one time t, as its
+    definition reads: base (1 + amplitude sin(frequency t)), with base per
+    agent and math.sin."""
+    return base * (1.0 + amplitude * math.sin(frequency * t))
 
 
 def pdelta_eigenvalues(g, alpha, beta, delta):

@@ -444,9 +444,17 @@ def random_topology(rng, n, switching):
 
 def sine_theta(base, amp=0.3, freq=2.0):
     """A theta that is not constant, checked against its bounds at every
-    time it is read, like the config's named sine schedule."""
-    return ThetaGain(fn=lambda t: base * (1.0 + amp * math.sin(freq * t)),
-                     lower=base * (1.0 - amp), upper=base * (1.0 + amp))
+    time it is read, built as the config's named sine schedule is."""
+    shape = make_signal("sum-of-terms", terms=[make_signal("constant", value=1.0),
+                                               make_signal("sine", amplitude=amp, frequency=freq)])
+    return ThetaGain(base=base, shape=shape, lower=base * (1.0 - amp), upper=base * (1.0 + amp))
+
+
+def stepped_theta(base, before, after, at):
+    """theta = base * before for t < at and base * after from t = at on,
+    checked against bounds base * before."""
+    shape = make_signal("sampled-piecewise-constant", values=[before, after], hold=at)
+    return ThetaGain(base=base, shape=shape, lower=base * before, upper=base * before)
 
 
 def stage_clips(clips):
@@ -516,9 +524,8 @@ class TestAffinePath:
                            x0, np.zeros(6), 0.01, 2.0, z0=x0.copy())
 
     def test_equal_bounds_callable_still_checked(self, ring6):
-        # equal bounds with a callable of its own: theta leaves them at t = 1
-        theta = ThetaGain(fn=lambda t: np.full(6, 1.0 if t < 1.0 else 2.0),
-                          lower=np.ones(6), upper=np.ones(6))
+        # equal bounds with a shape of its own: theta leaves them at t = 1
+        theta = stepped_theta(np.ones(6), 1.0, 2.0, at=1.0)
         state = AgentState(x=np.zeros(6), v=np.zeros(6), z=np.zeros(6))
         with pytest.raises(ValueError, match="leaves its declared bounds"):
             simulate_protocol("dc2", ring6, preset_scenario("case2"),
@@ -527,8 +534,7 @@ class TestAffinePath:
     def test_divergence_comes_before_a_later_theta_check(self, ring6):
         # the closure run passes the limit near t = 3; theta leaves its bounds
         # at t = 50, later in the same block, and must not pre-empt that
-        theta = ThetaGain(fn=lambda t: np.full(6, 1.0 if t < 50.0 else 2.0),
-                          lower=np.ones(6), upper=np.ones(6))
+        theta = stepped_theta(np.ones(6), 1.0, 2.0, at=50.0)
         state = AgentState(x=np.zeros(6), v=np.zeros(6), z=np.zeros(6))
         h, T = 0.25, 100.0
         assert T / h <= SWEEP_BLOCK
@@ -753,8 +759,7 @@ class TestMotionPhase:
         # after x passed the limit at t = 0.87, in the same block, the
         # divergence comes first, as in the closure run, which reads theta
         # at every stage; before it, the theta check does
-        theta = ThetaGain(fn=lambda t: np.full(6, 300.0 if t < leaves else 600.0),
-                          lower=np.ones(6), upper=np.full(6, 300.0))
+        theta = stepped_theta(np.full(6, 300.0), 1.0, 2.0, at=leaves)
         p = AlgorithmParams(3.0, 1.0, theta=theta, psi=np.sin)
         state = AgentState(x=np.ones(6), v=np.zeros(6), z=np.zeros(6))
         args = (topology_preset("fig1a"), preset_scenario("case2"), p)
@@ -906,6 +911,43 @@ class TestIndependentIntegrator:
         run = np.hstack([traj.x, traj.v] + ([traj.z] if motion else []))
         scale = max(1.0, float(np.abs(states).max()))
         assert float(np.abs(run - states).max()) <= 1e-8 * scale
+
+
+class TestObservedOrder:
+    """RK4's order, observed on dc1 against the exact solution.  With
+    constant inputs dc1 is d/dt (x, v) = A (x, v) + (alpha u, 0), so the
+    augmented state (x, v, 1) solves a linear system whose flow is
+    scipy's expm, from A written out from fig1a's weights."""
+
+    def test_order_four_on_static(self):
+        expm = pytest.importorskip("scipy.linalg").expm
+        cfg = load_scenario(SCENARIOS / "static.json")
+        p, n, T = cfg.build_params(), cfg.n, 2.0
+        w = np.asarray(cfg.build_topology().weights, dtype=float)
+        lap = np.diag(w.sum(axis=1)) - w
+        eye = np.eye(n)
+
+        def exact(alpha):
+            m = np.zeros((2 * n + 1, 2 * n + 1))
+            m[:2 * n, :2 * n] = np.block([[-alpha * eye - p.beta * lap, -eye],
+                                         [alpha * p.beta * lap, np.zeros((n, n))]])
+            m[:n, -1] = alpha * cfg.build_inputs().values(0.0)
+            return (expm(T * m) @ np.concatenate((cfg.x0, cfg.v0, [1.0])))[:2 * n]
+
+        def orders(solution):
+            gaps = []
+            for h in (0.4, 0.2, 0.1, 0.05):
+                traj = simulate_protocol("dc1", cfg.build_topology(), cfg.build_inputs(), p,
+                                         AgentState(x=cfg.x0, v=cfg.v0), h=h, T=T)
+                gaps.append(float(np.abs(np.concatenate((traj.x[-1], traj.v[-1])) - solution).max()))
+            return np.log2(np.array(gaps[:-1]) / gaps[1:])
+
+        # measured 4.33, 4.16 and 4.08; the error at h = 0.05 (2.8e-7) is
+        # far above roundoff
+        observed = orders(exact(p.alpha))
+        assert (np.abs(observed[1:] - 4.0) <= 0.25).all(), observed
+        # negative control: against the flow at 1.001 alpha the error stalls
+        assert (orders(exact(1.001 * p.alpha))[1:] < 1.0).all()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dacsim.config import _build_theta
 from dacsim.engine import integrate, simulate_protocol
 from dacsim.graphs import build_digraph, laplacian, topology_preset
 from dacsim.protocols import (
@@ -18,7 +19,7 @@ from dacsim.protocols import (
 from dacsim.signals import InputSet, make_signal, preset_scenario
 from dacsim.switching import SwitchingSchedule
 from conftest import random_balanced_strongly_connected, ring_run, two_node_pair
-from oracles import stage1_commands
+from oracles import sine_theta_schedule, stage1_commands
 
 
 def constants(values):
@@ -88,7 +89,7 @@ class TestDc2Derivative:
         assert max(np.abs(part).max() for part in d) <= 1e-12
 
     def test_theta_bounds_enforced_lazily(self):
-        theta = ThetaGain(fn=lambda t: np.array([1.0 + t, 1.0]),
+        theta = ThetaGain(base=[1.0, 1.0], shape=make_signal("linear", slope=1.0, intercept=1.0),
                           lower=[0.5, 0.5], upper=[1.5, 1.5])
         state = AgentState(x=[0.0, 0.0], v=[0.0, 0.0], z=[0.0, 0.0])
         rhs_at(dc2_rhs, state, 0.2, two_node_pair(), constants([1.0, 2.0]),
@@ -96,6 +97,45 @@ class TestDc2Derivative:
         with pytest.raises(ValueError, match="bounds"):
             rhs_at(dc2_rhs, state, 2.0, two_node_pair(), constants([1.0, 2.0]),
                    params(theta=theta))
+
+
+class TestThetaSchedule:
+    """The named sine schedule, built by the config from the signal kinds
+    and evaluated by ThetaGain on an array of times in one call, is bit for
+    bit the literal schedule at each time (``oracles.sine_theta_schedule``):
+    on drawn times, and on a block's half-step grid, where a run reads it."""
+
+    @staticmethod
+    def schedule(bases, amp, freq):
+        spec = {"name": "sine", "base": bases, "amplitude": amp, "frequency": freq}
+        return _build_theta(spec, len(bases))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(0.01, 10.0), min_size=1, max_size=7),
+           st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 50.0),
+           st.lists(st.floats(0.0, 1e4), max_size=16), st.floats(1e-4, 0.1),
+           st.integers(0, 10 ** 6), st.integers(1, 64))
+    def test_matches_the_literal_schedule(self, bases, amp, freq, times, h, k0, steps):
+        theta, base = self.schedule(bases, amp, freq), np.array(bases)
+        # the stage times of steps k0..k0 + steps - 1, as a run forms them
+        grid = np.repeat(np.arange(k0, k0 + steps + 1) * h, 2)[:-1]
+        grid[1::2] += 0.5 * h
+        for t in (np.array(times), grid):
+            expected = np.array([sine_theta_schedule(base, amp, freq, s) for s in t.tolist()])
+            assert np.array_equal(theta.values(t), expected.reshape(len(t), len(base)))
+        for s in times:
+            assert np.array_equal(theta.at(s), sine_theta_schedule(base, amp, freq, s))
+
+    def test_a_reordered_form_differs(self):
+        # base + base amp sin(freq t) is the same schedule in exact
+        # arithmetic but rounds otherwise, so bit equality tells the forms apart
+        rng = np.random.default_rng(11)
+        bases, t = rng.uniform(0.01, 10.0, 6), rng.uniform(0.0, 100.0, 200)
+        theta = self.schedule(bases.tolist(), 0.5, 1.7)
+        literal = np.array([sine_theta_schedule(bases, 0.5, 1.7, s) for s in t.tolist()])
+        reordered = np.array([bases + bases * 0.5 * math.sin(1.7 * s) for s in t.tolist()])
+        assert np.array_equal(theta.values(t), literal)
+        assert not np.array_equal(theta.values(t), reordered)
 
 
 class TestDc3Derivative:
@@ -310,6 +350,45 @@ class TestInputPrivacy:
         # over 200 draws: z up to 6.0e-15 apart; the control moved z by at
         # least 0.068 |b|
         self.check("dc2", "z", seed, agent, a, -b if negative else b, switching)
+
+
+class TestZeroSumPrivacy:
+    """dc1 keeps each agent's input private even from an adversary who
+    hears every transmitted x_k(t), knows the protocol, the digraph and the
+    gains, knows sum(v(0)) (0 at the start that dc1's tracking needs) and
+    even the true average avg(u)(t) at every t.  Shift agent i's input by
+    +a and agent j's by -a, and v_i(0) by +alpha a and v_j(0) by -alpha a:
+    du + alpha u gains +-alpha a, which the shifted v cancels, dv = alpha
+    beta L x never reads u, and neither sum(v(0)) nor avg(u) moves.  So
+    every x_k(t) is unchanged while u_i and u_j differ by a."""
+
+    @staticmethod
+    def run(i, j, a, v_shift):
+        """dc1 on fig1a with case2's inputs over 10 s, agent i's input
+        moved by a and agent j's by -a; with v_shift, v_i(0) and v_j(0)
+        moved by +-alpha a."""
+        p = params(1.0, 1.0)
+        signals = list(preset_scenario("case2").signals)
+        for k, shift in ((i, a), (j, -a)):
+            signals[k] = make_signal("sum-of-terms", terms=[signals[k],
+                                                            make_signal("constant", value=shift)])
+        v0 = np.zeros(6)
+        if v_shift:
+            v0[i], v0[j] = p.alpha * a, -p.alpha * a
+        return simulate_protocol("dc1", topology_preset("fig1a"), InputSet(signals=tuple(signals)),
+                                 p, AgentState(x=np.zeros(6), v=v0), h=0.01, T=10.0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 5), st.integers(1, 5), st.floats(0.1, 10.0), st.booleans())
+    def test_zero_sum_shift_sends_the_same_x(self, i, offset, a, negative):
+        j, a = (i + offset) % 6, -a if negative else a
+        base, shifted = self.run(i, j, 0.0, False), self.run(i, j, a, True)
+        # over the 30 ordered pairs at |a| from 0.1 to 10: x up to 2.9e-15
+        # apart and avg(u) up to 6.1e-16
+        assert np.abs(shifted.x - base.x).max() <= 1e-13
+        assert np.abs(shifted.avg_u - base.avg_u).max() <= 1e-13
+        # negative control: without the v shift, x moves (measured at least 0.35 |a|)
+        assert np.abs(self.run(i, j, a, False).x - base.x).max() >= 0.1 * abs(a)
 
 
 class TestExternalPrivacy:
