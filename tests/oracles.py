@@ -61,10 +61,14 @@ def simulate_zero_system(g, alpha, beta, y0, w0, h, T):
 
 
 def sine_theta_schedule(base, amplitude, frequency, t):
-    """The named theta schedule {"name": "sine", ...} at one time t, as its
-    definition reads: base (1 + amplitude sin(frequency t)), with base per
-    agent and math.sin."""
-    return base * (1.0 + amplitude * math.sin(frequency * t))
+    """The named theta schedule {"name": "sine", ...} at each of the times
+    t, one row per time, as its definition reads: base (1 + amplitude
+    sin(frequency t)), with base per agent.  The sine is numpy's, on the
+    times as one array: numpy's float64 sine may differ from libm's by an
+    ulp on some builds and CPUs, and this oracle fixes the operation order,
+    not the sine routine."""
+    t = np.asarray(t, dtype=float)
+    return base * (1.0 + amplitude * np.sin(frequency * t))[:, None]
 
 
 def pdelta_eigenvalues(g, alpha, beta, delta):

@@ -89,8 +89,10 @@ class TestDc2Derivative:
         assert max(np.abs(part).max() for part in d) <= 1e-12
 
     def test_theta_bounds_enforced_lazily(self):
-        theta = ThetaGain(base=[1.0, 1.0], shape=make_signal("linear", slope=1.0, intercept=1.0),
-                          lower=[0.5, 0.5], upper=[1.5, 1.5])
+        # theta = base (1 + t): at t = 2 agent 0 reads 3.0, out of its
+        # bounds, while agent 1 reads 1.5, inside them; one agent is enough
+        theta = ThetaGain(base=[1.0, 0.5], shape=make_signal("linear", slope=1.0, intercept=1.0),
+                          lower=[0.5, 0.25], upper=[1.5, 10.0])
         state = AgentState(x=[0.0, 0.0], v=[0.0, 0.0], z=[0.0, 0.0])
         rhs_at(dc2_rhs, state, 0.2, two_node_pair(), constants([1.0, 2.0]),
                params(theta=theta))
@@ -102,8 +104,11 @@ class TestDc2Derivative:
 class TestThetaSchedule:
     """The named sine schedule, built by the config from the signal kinds
     and evaluated by ThetaGain on an array of times in one call, is bit for
-    bit the literal schedule at each time (``oracles.sine_theta_schedule``):
-    on drawn times, and on a block's half-step grid, where a run reads it."""
+    bit the literal schedule (``oracles.sine_theta_schedule``): on drawn
+    times, and on a block's half-step grid, where a run reads it.  Both
+    sides take numpy's sine of the same times, so the check pins the
+    schedule's operation order and does not depend on numpy's sine
+    matching libm's to the last bit."""
 
     @staticmethod
     def schedule(bases, amp, freq):
@@ -121,10 +126,9 @@ class TestThetaSchedule:
         grid = np.repeat(np.arange(k0, k0 + steps + 1) * h, 2)[:-1]
         grid[1::2] += 0.5 * h
         for t in (np.array(times), grid):
-            expected = np.array([sine_theta_schedule(base, amp, freq, s) for s in t.tolist()])
-            assert np.array_equal(theta.values(t), expected.reshape(len(t), len(base)))
+            assert np.array_equal(theta.values(t), sine_theta_schedule(base, amp, freq, t))
         for s in times:
-            assert np.array_equal(theta.at(s), sine_theta_schedule(base, amp, freq, s))
+            assert np.array_equal(theta.at(s), sine_theta_schedule(base, amp, freq, [s])[0])
 
     def test_a_reordered_form_differs(self):
         # base + base amp sin(freq t) is the same schedule in exact
@@ -132,8 +136,8 @@ class TestThetaSchedule:
         rng = np.random.default_rng(11)
         bases, t = rng.uniform(0.01, 10.0, 6), rng.uniform(0.0, 100.0, 200)
         theta = self.schedule(bases.tolist(), 0.5, 1.7)
-        literal = np.array([sine_theta_schedule(bases, 0.5, 1.7, s) for s in t.tolist()])
-        reordered = np.array([bases + bases * 0.5 * math.sin(1.7 * s) for s in t.tolist()])
+        literal = sine_theta_schedule(bases, 0.5, 1.7, t)
+        reordered = bases + bases * (0.5 * np.sin(1.7 * t))[:, None]
         assert np.array_equal(theta.values(t), literal)
         assert not np.array_equal(theta.values(t), reordered)
 
